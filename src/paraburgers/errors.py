@@ -57,6 +57,10 @@ class SpectrumOverflow(ParaburgersError):
     """Rescaling would push populated modes off the frequency lattice."""
 
 
+class InvariantBroken(ParaburgersError, RuntimeError):
+    """A certified identity failed beyond its stated tolerance."""
+
+
 class NanDetected(ParaburgersError):
     """A time step produced a non-finite coefficient."""
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from .errors import InvariantBroken
 from .flow import gauss_nodes
 from .gauge import dispersion_profile, solve_commutator, solve_conjugating
 from .normalform import normal_form
@@ -28,7 +29,10 @@ from .paraop import (
     DEFAULT_CUTOFF_ARGS, OperatorMatrix, adjoint_star, dealias_product,
     materialize, order_probe, pair_mask
 )
-from .solver import SimConfig, Trajectory, default_dt, initial_field, run
+from .solver import (
+    BLOWUP_LIPSCHITZ, BLOWUP_SUP_FACTOR, SimConfig, Trajectory, default_dt,
+    initial_field, run
+)
 from .spectral import (
     Field, Grid, abs_d_pow, bessel_pow, derivative, homogeneous_sobolev_norm,
     l2_norm, linf_norm, multiplier_apply, sobolev_norm
@@ -48,10 +52,6 @@ ENSEMBLE_AMPLITUDES = (1e-6, 3e-6, 1e-5)
 GROWTH_FACTOR = 1e3
 QUIET_FACTOR = 3.0
 BRACKET_PANELS = 2
-
-
-class InvariantBroken(RuntimeError):
-    """A certified identity failed beyond its stated tolerance."""
 
 
 @dataclass(frozen=True)
@@ -469,18 +469,19 @@ def _growth_classification(traj, initial_lip, initial_sup):
 
     The detector sees every step while the record is stride-censored, so
     a tripped run credits the growth its trigger guarantees: the sup
-    trigger fires at 1e6x, the gradient trigger at an absolute 1e8.  A
-    non-finite state is counted as amplitude divergence, since overflow
-    needs astronomically large values.
+    trigger fires at BLOWUP_SUP_FACTOR times the initial sup norm, the
+    gradient trigger at an absolute BLOWUP_LIPSCHITZ.  A non-finite state
+    is counted as amplitude divergence, since overflow needs
+    astronomically large values.
     """
     lips = np.array([rec[0] for rec in traj.diagnostics])
     sups = np.array([rec[1] for rec in traj.diagnostics])
     lip_growth = float(np.max(lips) / initial_lip)
     sup_growth = float(np.max(sups) / initial_sup)
     if traj.blowup == "lipschitz":
-        lip_growth = max(lip_growth, 1e8 / initial_lip)
+        lip_growth = max(lip_growth, BLOWUP_LIPSCHITZ / initial_lip)
     elif traj.blowup in ("sup_norm", "nan"):
-        sup_growth = max(sup_growth, 1e6)
+        sup_growth = max(sup_growth, BLOWUP_SUP_FACTOR)
     if lip_growth >= GROWTH_FACTOR and sup_growth < QUIET_FACTOR:
         label = "lipschitz"
     elif sup_growth >= GROWTH_FACTOR:

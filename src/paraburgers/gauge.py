@@ -37,7 +37,7 @@ from .errors import (
     TamenessViolated,
 )
 from .paraop import DEFAULT_CUTOFF_ARGS, OperatorMatrix, _lattice_structure, \
-    materialize, multiplier_matrix, pair_mask
+    materialize, pair_mask
 from .symbols import Cutoff, SeminormReport, Symbol, column_wk_inf, cutoff_mask, \
     regularize, seminorm, seminorm_report, x_derivative, xi_forward_difference
 
@@ -57,10 +57,6 @@ def dispersion_profile(grid, alpha):
     """f(xi) = xi |xi|^(alpha-1) on the retained modes, FFT order."""
     xi = grid.freqs.astype(np.float64)
     return np.sign(xi) * np.abs(xi) ** float(alpha)
-
-
-def dispersion_matrix(grid, alpha):
-    return multiplier_matrix(grid, 1j * dispersion_profile(grid, alpha))
 
 
 _den_cache = {}

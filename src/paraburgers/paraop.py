@@ -1,4 +1,4 @@
-"""Paradifferential operators as dense spectral matrices.
+"""Paradifferential operators: dense reference matrices and the cone band.
 
 The materialization convention: for a symbol with coefficients a_hat(eta, xi)
 and cutoff psi, the operator matrix has
@@ -7,17 +7,25 @@ and cutoff psi, the operator matrix has
 
 with rows and columns in FFT order and entries dropped when xi + eta leaves
 the retained lattice (no wrap-around: on the cutoff support |eta| is far
-below N/2 anyway).  Dense matrices are the reference semantics; the banded
-fast path regroups the same sum by the x-frequencies of the symbol and must
-agree to rounding error.
+below N/2 anyway).  Dense matrices (`materialize`) are the reference
+semantics and serve the gauge and study layers, which need the operator
+itself.
+
+Applying an operator to a field never needs the matrix.  psi vanishes
+unless |xi| > B|eta| + b, so only the rows |eta| <= (N/2 - b)/B of the
+symbol can contribute: a band of about N/B x-frequencies.  `apply` and
+`paraproduct` sum that band straight into the output, at cost O(N^2/B)
+and without any N x N array, and agree with the dense matrix to rounding
+error for every cutoff.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbe, GridMismatch
+from .errors import DegenerateProbe, GridMismatch, InvariantBroken
 from .spectral import Field, check_same_grid, sobolev_norm
 from .symbols import Cutoff, Symbol, regularize, x_derivative, xi_forward_difference
 
@@ -138,7 +146,12 @@ def materialize(symbol, cutoff):
     _, valid, rows = _lattice_structure(grid)
     cols = np.broadcast_to(np.arange(grid.n)[None, :], rows.shape)
     entries = np.where(valid, sym.coeffs[rows, cols], 0.0)
-    assert not np.any(entries[pair_mask(grid, cutoff) == 0.0])
+    outside = entries[pair_mask(grid, cutoff) == 0.0]
+    if np.any(outside):
+        raise InvariantBroken(
+            f"{np.count_nonzero(outside)} entries outside the {cutoff!r} "
+            f"pair mask; a symbol marked regularized was not"
+        )
     return OperatorMatrix(grid, entries, f"T[{cutoff!r}]")
 
 
@@ -158,34 +171,71 @@ def symbol_of_matrix(matrix, order_m=0.0):
     return Symbol(grid, coeffs, order_m=order_m)
 
 
-def apply(symbol, cutoff, field, fast=False):
-    """T_a u; `fast` uses the banded accumulation over x-frequencies."""
-    if fast:
-        return paraproduct_apply(symbol, cutoff, field)
-    return materialize(symbol, cutoff).apply(field)
+@dataclass(frozen=True)
+class _ConeBand:
+    """The rows |eta| <= reach of the symbol lattice that psi can reach.
+
+    Columns run in increasing xi; `cols` holds their FFT positions and
+    weights[k, j] is psi(eta_k, xi_j).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
 
 
-def paraproduct_apply(symbol, cutoff, field):
-    """Banded fast path: accumulate over the symbol's x-frequencies.
+@functools.lru_cache(maxsize=16)
+def _cone_band(grid, cutoff):
+    # psi(eta, xi) > 0 needs B|eta| + b < |xi| <= N/2
+    reach = max(int(np.floor((grid.n / 2 - cutoff.little_b) / cutoff.big_b)), 0)
+    eta = np.arange(-reach, reach + 1)
+    xi = np.arange(-(grid.n // 2), grid.n // 2)
+    band = _ConeBand(np.mod(eta, grid.n), np.mod(xi, grid.n),
+                     cutoff(eta[:, None], xi[None, :]))
+    for array in (band.rows, band.cols, band.weights):
+        array.setflags(write=False)
+    return band
 
-    Exactly regroups the dense sum, one shifted multiplier per eta with a
-    nonzero row, so it matches materialize().apply() to rounding error.
+
+def _band_sum(band, terms, spectral):
+    """Sum terms[k, j] * v(xi_j) into output mode xi_j + eta_k, dropping
+    outputs that leave the lattice.
+
+    The k product rows go into zero-padded rows of length n + k.  Read
+    back as rows of length n + k - 1, row r appears shifted right by r,
+    so one column sum collects every term at its output frequency; the
+    n columns from reach = k // 2 on are the lattice.
+    """
+    k, n = terms.shape
+    skew = np.zeros((k, n + k), dtype=np.complex128)
+    np.multiply(terms, spectral[band.cols], out=skew[:, :n])
+    total = skew.ravel()[: k * (n + k - 1)].reshape(k, n + k - 1).sum(axis=0)
+    out = np.empty(n, dtype=np.complex128)
+    out[band.cols] = total[k // 2: k // 2 + n]
+    return out
+
+
+def apply(symbol, cutoff, field):
+    """T_a u on the cone band; equals materialize(symbol, cutoff).apply(field).
+
+    psi is applied unless the symbol is already regularized with this
+    cutoff, in which case its coefficients are used as they are.
     """
     grid = check_same_grid(symbol, field)
-    sym = regularize(symbol, cutoff)
-    out = np.zeros(grid.n, dtype=np.complex128)
-    half = grid.n // 2
-    for row_idx in range(grid.n):
-        row = sym.coeffs[row_idx]
-        if not np.any(row):
-            continue
-        eta = int(grid.freqs[row_idx])
-        weighted = row * field.spectral
-        # output mode xi + eta must stay on the lattice: no wrap-around
-        shifted = grid.freqs + eta
-        ok = (shifted >= -half) & (shifted <= half - 1)
-        out += np.roll(np.where(ok, weighted, 0.0), eta)
-    return Field(grid, out, _validate=False)
+    band = _cone_band(grid, cutoff)
+    terms = symbol.coeffs[band.rows[:, None], band.cols[None, :]]
+    if symbol.cutoff != cutoff:
+        terms = terms * band.weights
+    return Field(grid, _band_sum(band, terms, field.spectral), _validate=False)
+
+
+def paraproduct(u, v, cutoff):
+    """T_u v for a field u: apply(Symbol.from_field(u), cutoff, v) without
+    tabulating the symbol."""
+    grid = check_same_grid(u, v)
+    band = _cone_band(grid, cutoff)
+    terms = u.spectral[band.rows][:, None] * band.weights
+    return Field(grid, _band_sum(band, terms, v.spectral), _validate=False)
 
 
 def _xi_difference_symbol(symbol, j):
@@ -321,6 +371,4 @@ def bony_remainder(a, b, cutoff=None):
     if cutoff is None:
         cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS)
     product = dealias_product(a, b)
-    ta_b = apply(Symbol.from_field(a), cutoff, b)
-    tb_a = apply(Symbol.from_field(b), cutoff, a)
-    return product - ta_b - tb_a
+    return product - paraproduct(a, b, cutoff) - paraproduct(b, a, cutoff)

@@ -18,7 +18,7 @@ Conventions, fixed once and used everywhere:
 
 import numpy as np
 
-from .errors import DomainTooSmall, GridMismatch, NonFiniteMultiplier
+from .errors import GridMismatch, NonFiniteMultiplier
 
 _HERMITIAN_TOL = 1e-12
 
@@ -267,11 +267,6 @@ def inverse_dx():
     return m
 
 
-def lp_block_multiplier(grid, k):
-    """The k-th block profile P_k(D) as a multiplier array."""
-    return get_blocks(grid).profile(k)
-
-
 # -- norms ------------------------------------------------------------------
 
 def sobolev_norm(field, s):
@@ -333,22 +328,3 @@ def norm(field, kind, s=0.0, k=0):
 
 def l2_norm(field):
     return sobolev_norm(field, 0.0)
-
-
-def forward_difference(values, axis, order, width=None):
-    """Iterated forward difference along one axis of a lattice array.
-
-    The array shrinks by `order` entries along `axis`; callers are expected
-    to have checked the lattice is large enough (DomainTooSmall otherwise).
-    """
-    out = np.asarray(values)
-    if out.shape[axis] <= order:
-        raise DomainTooSmall(
-            f"need more than {order} lattice points along axis {axis}, "
-            f"have {out.shape[axis]}"
-        )
-    for _ in range(order):
-        upper = np.take(out, range(1, out.shape[axis]), axis=axis)
-        lower = np.take(out, range(0, out.shape[axis] - 1), axis=axis)
-        out = upper - lower
-    return out

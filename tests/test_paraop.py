@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from paraburgers.errors import DegenerateProbe, GridMismatch
+from paraburgers.errors import DegenerateProbe, GridMismatch, InvariantBroken
 from paraburgers.spectral import Grid, Field, abs_d_pow, sobolev_norm
 from paraburgers.symbols import Cutoff, Symbol, regularize, seminorm
 from paraburgers import paraop
@@ -67,6 +68,14 @@ class TestMaterialize:
         direct = paraop.materialize(sym, cutoff)
         np.testing.assert_array_equal(once.entries, direct.entries)
 
+    def test_unregularized_symbol_marked_regularized_raises(self):
+        # a raised error, not an assert, so it also holds under python -O
+        grid = Grid(32)
+        cutoff = Cutoff(8.0, 2.0)
+        fake = Symbol(grid, np.ones((grid.n, grid.n)), cutoff=cutoff)
+        with pytest.raises(InvariantBroken, match="pair mask"):
+            paraop.materialize(fake, cutoff)
+
     def test_symbol_of_matrix_round_trip(self):
         grid = Grid(64)
         cutoff = Cutoff(2.0, 1.0)
@@ -120,10 +129,87 @@ class TestApply:
         rng = np.random.default_rng(1000 + seed)
         a = Symbol.from_field(random_real_field(grid, rng))
         u = random_real_field(grid, rng)
-        dense = paraop.apply(a, cutoff, u).spectral
-        fast = paraop.paraproduct_apply(a, cutoff, u).spectral
+        dense = paraop.materialize(a, cutoff).apply(u).spectral
+        fast = paraop.apply(a, cutoff, u).spectral
         scale = max(np.max(np.abs(dense)), 1e-30)
         assert np.max(np.abs(dense - fast)) / scale < 1e-10
+
+
+def _cutoffs():
+    integer = st.builds(Cutoff, st.integers(2, 10), st.integers(1, 4))
+    # B'' = B B' / (B + B' + 1) > 1 needs B, B' >= 3
+    composed = st.builds(
+        lambda b1, b2, s1, s2: Cutoff(b1, s1).compose(Cutoff(b2, s2)),
+        st.integers(3, 10), st.integers(3, 10),
+        st.integers(1, 4), st.integers(1, 4))
+    return st.one_of(integer, composed)
+
+
+def _field(grid, rng, real):
+    if real:
+        return random_real_field(grid, rng)
+    return Field(grid, rng.standard_normal(grid.n)
+                 + 1j * rng.standard_normal(grid.n))
+
+
+def _assert_close(out, reference):
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(out - reference)) <= 1e-12 * scale
+
+
+CONE_CASES = dict(
+    n=st.integers(4, 128).map(lambda half: 2 * half),
+    cutoff=_cutoffs(),
+    seed=st.integers(0, 2 ** 32 - 1),
+    real=st.booleans(),
+)
+
+
+class TestConeBand:
+    """The cone-band apply against the dense reference matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**CONE_CASES)
+    def test_paraproduct_matches_dense(self, n, cutoff, seed, real):
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+        u, v = _field(grid, rng, real), _field(grid, rng, real)
+        dense = paraop.materialize(Symbol.from_field(u), cutoff).apply(v)
+        _assert_close(paraop.paraproduct(u, v, cutoff).spectral,
+                      dense.spectral)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["field", "profile", "regularized"]),
+           **CONE_CASES)
+    def test_apply_matches_dense(self, kind, n, cutoff, seed, real):
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+        u, v = _field(grid, rng, real), _field(grid, rng, real)
+        if kind == "field":
+            sym = Symbol.from_field(u)
+        else:
+            sym = Symbol.from_field(u, xi_profile=lambda xi: np.cos(xi / 7.0)
+                                    + 1j * np.sin(xi / 5.0))
+        if kind == "regularized":
+            sym = regularize(sym, cutoff)
+        dense = paraop.materialize(sym, cutoff).apply(v)
+        _assert_close(paraop.apply(sym, cutoff, v).spectral, dense.spectral)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**CONE_CASES)
+    def test_exact_zeros(self, n, cutoff, seed, real):
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+        u, v = _field(grid, rng, real), _field(grid, rng, real)
+        constant = Field(grid, np.eye(grid.n)[0] * rng.standard_normal())
+        assert not np.any(paraop.paraproduct(u, constant, cutoff).spectral)
+        assert not np.any(paraop.paraproduct(constant, constant,
+                                             cutoff).spectral)
+        # output modes satisfy |m| > b: the lowest ones are never reached
+        low = np.abs(grid.freqs) <= np.floor(cutoff.little_b)
+        assert not np.any(paraop.paraproduct(u, v, cutoff).spectral[low])
+        out = paraop.apply(Symbol.from_field(u), cutoff, v)
+        assert not np.any(out.spectral[low])
 
 
 class TestSpectrumLocalisation:

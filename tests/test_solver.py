@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from paraburgers.errors import NanDetected, SpectrumOverflow
+from paraburgers import solver
+from paraburgers.errors import InvariantBroken, NanDetected, SpectrumOverflow
 from paraburgers.gauge import dispersion_profile
+from paraburgers.paraop import materialize
 from paraburgers.solver import SimConfig, Trajectory, default_dt, \
     initial_field, rescale, run, step
 from paraburgers.spectral import Field, Grid, derivative, \
     homogeneous_sobolev_norm, l2_norm, linf_norm, multiplier_apply
+from paraburgers.symbols import Cutoff, Symbol
 
 # Solution error against a dt/8 reference at N = 128, alpha = 1.5,
 # amplitude 0.5, t_end = 1.0: err(0.02) = 2.29e-10, err(0.01) = 1.43e-11,
@@ -299,6 +302,37 @@ class TestRun:
         c0 = traj.states[0].coefficient(1)
         c1 = traj.final().coefficient(1)
         assert abs(c1 - np.exp(-0.2j) * c0) <= 1e-12
+
+    def test_low_mode_certificate_is_an_error(self, monkeypatch):
+        # a raised error, not an assert, so it also holds under python -O
+        monkeypatch.setattr(solver, "LOW_MODE_TOL", -1.0)
+        cfg = SimConfig(n_points=32, alpha=2.0, t_end=0.003, dt=1e-3,
+                        equation="paralinear", init="random")
+        with pytest.raises(InvariantBroken, match="low modes"):
+            run(cfg)
+
+    def test_band_paraproduct_matches_dense_trajectory(self, monkeypatch):
+        # a non-integer cutoff, so the band carries fractional weights; with
+        # the default Cutoff(8, 2) the N = 64 initial families are too
+        # narrow for T_u d_x u to be nonzero at all
+        cfg = SimConfig(n_points=64, alpha=1.5, t_end=0.05, dt=1e-3,
+                        equation="paralinear", cutoff=Cutoff(2.5, 1.3),
+                        init="bump", amplitude=0.5, stride=10)
+        band = run(cfg)
+        monkeypatch.setattr(
+            solver, "paraproduct",
+            lambda u, v, c: materialize(Symbol.from_field(u), c).apply(v))
+        dense = run(cfg)
+        assert len(band.states) == len(dense.states) == 6
+        for a, b in zip(band.states, dense.states):
+            assert linf_norm(a - b) <= 1e-12 * linf_norm(b)
+        assert band.low_mode_residual <= 1e-12
+        assert dense.low_mode_residual <= 1e-12
+        # the transport term moved the state far beyond the agreement bound
+        free = band.states[0]
+        for _ in range(50):
+            free = step(free, cfg, nonlinear=False)
+        assert linf_norm(band.final() - free) > 1e-4 * linf_norm(free)
 
     def test_dealias_changes_solution(self):
         # strongly nonlinear coarse-grid run where the aliased tail matters

@@ -63,43 +63,3 @@ class InvariantBroken(ParaburgersError, RuntimeError):
 
 class NanDetected(ParaburgersError):
     """A time step produced a non-finite coefficient."""
-
-
-class BlowupSuspected(ParaburgersError):
-    """Solution left the resolvable regime (NaN or norm thresholds)."""
-
-
-class ConfigError(ParaburgersError):
-    """Base class for run-configuration parse errors."""
-
-
-class UnknownKey(ConfigError):
-    pass
-
-
-class BadValue(ConfigError):
-    """A config value failed to parse or violates a range constraint."""
-
-
-class MissingRequired(ConfigError):
-    pass
-
-
-class DuplicateKey(ConfigError):
-    pass
-
-
-class SnapshotError(ParaburgersError):
-    """Base class for binary snapshot I/O errors."""
-
-
-class BadMagic(SnapshotError):
-    pass
-
-
-class VersionMismatch(SnapshotError):
-    pass
-
-
-class TruncatedPayload(SnapshotError):
-    pass

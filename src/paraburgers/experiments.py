@@ -22,8 +22,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvariantBroken
-from .flow import gauss_nodes
-from .gauge import dispersion_profile, solve_commutator, solve_conjugating
+from .gauge import (
+    _time_derivative_stack, dispersion_profile, solve_commutator,
+    solve_conjugating
+)
 from .normalform import normal_form
 from .paraop import (
     DEFAULT_CUTOFF_ARGS, OperatorMatrix, adjoint_star, dealias_product,
@@ -51,7 +53,6 @@ ENSEMBLE_FAMILIES = ("cos1", "cos_mix", "bump", "random")
 ENSEMBLE_AMPLITUDES = (1e-6, 3e-6, 1e-5)
 GROWTH_FACTOR = 1e3
 QUIET_FACTOR = 3.0
-BRACKET_PANELS = 2
 
 
 @dataclass(frozen=True)
@@ -126,25 +127,6 @@ def _map_cells(fn, cells):
     workers = min(len(cells), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, cells))
-
-
-def _ddt(stack, h):
-    """d/dt along axis 0: 4th-order centered inside, 2nd-order at the ends."""
-    stack = np.asarray(stack)
-    out = np.zeros_like(stack)
-    count = stack.shape[0]
-    if count == 1:
-        return out
-    if count < 5:
-        raise ValueError(f"need 1 or >= 5 time samples, got {count}")
-    out[0] = (-3.0 * stack[0] + 4.0 * stack[1] - stack[2]) / (2.0 * h)
-    out[-1] = (3.0 * stack[-1] - 4.0 * stack[-2] + stack[-3]) / (2.0 * h)
-    out[1] = (stack[2] - stack[0]) / (2.0 * h)
-    out[-2] = (stack[-1] - stack[-3]) / (2.0 * h)
-    out[2:-2] = (
-        -stack[4:] + 8.0 * stack[3:-1] - 8.0 * stack[1:-3] + stack[:-4]
-    ) / (12.0 * h)
-    return out
 
 
 def _sample_spacing(times):
@@ -243,14 +225,30 @@ def _gauge_generator(u, alpha, cutoff):
     return materialize(solution.p, cutoff).entries, sigma
 
 
+def _skew_gap(gauge, transported):
+    """Skew-hermitian defect max |C + C^*| of the conjugated bracket.
+
+    C = int_0^1 e^{-irG} [G, T] e^{irG} dr is taken in closed form: the
+    integrand is i d/dr (e^{-irG} T e^{irG}), so C = i (e^{-iG} T e^{iG} - T)
+    for any square G, hermitian or not.
+    """
+    conjugated = 1j * (
+        expm(-1j * gauge) @ transported @ expm(1j * gauge) - transported
+    )
+    return float(np.max(np.abs(conjugated + conjugated.conj().T)))
+
+
 def _cancellation_check(u, alpha, cutoff):
     """Hermiticity of the generator and skewness of the conjugated bracket.
 
     Hermiticity is asserted on the deep pairs, where the cutoff weighs
     both orderings of a pair at full strength; the transition ring mixes
     weights and is exact only in the continuum limit.  The bracket uses
-    the operator adjoint, which is hermitian by construction, so its
-    conjugated integral inherits skewness up to the transition defect.
+    the operator adjoint T, which is hermitian by construction, and the
+    identity int_0^1 e^{-irG} [G, T] e^{irG} dr = i (e^{-iG} T e^{iG} - T)
+    (see `_skew_gap`), so the conjugated integral inherits skewness up to
+    the non-hermitian part of G.  Both G and T are linear in the state, so
+    the skew gap scales like the amplitude squared.
     """
     grid = u.grid
     gauge, sigma = _gauge_generator(u, alpha, cutoff)
@@ -263,15 +261,7 @@ def _cancellation_check(u, alpha, cutoff):
             f"{hermitian_gap:.3e} > {HERMITIAN_TOL:g}"
         )
     half = materialize(sigma, cutoff).entries
-    transported = half + half.conj().T
-    bracket = gauge @ transported - transported @ gauge
-    nodes, weights = gauss_nodes(0.0, 1.0, BRACKET_PANELS)
-    conjugated = np.zeros_like(bracket)
-    for r, w in zip(nodes, weights):
-        conjugated += w * (
-            expm(-1j * r * gauge) @ bracket @ expm(1j * r * gauge)
-        )
-    skew_gap = float(np.max(np.abs(conjugated + conjugated.conj().T)))
+    skew_gap = _skew_gap(gauge, half + half.conj().T)
     if skew_gap > SKEW_TOL:
         raise InvariantBroken(
             f"conjugated bracket fails skewness: {skew_gap:.3e} > "
@@ -301,7 +291,7 @@ def _energy_cell(traj, s, alpha, cutoff):
                     f"exceeds {EQUIVALENCE_BOUND:g} on small data"
                 )
 
-    rates = _ddt(w_norms, h)
+    rates = _time_derivative_stack(w_norms, h)
     ratios = []
     for u, vn, rate in zip(states, v_norms, rates):
         smoothed = multiplier_apply(dealias_product(u, u),
@@ -386,7 +376,8 @@ def _conjugation_cell(traj, alpha, cutoff, s_probes, elliptic_c):
     u_stack = np.stack([u.spectral for u in states])
     w_stack = np.einsum("tij,tj->ti", transforms, u_stack)
     profile = dispersion_profile(grid, alpha)
-    r_stack = _ddt(w_stack, h) + w_stack * (1j * profile)[None, :]
+    r_stack = (_time_derivative_stack(w_stack, h)
+               + w_stack * (1j * profile)[None, :])
 
     w_fields = [Field(grid, w, is_real=False, _validate=False)
                 for w in w_stack]
@@ -415,7 +406,7 @@ def _conjugation_cell(traj, alpha, cutoff, s_probes, elliptic_c):
     # residual as a matrix instead of trusting the state's thin spectrum
     mid = len(states) // 2
     transport = materialize(transport_symbol(states[mid]) * 1j, cutoff)
-    ddt_transforms = _ddt(transforms, h)
+    ddt_transforms = _time_derivative_stack(transforms, h)
     den = 1j * (profile[None, :] - profile[:, None])
     residual_entries = (
         ddt_transforms[mid] - transforms[mid] * den

@@ -29,6 +29,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
 from .errors import (
+    InvariantBroken,
     NeumannDivergence,
     NewtonDiverged,
     SeriesStalled,
@@ -285,7 +286,8 @@ def solve_commutator(a, alpha, cutoff=None, route="explicit_formula"):
     """Solve Op(p) D - D Op(p) = Op(a) for p on the cutoff support.
 
     The eta = 0 rows of a cannot be matched (they are the kernel of the
-    commutator map) and land in residual_norm instead.
+    commutator map) and land in residual_norm instead.  Both bounds of
+    `commutator_estimates` are certified; a miss raises InvariantBroken.
     """
     if not alpha >= 1:
         raise ValueError(f"need alpha >= 1, got {alpha:g}")
@@ -306,8 +308,12 @@ def solve_commutator(a, alpha, cutoff=None, route="explicit_formula"):
     p = Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff)
     residual = _support_residual(p_coeffs, None, a_reg.coeffs, grid, alpha)
     estimates = commutator_estimates(p, a_reg, alpha, cutoff)
-    assert estimates["transport_lhs"] <= estimates["transport_rhs"] * (1.0 + 1e-12)
-    assert estimates["xi_lhs"] <= estimates["xi_rhs"] * (1.0 + 1e-12)
+    for name in ("transport", "xi"):
+        lhs, rhs = estimates[f"{name}_lhs"], estimates[f"{name}_rhs"]
+        if not lhs <= rhs * (1.0 + 1e-12):
+            raise InvariantBroken(
+                f"{name} estimate broken: {lhs:.6e} > {rhs:.6e}"
+            )
     extras = {"estimates": estimates, "off_support_norm": 0.0}
     if increments is not None:
         extras["increments"] = tuple(increments)

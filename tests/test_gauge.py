@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from paraburgers.errors import (
+    InvariantBroken,
     NeumannDivergence,
     NewtonDiverged,
     SeriesStalled,
@@ -132,6 +133,23 @@ class TestSolveCommutatorExplicit:
             est = sol.extras["estimates"]
             assert est["transport_lhs"] <= est["transport_rhs"] * (1 + 1e-12)
             assert est["xi_lhs"] <= est["xi_rhs"] * (1 + 1e-12)
+
+    @pytest.mark.parametrize("name", ["transport", "xi"])
+    def test_broken_estimate_is_an_error(self, monkeypatch, name):
+        # a raised error, not an assert, so it also holds under python -O
+        grid = Grid(64)
+        cutoff = Cutoff(8.0, 2.0)
+        a = band_symbol(grid, cutoff, np.random.default_rng(19))
+        certified = gauge.commutator_estimates
+
+        def broken(*args):
+            est = dict(certified(*args))
+            est[f"{name}_lhs"] = 2.0 * est[f"{name}_rhs"]
+            return est
+
+        monkeypatch.setattr(gauge, "commutator_estimates", broken)
+        with pytest.raises(InvariantBroken, match=f"{name} estimate"):
+            gauge.solve_commutator(a, 1.5, cutoff)
 
     def test_alpha_one_estimate_is_equality(self):
         # B [1 - (1-1/B)^alpha] = 1 at alpha = 1 and division is by -i eta

@@ -388,6 +388,16 @@ class TestRescale:
         with pytest.raises(SpectrumOverflow, match="off the lattice"):
             rescale(u, 2, 1.5)
 
+    def test_scaling_law_certificate_is_an_error(self, monkeypatch):
+        # a raised error, not an assert, so it also holds under python -O
+        u = initial_field(Grid(64), "cos1", 0.1)
+        measured = solver.homogeneous_sobolev_norm
+        monkeypatch.setattr(
+            solver, "homogeneous_sobolev_norm",
+            lambda f, s: measured(f, s) * (1.0 if f is u else 1.5))
+        with pytest.raises(InvariantBroken, match="scaling law"):
+            rescale(u, 2, 1.5)
+
     def test_power_of_two_required(self):
         u = initial_field(Grid(64), "cos1", 0.1)
         for lam in (3, 0, -2):

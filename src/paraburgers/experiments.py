@@ -332,21 +332,6 @@ def energy_estimate_study(traj, s, alpha, c=None):
 
 # -- conjugation ------------------------------------------------------------
 
-def _pair_entries(symbol):
-    """Symbol coefficients placed at (xi+eta, xi) without cutoff weight.
-
-    The conjugating gauge exponentiates exactly this placement, so the
-    study's transform inherits its residual certificate only through it.
-    """
-    grid = symbol.grid
-    freqs = grid.freqs.astype(np.int64)
-    eta = freqs[:, None] - freqs[None, :]
-    valid = (-(grid.n // 2) <= eta) & (eta <= (grid.n - 1) // 2)
-    rows = np.mod(eta, grid.n)
-    cols = np.broadcast_to(np.arange(grid.n)[None, :], rows.shape)
-    return np.where(valid, symbol.coeffs[rows, cols], 0.0)
-
-
 def residual_order(residual_matrix, cutoff=None):
     """Order fit of the residual operator on wave packets.
 
@@ -368,13 +353,11 @@ def _conjugation_cell(traj, alpha, cutoff, s_probes, elliptic_c):
     h = _sample_spacing(traj.times)
     states = traj.states
     grid = states[0].grid
-    solutions = solve_conjugating(states, h, alpha, cutoff)
-
-    transforms = np.stack([
-        expm(1j * _pair_entries(sol.p)) for sol in solutions
-    ])
+    # the study's transform is the gauge's own unmasked W_i, so it inherits
+    # the residual certificate of solve_conjugating exactly
+    extras = solve_conjugating(states, h, alpha, cutoff)[0].extras
     u_stack = np.stack([u.spectral for u in states])
-    w_stack = np.einsum("tij,tj->ti", transforms, u_stack)
+    w_stack = np.einsum("tij,tj->ti", extras["w_stack"], u_stack)
     profile = dispersion_profile(grid, alpha)
     r_stack = (_time_derivative_stack(w_stack, h)
                + w_stack * (1j * profile)[None, :])
@@ -404,14 +387,7 @@ def _conjugation_cell(traj, alpha, cutoff, s_probes, elliptic_c):
 
     # the order is an operator property; probe the defining equation's
     # residual as a matrix instead of trusting the state's thin spectrum
-    mid = len(states) // 2
-    transport = materialize(transport_symbol(states[mid]) * 1j, cutoff)
-    ddt_transforms = _time_derivative_stack(transforms, h)
-    den = 1j * (profile[None, :] - profile[:, None])
-    residual_entries = (
-        ddt_transforms[mid] - transforms[mid] * den
-        - transforms[mid] @ transport.entries
-    )
+    residual_entries = extras["g_stack"][len(states) // 2]
     if not np.any(np.abs(residual_entries) > 0.0):
         return ratios, None
     estimate = residual_order(

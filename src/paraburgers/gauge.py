@@ -22,6 +22,7 @@ the linear map above; with that normalization the tiny-data Newton
 solution coincides with the linear solve to second order.
 """
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -40,7 +41,8 @@ from .errors import (
 from .paraop import DEFAULT_CUTOFF_ARGS, OperatorMatrix, _lattice_structure, \
     materialize, pair_mask
 from .symbols import Cutoff, SeminormReport, Symbol, column_wk_inf, cutoff_mask, \
-    regularize, seminorm, seminorm_report, x_derivative, xi_forward_difference
+    regularize, seminorm, seminorm_report, seminorm_table, x_derivative, \
+    xi_forward_difference
 
 SMALL_DIVISOR_FLOOR = 1e-8
 NEUMANN_TOL = 1e-10
@@ -60,56 +62,39 @@ def dispersion_profile(grid, alpha):
     return np.sign(xi) * np.abs(xi) ** float(alpha)
 
 
-_den_cache = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _denominator_table(grid, alpha):
     """den(eta, xi) on the symbol lattice; exact zeros exactly at eta = 0."""
-    key = (grid.n, float(alpha))
-    table = _den_cache.get(key)
-    if table is None:
-        eta = grid.freqs.astype(np.float64)[:, None]
-        xi = grid.freqs.astype(np.float64)[None, :]
-        shifted = xi + eta
-        f_xi = np.sign(xi) * np.abs(xi) ** float(alpha)
-        f_shift = np.sign(shifted) * np.abs(shifted) ** float(alpha)
-        table = 1j * (f_xi - f_shift)
-        table.setflags(write=False)
-        _den_cache[key] = table
+    eta = grid.freqs.astype(np.float64)[:, None]
+    xi = grid.freqs.astype(np.float64)[None, :]
+    shifted = xi + eta
+    f_xi = np.sign(xi) * np.abs(xi) ** float(alpha)
+    f_shift = np.sign(shifted) * np.abs(shifted) ** float(alpha)
+    table = 1j * (f_xi - f_shift)
+    table.setflags(write=False)
     return table
 
 
-_scale_cache = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _resonance_scale(grid, alpha):
     """|eta| max(|xi|, |xi+eta|)^(alpha-1), the elliptic size of den."""
-    key = (grid.n, float(alpha))
-    table = _scale_cache.get(key)
-    if table is None:
-        eta = grid.freqs.astype(np.float64)[:, None]
-        xi = grid.freqs.astype(np.float64)[None, :]
-        big = np.maximum(np.abs(xi), np.abs(xi + eta))
-        with np.errstate(divide="ignore"):
-            table = np.abs(eta) * np.where(big > 0, big ** (alpha - 1.0), 0.0)
-        table.setflags(write=False)
-        _scale_cache[key] = table
+    eta = grid.freqs.astype(np.float64)[:, None]
+    xi = grid.freqs.astype(np.float64)[None, :]
+    big = np.maximum(np.abs(xi), np.abs(xi + eta))
+    with np.errstate(divide="ignore"):
+        table = np.abs(eta) * np.where(big > 0, big ** (alpha - 1.0), 0.0)
+    table.setflags(write=False)
     return table
 
 
-_valid_cache = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _lattice_valid(grid):
     """Symbol-layout slots whose output mode xi + eta stays on the lattice."""
-    valid = _valid_cache.get(grid.n)
-    if valid is None:
-        eta = grid.freqs.astype(np.int64)[:, None]
-        xi = grid.freqs.astype(np.int64)[None, :]
-        shifted = eta + xi
-        valid = (shifted >= -grid.n // 2) & (shifted <= grid.n // 2 - 1)
-        valid.setflags(write=False)
-        _valid_cache[grid.n] = valid
+    eta = grid.freqs.astype(np.int64)[:, None]
+    xi = grid.freqs.astype(np.int64)[None, :]
+    shifted = eta + xi
+    valid = (shifted >= -grid.n // 2) & (shifted <= grid.n // 2 - 1)
+    valid.setflags(write=False)
     return valid
 
 
@@ -401,12 +386,12 @@ def _time_chain(a_stack, dt, grid, alpha, cutoff, order_p, j_max, tol,
     stall_run = 0
     for _ in range(j_max):
         d_layer = _time_derivative_stack(layer, dt)
-        layer_size = _stack_seminorm(layer, grid, order_p, cutoff)
+        layer_size = _stack_seminorm(layer, grid, order_p)
         ratio = 0.0
         if layer_size > 0.0:
-            ratio = _stack_seminorm(d_layer, grid, order_p, cutoff) / layer_size
+            ratio = _stack_seminorm(d_layer, grid, order_p) / layer_size
         candidate = _divide_stack(d_layer, grid, alpha, cutoff)
-        inc = _stack_seminorm(candidate, grid, order_p, cutoff)
+        inc = _stack_seminorm(candidate, grid, order_p)
         if inc < tol:
             break
         prev = increments[-1] if increments else layer_size
@@ -443,11 +428,9 @@ def _divide_stack(stack, grid, alpha, cutoff):
     return np.where(zone, stack / np.where(zone, den, 1.0), 0.0)
 
 
-def _stack_seminorm(stack, grid, order_m, cutoff):
-    return max(
-        seminorm(Symbol(grid, coeffs, order_m=order_m, cutoff=cutoff), order_m=order_m)
-        for coeffs in stack
-    )
+def _stack_seminorm(stack, grid, order_m):
+    """max over samples of M^m(a_i; 0, 0), one batched iFFT for the stack."""
+    return seminorm_table(grid, stack, order_m)[(0, 0)]
 
 
 def solve_time_dependent(a_samples, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
@@ -540,6 +523,10 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
     is one explicit solve_commutator division and tiny data reproduces the
     linear solution to second order.  The off-support part of the
     commutator is reported, never driven to zero.
+
+    extras["transform"] is expm(i T_p) for the returned p: the very matrix
+    the converged Newton step exponentiated, handed on so that callers do
+    not exponentiate the same placement again.
     """
     if not alpha >= 1:
         raise ValueError(f"need alpha >= 1, got {alpha:g}")
@@ -567,7 +554,8 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
     sub_norm = 0.0
     for step in range(max_iterations + 1):
         p_matrix = materialize(Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff), cutoff)
-        commutator = expm(1j * p_matrix.entries) * den_pair
+        transform = expm(1j * p_matrix.entries)
+        commutator = transform * den_pair
         r_pair = -1j * commutator - a_pair
         residual = float(np.max(np.abs(r_pair[support_pairs])))
         off_support = float(np.max(np.abs(np.where(psi_pair == 0.0, commutator, 0.0))))
@@ -591,6 +579,7 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
             "margin": smallness - measured,
         },
         "transport_seminorm": seminorm(x_derivative(p), order_m=order_p + 1.0),
+        "transform": transform,
     }
     return GaugeSolution(
         p=p,
@@ -619,7 +608,7 @@ def _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup, tameness_c):
     for j in (1, 2):
         stack = _time_derivative_stack(stack, dt)
         order_j = (j + 1) * alpha - 1.0
-        measured = _stack_seminorm(stack, grid, order_j, cutoff)
+        measured = _stack_seminorm(stack, grid, order_j)
         bound = tameness_c * u_sup * (2.0 ** j + 1.0)
         report[j] = (measured, bound)
         if measured > bound:
@@ -642,6 +631,14 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
     extracted residual symbol; samples are warm-started from neighbours.
     Each solution carries the cutoff-masked gauge matrix and the residual
     operator (everything the defining equation leaves off-support).
+
+    Every solution also carries, shared and uncopied, the two stacks the
+    final sweep computed, one row per sample: extras["w_stack"] holds the
+    unmasked W_i = expm(i T_{p_i}) and extras["g_stack"] the defining
+    residual g_i = d_t W_i + [D, W_i] - W_i T_{i u_i xi} on all pairs.  The
+    first sweep reuses the exponentials of the per-sample Newton solves
+    (`solve_nonlinear_exp`'s extras["transform"]) instead of recomputing
+    them.
     """
     if not alpha > 2:
         raise ValueError(f"conjugating gauge needs alpha > 2, got {alpha:g}")
@@ -664,26 +661,22 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
 
     guess = None
     p_stack = np.zeros((len(fields), grid.n, grid.n), dtype=np.complex128)
+    w_stack = np.empty_like(p_stack)
     for i, sym in enumerate(transport):
         sol = solve_nonlinear_exp(1j * sym, alpha, cutoff, smallness=smallness,
                                   initial=guess)
         guess = sol.p
         p_stack[i] = sol.p.coeffs
+        w_stack[i] = sol.extras["transform"]
 
     iterations = 0
     residuals = None
-    w_stack = None
     g_stack = None
     for step in range(max_iterations + 1):
-        w_stack = np.stack([
-            expm(1j * _place_pairs(p_stack[i], grid))
-            for i in range(len(fields))
-        ])
-        w_dot = _time_derivative_stack(w_stack, dt)
-        g_stack = np.stack([
-            w_dot[i] - w_stack[i] * den_pair - w_stack[i] @ transport_mats[i]
-            for i in range(len(fields))
-        ])
+        g_stack = _time_derivative_stack(w_stack, dt)
+        for i, w in enumerate(w_stack):
+            g_stack[i] -= w * den_pair
+            g_stack[i] -= w @ transport_mats[i]
         residuals = [float(np.max(np.abs(g[support_pairs]))) for g in g_stack]
         if max(residuals) < tol:
             iterations = step
@@ -709,6 +702,8 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
             rhs[:, 0, :], dx=dt, axis=0, initial=0
         )
         p_stack = p_stack + correction
+        for i, p_coeffs in enumerate(p_stack):
+            w_stack[i] = expm(1j * _place_pairs(p_coeffs, grid))
 
     masked = psi_pair * w_stack
     masked_dot = _time_derivative_stack(masked, dt)
@@ -726,6 +721,8 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
             "residual_operator": OperatorMatrix(grid, res_entries,
                                                 "conjugation residual"),
             "tameness": tameness,
+            "w_stack": w_stack,
+            "g_stack": g_stack,
         }
         solutions.append(
             GaugeSolution(

@@ -109,13 +109,11 @@ class Symbol:
         grid = field.grid
         if xi_profile is None:
             profile = np.ones(grid.n)
-            order = 0.0
         else:
             profile = np.asarray(xi_profile(grid.freqs.astype(np.float64)),
                                  dtype=np.complex128)
-            order = 0.0
         coeffs = field.spectral[:, None] * profile[None, :]
-        return cls(grid, coeffs, order_m=order if order_m is None else order_m)
+        return cls(grid, coeffs, order_m=0.0 if order_m is None else order_m)
 
     def x_values(self):
         """Physical tabulation a(x_j, xi), columns indexed by FFT order."""
@@ -181,26 +179,40 @@ def xi_forward_difference(symbol, order=1):
     Returns (coeffs, base_freqs): coeffs has one column per base frequency
     xi with xi ... xi+order all on the lattice, in increasing order of xi.
     """
-    grid = symbol.grid
-    order_idx = monotone_order(grid)
-    sorted_cols = symbol.coeffs[:, order_idx]
-    out = sorted_cols
+    return _xi_difference(symbol.grid, symbol.coeffs, order)
+
+
+def _xi_difference(grid, coeffs, order):
+    """xi_forward_difference on coefficients; leading axes are samples."""
+    out = coeffs[..., monotone_order(grid)]
     for _ in range(order):
-        out = out[:, 1:] - out[:, :-1]
+        out = out[..., 1:] - out[..., :-1]
     base = np.sort(grid.freqs)[: grid.n - order]
     return out, base
 
 
-def column_wk_inf(grid, coeffs, n):
-    """W^{n,inf} norm of each column of an (eta, column) coefficient block."""
-    total = np.zeros(coeffs.shape[1])
+def _column_wk_ladder(grid, coeffs, n_max):
+    """W^{n,inf} norms of each column for n = 0 .. n_max, one iFFT per n.
+
+    The block's eta axis is the second to last; leading axes are samples.
+    """
+    totals = []
+    total = np.zeros(coeffs.shape[:-2] + coeffs.shape[-1:])
     eta = 1j * grid.freqs.astype(np.float64)[:, None]
     block = coeffs
-    for _ in range(n + 1):
-        values = np.fft.ifft(block, axis=0) * grid.n
-        total += np.max(np.abs(values), axis=0)
-        block = block * eta
-    return total
+    for n in range(n_max + 1):
+        if n:
+            block = block * eta
+        values = np.fft.ifft(block, axis=-2)
+        values *= grid.n
+        total = total + np.max(np.abs(values), axis=-2)
+        totals.append(total)
+    return totals
+
+
+def column_wk_inf(grid, coeffs, n):
+    """W^{n,inf} norm of each column of an (eta, column) coefficient block."""
+    return _column_wk_ladder(grid, coeffs, n)[-1]
 
 
 @dataclass
@@ -215,30 +227,46 @@ class SeminormReport:
         return self.values[(k, n)]
 
 
+def seminorm_table(grid, coeffs, order_m, k_max=0, n_max=0):
+    """Every entry M^m(a; k, n) with k <= k_max, n <= n_max, as a dict.
+
+    Entry (k, n) is the running max over j <= k of the weighted W^{n,inf}
+    norms of Delta_xi^j a, so one iFFT per distinct (Delta_xi^j, eta^l)
+    block serves the whole table.  Leading axes of coeffs are samples;
+    the sup then runs over them too.
+    """
+    if k_max > grid.n // 4:
+        raise DomainTooSmall(
+            f"{k_max} xi-differences need more lattice than n={grid.n} offers"
+        )
+    m = float(order_m)
+    best = [0.0] * (n_max + 1)
+    table = {}
+    for j in range(k_max + 1):
+        # the sup ignores column order, so j = 0 reads the columns in place;
+        # columns are independent, so xi = 0 is dropped from the norms
+        if j == 0:
+            diffs, base = coeffs, grid.freqs
+        else:
+            diffs, base = _xi_difference(grid, coeffs, j)
+        keep = base != 0
+        if np.any(keep):
+            weights = (1.0 + np.abs(base[keep])) ** (-(m - j))
+            for n, norms in enumerate(_column_wk_ladder(grid, diffs, n_max)):
+                best[n] = max(best[n], float(np.max(norms[..., keep] * weights)))
+        for n in range(n_max + 1):
+            table[(j, n)] = best[n]
+    return table
+
+
 def seminorm(symbol, order_m=None, n=0, k=0):
     """Single seminorm entry M^m(a; k, n); see the module docstring."""
-    grid = symbol.grid
-    if k > grid.n // 4:
-        raise DomainTooSmall(
-            f"{k} xi-differences need more lattice than n={grid.n} offers"
-        )
     m = symbol.order_m if order_m is None else float(order_m)
-    best = 0.0
-    for j in range(k + 1):
-        coeffs, base = xi_forward_difference(symbol, j)
-        keep = base != 0
-        if not np.any(keep):
-            continue
-        norms = column_wk_inf(grid, coeffs[:, keep], n)
-        weights = (1.0 + np.abs(base[keep])) ** (-(m - j))
-        best = max(best, float(np.max(norms * weights)))
-    return best
+    return seminorm_table(symbol.grid, symbol.coeffs, m, k_max=k, n_max=n)[(k, n)]
 
 
 def seminorm_report(symbol, order_m=None, k_max=1, n_max=1):
+    """The (k, n) table of `seminorm` entries, computed in one pass."""
     m = symbol.order_m if order_m is None else float(order_m)
-    report = SeminormReport(order_m=m, rho=symbol.rho)
-    for k in range(k_max + 1):
-        for n in range(n_max + 1):
-            report.values[(k, n)] = seminorm(symbol, m, n=n, k=k)
-    return report
+    values = seminorm_table(symbol.grid, symbol.coeffs, m, k_max, n_max)
+    return SeminormReport(order_m=m, rho=symbol.rho, values=values)

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paraburgers.errors import (
     InvariantBroken,
@@ -200,6 +201,26 @@ class TestResonanceEllipticity:
         assert counts["rank"] + counts["kernel_slots"] == counts["support_slots"]
         assert counts["rank"] > 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 32).map(lambda half: 2 * half),
+           alpha=st.floats(1.0, 3.0, exclude_min=True, exclude_max=True),
+           big_b=st.integers(2, 8), little_b=st.integers(1, 3))
+    def test_rank_counts_hold_on_every_lattice(self, n, alpha, big_b, little_b):
+        counts = gauge.commutator_rank(Grid(n), alpha, Cutoff(big_b, little_b))
+        assert counts["support_slots"] == counts["rank"] + counts["kernel_slots"]
+        assert counts["kernel_slots"] == counts["eta_zero_slots"]
+
+    def test_lattice_tables_stay_bounded_over_an_alpha_scan(self):
+        for alpha in np.linspace(1.1, 2.9, 40):
+            gauge.ellipticity_bracket(Grid(16), alpha, Cutoff(2.0, 1.0))
+        tables = (gauge._denominator_table, gauge._resonance_scale,
+                  gauge._lattice_valid)
+        for table in tables:
+            assert table.cache_info().currsize <= 16
+        assert not gauge._denominator_table(Grid(16), 1.5).flags.writeable
+        assert not gauge._resonance_scale(Grid(16), 1.5).flags.writeable
+        assert not gauge._lattice_valid(Grid(16)).flags.writeable
+
 
 class TestColeHopfParametrix:
     def test_zero(self):
@@ -377,6 +398,18 @@ class TestTimeDependent:
                                           bprime_factor=3.0)
         assert sols[0].extras["bprime_factor"] == 3.0
         assert sols[0].extras["predicted_contraction"] < 1.0
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_stack_seminorm_is_the_max_over_samples_exactly(n):
+    grid = Grid(n)
+    rng = np.random.default_rng(n)
+    stack = (rng.standard_normal((11, n, n))
+             + 1j * rng.standard_normal((11, n, n)))
+    for order_m in (-0.5, 0.0, 2.5):
+        expected = max(seminorm(Symbol(grid, coeffs), order_m=order_m)
+                       for coeffs in stack)
+        assert gauge._stack_seminorm(stack, grid, order_m) == expected
 
 
 class TestNonlinearExp:

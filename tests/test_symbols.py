@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paraburgers.errors import DomainTooSmall
 from paraburgers.spectral import Field, Grid
@@ -99,6 +100,26 @@ def test_regularize_is_projection():
     assert twice is once  # exact projection, no second mask application
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 32).map(lambda half: 2 * half),
+       seed=st.integers(0, 2 ** 32 - 1),
+       big_b=st.integers(2, 10), little_b=st.integers(1, 4))
+def test_regularize_is_idempotent(n, seed, big_b, little_b):
+    grid = Grid(n)
+    rng = np.random.default_rng(seed)
+    a = Symbol(grid, rng.standard_normal((n, n))
+               + 1j * rng.standard_normal((n, n)))
+    c = Cutoff(big_b, little_b)
+    once = regularize(a, c)
+    twice = regularize(once, c)
+    assert twice.cutoff == c
+    assert np.array_equal(twice.coeffs, once.coeffs)
+    # integer cutoffs give a 0/1 lattice mask, so masking the coefficients
+    # of an unmarked copy again changes nothing either
+    again = regularize(Symbol(grid, once.coeffs), c)
+    assert np.array_equal(again.coeffs, once.coeffs)
+
+
 def test_symbol_from_function_round_trip():
     grid = Grid(32)
     a = Symbol.from_function(grid, lambda x, xi: np.cos(x) * xi, order_m=1.0)
@@ -154,6 +175,39 @@ def test_seminorm_monotone_in_indices():
     for k in range(3):
         for n in range(2):
             assert report.value(k, n) <= report.value(k, n + 1) + 1e-14
+
+
+def loop_seminorm(symbol, m, n, k):
+    """M^m(a; k, n) as a plain loop: one iFFT per difference and derivative."""
+    grid = symbol.grid
+    eta = 1j * grid.freqs.astype(np.float64)[:, None]
+    best = 0.0
+    for j in range(k + 1):
+        coeffs, base = xi_forward_difference(symbol, j)
+        keep = base != 0
+        block = coeffs[:, keep]
+        total = np.zeros(block.shape[1])
+        for _ in range(n + 1):
+            total += np.max(np.abs(np.fft.ifft(block, axis=0) * grid.n), axis=0)
+            block = block * eta
+        weights = (1.0 + np.abs(base[keep])) ** (-(m - j))
+        best = max(best, float(np.max(total * weights)))
+    return best
+
+
+@pytest.mark.parametrize("k_max, n_max", [(1, 1), (2, 2), (0, 2), (2, 0)])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_seminorm_report_is_each_seminorm_exactly(n, k_max, n_max):
+    grid = Grid(n)
+    rng = np.random.default_rng(n + 10 * k_max + n_max)
+    a = Symbol(grid, rng.standard_normal((n, n))
+               + 1j * rng.standard_normal((n, n)), order_m=0.7)
+    report = seminorm_report(a, k_max=k_max, n_max=n_max)
+    assert set(report.values) == {(k, m) for k in range(k_max + 1)
+                                  for m in range(n_max + 1)}
+    for (k, m), value in report.values.items():
+        assert value == seminorm(a, n=m, k=k)
+        assert value == loop_seminorm(a, 0.7, m, k)
 
 
 def test_seminorm_domain_too_small():

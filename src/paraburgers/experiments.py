@@ -22,10 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvariantBroken
-from .gauge import (
-    _time_derivative_stack, dispersion_profile, solve_commutator,
-    solve_conjugating
-)
+from .gauge import _time_derivative_stack, solve_commutator, solve_conjugating
 from .normalform import normal_form
 from .paraop import (
     DEFAULT_CUTOFF_ARGS, OperatorMatrix, adjoint_star, dealias_product,
@@ -36,8 +33,9 @@ from .solver import (
     initial_field, run
 )
 from .spectral import (
-    Field, Grid, abs_d_pow, bessel_pow, derivative, homogeneous_sobolev_norm,
-    l2_norm, linf_norm, multiplier_apply, sobolev_norm
+    Field, Grid, abs_d_pow, bessel_pow, derivative, dispersion_profile,
+    homogeneous_sobolev_norm, l2_norm, linf_norm, multiplier_apply,
+    sobolev_norm
 )
 from .symbols import Cutoff, transport_symbol
 
@@ -200,7 +198,14 @@ def diagnostics_csv(records, times=None):
 def standard_ensemble(n_points, alpha, t_end, dt=None, stride=1,
                       amplitudes=ENSEMBLE_AMPLITUDES,
                       equation="paralinear", seed=0, cutoff=None):
-    """The 12-member run grid: four initial families, three amplitudes."""
+    """The run grid: every initial family at every amplitude, so
+    len(ENSEMBLE_FAMILIES) * len(amplitudes) members (12 by default).
+
+    The families are band-limited, so a fine cutoff can leave transport
+    with nothing to act on: at N=64 with the default Cutoff(8, 2) the cos1,
+    cos_mix and random spectra stay within |xi| <= 10 while T_u d_x u needs
+    |xi| >= 11, and only the bump member sees transport at all.
+    """
     cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if cutoff is None else cutoff
     return tuple(
         SimConfig(n_points=n_points, alpha=alpha, t_end=t_end,

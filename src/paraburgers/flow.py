@@ -1,10 +1,8 @@
 """Gauge flows e^{i tau T_p} and their algebraic factorizations.
 
-The reference realization is the dense matrix exponential of the
-materialized generator: it satisfies the group and inverse laws to
-rounding error, which the identity checks in this module lean on.  An
-ODE route backs it for grids too large to exponentiate densely; both
-must agree where both run.
+Every flow is the dense matrix exponential of the materialized
+generator: it satisfies the group and inverse laws to rounding error,
+which the identity checks in this module lean on.
 """
 
 from dataclasses import dataclass
@@ -17,9 +15,6 @@ from .errors import GeneratorUnstable
 from .paraop import OperatorMatrix, materialize
 from .spectral import Field
 from .symbols import Symbol, seminorm
-
-# Largest grid that is exponentiated densely.
-EXPM_LIMIT = 512
 
 # Growth-rate constant in the L2 stability bound exp(C |tau| M(Im p));
 # calibrated over seeded order-0 draws, with headroom (see tests).
@@ -61,54 +56,32 @@ class FlowOperator:
     generator: OperatorMatrix
     tau: float
     matrix: OperatorMatrix
-    method: str
 
     def apply(self, field):
         return self.matrix.apply(field)
 
     def inverse_matrix(self):
-        return _propagator(self.generator, -self.tau, self.method)
+        return _propagator(self.generator, -self.tau)
 
 
-def _ode_propagator(generator, tau, rtol=1e-10, atol=1e-10):
-    n = generator.grid.n
-    g = generator.entries
-
-    def rhs(_, y):
-        return (1j * (g @ y.reshape(n, n))).ravel()
-
-    y0 = np.eye(n, dtype=np.complex128).ravel()
-    sol = scipy.integrate.solve_ivp(rhs, (0.0, tau), y0, method="DOP853",
-                                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"flow integration failed: {sol.message}")
-    return OperatorMatrix(generator.grid, sol.y[:, -1].reshape(n, n),
-                          "flow[ode]")
+def _propagator(generator, tau):
+    entries = scipy.linalg.expm(1j * tau * generator.entries)
+    return OperatorMatrix(generator.grid, entries, "flow[expm]")
 
 
-def _propagator(generator, tau, method):
-    if method == "matrix_exponential":
-        entries = scipy.linalg.expm(1j * tau * generator.entries)
-        return OperatorMatrix(generator.grid, entries, "flow[expm]")
-    return _ode_propagator(generator, tau)
-
-
-def flow_from_matrix(generator, tau, method=None, stability_bound=None):
+def flow_from_matrix(generator, tau, stability_bound=None):
     """Flow of an arbitrary generator matrix; stability_bound, when given,
     is the L2 norm above which GeneratorUnstable is raised."""
-    if method is None:
-        method = ("matrix_exponential" if generator.grid.n <= EXPM_LIMIT
-                  else "ode_integration")
-    matrix = _propagator(generator, tau, method)
+    matrix = _propagator(generator, tau)
     if stability_bound is not None:
         norm = float(np.linalg.norm(matrix.entries, 2))
         if norm > stability_bound:
             raise GeneratorUnstable(
                 f"flow norm {norm:.3e} exceeds bound {stability_bound:.3e}")
-    return FlowOperator(generator, float(tau), matrix, method)
+    return FlowOperator(generator, float(tau), matrix)
 
 
-def flow_build(p, c, tau, method=None, stability_c=FLOW_STABILITY_C):
+def flow_build(p, c, tau, stability_c=FLOW_STABILITY_C):
     """Flow operator e^{i tau T_p} for the symbol p under cutoff c.
 
     Raises GeneratorUnstable when the L2 norm of the flow exceeds twice
@@ -118,8 +91,7 @@ def flow_build(p, c, tau, method=None, stability_c=FLOW_STABILITY_C):
     generator = materialize(p, c)
     growth = seminorm(imaginary_part_symbol(p), order_m=0.0, n=0, k=0)
     bound = 2.0 * np.exp(stability_c * abs(tau) * growth)
-    return flow_from_matrix(generator, tau, method=method,
-                            stability_bound=bound)
+    return flow_from_matrix(generator, tau, stability_bound=bound)
 
 
 def conjugate(p, b, c, tau, **flow_args):

@@ -38,11 +38,12 @@ from .errors import (
     SmallnessViolated,
     TamenessViolated,
 )
-from .paraop import DEFAULT_CUTOFF_ARGS, OperatorMatrix, _lattice_structure, \
-    materialize, pair_mask
+from .paraop import DEFAULT_CUTOFF_ARGS, OperatorMatrix, gather_pairs, \
+    materialize, pair_mask, scatter_pairs
+from .spectral import dispersion_phase, dispersion_profile
 from .symbols import Cutoff, SeminormReport, Symbol, column_wk_inf, cutoff_mask, \
-    regularize, seminorm, seminorm_report, seminorm_table, x_derivative, \
-    xi_forward_difference
+    regularize, seminorm, seminorm_report, seminorm_table, transport_symbol, \
+    x_derivative, xi_forward_difference
 
 SMALL_DIVISOR_FLOOR = 1e-8
 NEUMANN_TOL = 1e-10
@@ -56,21 +57,12 @@ _NOISE_FLOOR_DECAY = 0.1
 _DIVERGENT_TAIL = 4.0
 
 
-def dispersion_profile(grid, alpha):
-    """f(xi) = xi |xi|^(alpha-1) on the retained modes, FFT order."""
-    xi = grid.freqs.astype(np.float64)
-    return np.sign(xi) * np.abs(xi) ** float(alpha)
-
-
 @functools.lru_cache(maxsize=16)
 def _denominator_table(grid, alpha):
     """den(eta, xi) on the symbol lattice; exact zeros exactly at eta = 0."""
     eta = grid.freqs.astype(np.float64)[:, None]
     xi = grid.freqs.astype(np.float64)[None, :]
-    shifted = xi + eta
-    f_xi = np.sign(xi) * np.abs(xi) ** float(alpha)
-    f_shift = np.sign(shifted) * np.abs(shifted) ** float(alpha)
-    table = 1j * (f_xi - f_shift)
+    table = 1j * (dispersion_phase(xi, alpha) - dispersion_phase(xi + eta, alpha))
     table.setflags(write=False)
     return table
 
@@ -96,6 +88,32 @@ def _lattice_valid(grid):
     valid = (shifted >= -grid.n // 2) & (shifted <= grid.n // 2 - 1)
     valid.setflags(write=False)
     return valid
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_denominator(grid, alpha):
+    """den on every (output, input) pair: i (f(in) - f(out)).
+
+    Unlike the symbol-layout table this covers the pairs whose eta = out - in
+    leaves the lattice too, which the off-support readings need.
+    """
+    f = dispersion_profile(grid, alpha)
+    table = 1j * (f[None, :] - f[:, None])
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def _cole_hopf_weight(grid, alpha):
+    """|xi|^(1-alpha) / (i alpha eta) on the symbol lattice, zero on the
+    eta = 0 row and the xi = 0 column."""
+    eta = grid.freqs.astype(np.float64)[:, None]
+    xi = grid.freqs.astype(np.float64)[None, :]
+    inv_eta = np.where(eta != 0, 1.0 / (1j * np.where(eta != 0, eta, 1.0)), 0.0)
+    lift = np.abs(np.where(xi != 0, xi, 1.0)) ** (1.0 - alpha)
+    table = np.where(xi != 0, lift, 0.0) / alpha * inv_eta
+    table.setflags(write=False)
+    return table
 
 
 def _division_zone(grid, cutoff):
@@ -144,8 +162,16 @@ class GaugeSolution:
     extras: dict = dataclass_field(default_factory=dict)
 
 
+def _divide_stack(stack, grid, alpha, cutoff):
+    """a_hat / den on the division zone, zero elsewhere; leading axes of
+    stack are samples."""
+    zone = _division_zone(grid, cutoff)
+    den = _denominator_table(grid, alpha)
+    return np.where(zone, stack / np.where(zone, den, 1.0), 0.0)
+
+
 def _divide(coeffs, grid, alpha, cutoff):
-    """a_hat / den on the support (eta != 0), with the small-divisor guard."""
+    """_divide_stack behind the small-divisor guard."""
     zone = _division_zone(grid, cutoff)
     den = _denominator_table(grid, alpha)
     scale = _resonance_scale(grid, alpha)
@@ -158,7 +184,7 @@ def _divide(coeffs, grid, alpha, cutoff):
             f"|den({eta}, {xi})| below {SMALL_DIVISOR_FLOOR} of its elliptic "
             f"scale; the cutoff does not separate frequencies"
         )
-    return np.where(zone, coeffs / np.where(zone, den, 1.0), 0.0)
+    return _divide_stack(coeffs, grid, alpha, cutoff)
 
 
 def _support_residual(p_coeffs, dp_coeffs, a_coeffs, grid, alpha):
@@ -237,18 +263,14 @@ def _neumann_series(a_reg, grid, alpha, cutoff):
     if not alpha > 1:
         raise ValueError(f"Neumann route needs alpha > 1, got {alpha:g}")
     den = _denominator_table(grid, alpha)
-    eta = grid.freqs.astype(np.float64)[:, None]
-    xi = grid.freqs.astype(np.float64)[None, :]
-    with np.errstate(divide="ignore"):
-        inv_eta = np.where(eta != 0, 1.0 / (1j * np.where(eta != 0, eta, 1.0)), 0.0)
-        xi_factor = np.where(xi != 0, np.abs(np.where(xi != 0, xi, 1.0)) ** (1.0 - alpha), 0.0) / alpha
+    weight = _cole_hopf_weight(grid, alpha)
     order_p = a_reg.order_m + 1.0 - alpha
     current = np.where(_lattice_valid(grid), a_reg.coeffs, 0.0)
     total = np.zeros_like(current)
     increments = []
     growth_run = 0
     for term in range(1, NEUMANN_MAX_TERMS + 1):
-        step = xi_factor * inv_eta * current
+        step = weight * current
         total -= step
         inc = seminorm(Symbol(grid, step, order_m=order_p, cutoff=cutoff), order_m=order_p)
         if increments and inc > increments[-1]:
@@ -323,11 +345,7 @@ def cole_hopf_parametrix(a, alpha, cutoff=None):
     cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if cutoff is None else cutoff
     grid = a.grid
     a_reg = regularize(a, cutoff)
-    eta = grid.freqs.astype(np.float64)[:, None]
-    xi = grid.freqs.astype(np.float64)[None, :]
-    inv_eta = np.where(eta != 0, 1.0 / (1j * np.where(eta != 0, eta, 1.0)), 0.0)
-    xi_factor = np.where(xi != 0, np.abs(np.where(xi != 0, xi, 1.0)) ** (1.0 - alpha), 0.0) / alpha
-    coeffs = xi_factor * inv_eta * a_reg.coeffs
+    coeffs = _cole_hopf_weight(grid, alpha) * a_reg.coeffs
     return Symbol(grid, coeffs, order_m=a_reg.order_m + 1.0 - alpha, cutoff=cutoff)
 
 
@@ -422,12 +440,6 @@ def _time_chain(a_stack, dt, grid, alpha, cutoff, order_p, j_max, tol,
     return total, increments, ratios
 
 
-def _divide_stack(stack, grid, alpha, cutoff):
-    zone = _division_zone(grid, cutoff)
-    den = _denominator_table(grid, alpha)
-    return np.where(zone, stack / np.where(zone, den, 1.0), 0.0)
-
-
 def _stack_seminorm(stack, grid, order_m):
     """max over samples of M^m(a_i; 0, 0), one batched iFFT for the stack."""
     return seminorm_table(grid, stack, order_m)[(0, 0)]
@@ -489,30 +501,16 @@ def solve_time_dependent(a_samples, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
     return solutions
 
 
-def _place_pairs(coeffs, grid):
-    """Symbol coefficients laid out as matrix entries (no cutoff factor)."""
-    _, valid, rows = _lattice_structure(grid)
-    cols = np.broadcast_to(np.arange(grid.n)[None, :], rows.shape)
-    return np.where(valid, coeffs[rows, cols], 0.0)
-
-
 def _extract_pairs(entries, grid, psi_pair):
     """Matrix entries back to symbol layout, divided by psi where it is sound.
 
     Entries under the extraction floor belong to the residual report, not
     to the symbol.
     """
-    _, valid, rows = _lattice_structure(grid)
-    cols = np.broadcast_to(np.arange(grid.n)[None, :], rows.shape)
-    sound = valid & (psi_pair > SYMBOL_EXTRACTION_FLOOR)
-    coeffs = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    coeffs[rows[sound], cols[sound]] = entries[sound] / psi_pair[sound]
-    return coeffs
-
-
-def _pair_denominator(grid, alpha):
-    f = dispersion_profile(grid, alpha)
-    return 1j * (f[None, :] - f[:, None])
+    sound = psi_pair > SYMBOL_EXTRACTION_FLOOR
+    divided = np.divide(entries, psi_pair, out=np.zeros_like(entries),
+                        where=sound)
+    return scatter_pairs(divided, grid)
 
 
 def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
@@ -591,16 +589,6 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
     )
 
 
-def _transport_symbols(u_fields, cutoff):
-    """sigma_{i u xi} per sample, regularized."""
-    out = []
-    for u in u_fields:
-        grid = u.grid
-        coeffs = 1j * u.spectral[:, None] * grid.freqs.astype(np.float64)[None, :]
-        out.append(regularize(Symbol(grid, coeffs, order_m=1.0), cutoff))
-    return out
-
-
 def _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup, tameness_c):
     """Time derivatives of the transport symbol must cost alpha orders each."""
     report = {}
@@ -649,7 +637,7 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
     if not dt > 0:
         raise ValueError(f"need dt > 0, got {dt:g}")
     grid = fields[0].grid
-    transport = _transport_symbols(fields, cutoff)
+    transport = [regularize(transport_symbol(u) * 1j, cutoff) for u in fields]
     a_stack = np.stack([s.coeffs for s in transport])
     u_sup = max(float(np.max(np.abs(u.physical()))) for u in fields)
     tameness = _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup, tameness_c)
@@ -703,7 +691,7 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
         )
         p_stack = p_stack + correction
         for i, p_coeffs in enumerate(p_stack):
-            w_stack[i] = expm(1j * _place_pairs(p_coeffs, grid))
+            w_stack[i] = expm(1j * gather_pairs(p_coeffs, grid))
 
     masked = psi_pair * w_stack
     masked_dot = _time_derivative_stack(masked, dt)

@@ -21,21 +21,17 @@ absorbed into the multiplier, so Pi_chi1(u, |D|^(1-alpha) v) equals
 Pi_chi(v, v) whenever v = <D>^s u.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteMultiplier, SmallDivisor
-from .spectral import Field, Grid, abs_d_pow, check_same_grid, l2_norm, \
-    multiplier_apply
+from .spectral import Field, Grid, abs_d_pow, check_same_grid, \
+    dispersion_phase, l2_norm, multiplier_apply
+from .symbols import cutoff_mask
 
 RESONANCE_FLOOR = 1e-8
-
-
-def _phase(x, alpha):
-    """f(x) = x |x|^(alpha-1), exactly odd in floating point."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.abs(x) ** float(alpha)
 
 
 def resonance(alpha, xi1, xi2):
@@ -47,7 +43,8 @@ def resonance(alpha, xi1, xi2):
     """
     x1 = np.asarray(xi1, dtype=np.float64)
     x2 = np.asarray(xi2, dtype=np.float64)
-    out = _phase(x1 + x2, alpha) - _phase(x1, alpha) - _phase(x2, alpha)
+    out = dispersion_phase(x1 + x2, alpha) - dispersion_phase(x1, alpha) \
+        - dispersion_phase(x2, alpha)
     if out.ndim == 0:
         return float(out)
     return out
@@ -128,9 +125,7 @@ def multilinear_apply(chi, f1, f2):
     return Field(grid, out, is_real, _validate=False)
 
 
-_chi_cache = {}
-
-
+@functools.lru_cache(maxsize=16)
 def build_chi(s, alpha, cutoff, grid):
     """Tabulate the raw normal-form multiplier chi on the lattice.
 
@@ -142,14 +137,9 @@ def build_chi(s, alpha, cutoff, grid):
     """
     if not alpha > 1:
         raise ValueError(f"need alpha > 1, got {alpha}")
-    key = ("chi", float(s), float(alpha), cutoff.big_b, cutoff.little_b, grid.n)
-    hit = _chi_cache.get(key)
-    if hit is not None:
-        return hit
-
     x1 = grid.freqs.astype(np.float64)[:, None]
     x2 = grid.freqs.astype(np.float64)[None, :]
-    psi = cutoff(x1, x2)
+    psi = cutoff_mask(grid, cutoff)
     psi_shifted = cutoff(x1, x2 - x1)
     omega = resonance(alpha, x1, x2)
     live = (psi > 0.0) & (x1 != 0.0)
@@ -172,11 +162,10 @@ def build_chi(s, alpha, cutoff, grid):
     values = np.zeros((grid.n, grid.n))
     values[live] = first[live] * second[live] / (2.0 * omega[live] ** 2)
 
-    result = Multiplier2(grid, values)
-    _chi_cache[key] = result
-    return result
+    return Multiplier2(grid, values)
 
 
+@functools.lru_cache(maxsize=16)
 def build_chi1(s, alpha, cutoff, grid):
     """chi1 = chi * <xi1>^s * |xi2|^(alpha-1), the multiplier applied to u.
 
@@ -184,18 +173,11 @@ def build_chi1(s, alpha, cutoff, grid):
     Pi_chi1(u, |D|^(1-alpha) v); the |xi2|^(alpha-1) factor vanishes on
     the zero column, where chi is already zero.
     """
-    key = ("chi1", float(s), float(alpha), cutoff.big_b, cutoff.little_b, grid.n)
-    hit = _chi_cache.get(key)
-    if hit is not None:
-        return hit
-
     chi = build_chi(s, alpha, cutoff, grid)
     xi = grid.freqs.astype(np.float64)
     lift = (1.0 + xi ** 2) ** (s / 2.0)
     lower = np.where(np.abs(xi) > 0, np.abs(xi) ** (float(alpha) - 1.0), 0.0)
-    result = Multiplier2(grid, chi.values * lift[:, None] * lower[None, :])
-    _chi_cache[key] = result
-    return result
+    return Multiplier2(grid, chi.values * lift[:, None] * lower[None, :])
 
 
 def normal_form(u, v, s, alpha, cutoff):

@@ -27,38 +27,49 @@ import numpy as np
 
 from .errors import DegenerateProbe, GridMismatch, InvariantBroken
 from .spectral import Field, check_same_grid, sobolev_norm
-from .symbols import Cutoff, Symbol, regularize, x_derivative, xi_forward_difference
-
-_structure_cache = {}
-
-
-def _lattice_structure(grid):
-    """(eta value, validity, lookup row) matrices for output/input pairs."""
-    struct = _structure_cache.get(grid.n)
-    if struct is None:
-        out_f = grid.freqs[:, None].astype(np.int64)
-        in_f = grid.freqs[None, :].astype(np.int64)
-        eta = out_f - in_f
-        valid = (eta >= -grid.n // 2) & (eta <= grid.n // 2 - 1)
-        rows = np.mod(eta, grid.n)
-        struct = (eta, valid, rows)
-        _structure_cache[grid.n] = struct
-    return struct
+from .symbols import Cutoff, Symbol, cutoff_mask, regularize, x_derivative, \
+    xi_forward_difference
 
 
-_psi_pair_cache = {}
+@functools.lru_cache(maxsize=16)
+def _pair_slots(grid):
+    """Symbol slot of each (output, input) pair, as (valid, rows, cols).
+
+    Pair (out, in) holds the slot (eta, xi) = (out - in, in): row eta mod N,
+    column the input's own position.  Pairs whose eta leaves the lattice
+    are not valid and have no slot.
+    """
+    eta = grid.freqs[:, None] - grid.freqs[None, :]
+    valid = (eta >= -grid.n // 2) & (eta <= grid.n // 2 - 1)
+    rows = np.mod(eta, grid.n)
+    cols = np.broadcast_to(np.arange(grid.n)[None, :], rows.shape)
+    valid.setflags(write=False)
+    rows.setflags(write=False)
+    return valid, rows, cols
 
 
+def gather_pairs(coeffs, grid):
+    """Symbol-layout coefficients as matrix entries, no cutoff factor:
+    entries[xi + eta, xi] = coeffs[eta, xi], zero where eta is off the
+    lattice."""
+    valid, rows, cols = _pair_slots(grid)
+    return np.where(valid, coeffs[rows, cols], 0.0)
+
+
+def scatter_pairs(entries, grid):
+    """Matrix entries back to symbol layout, the inverse of gather_pairs;
+    entries at pairs whose eta is off the lattice are dropped."""
+    valid, rows, cols = _pair_slots(grid)
+    coeffs = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    coeffs[rows[valid], cols[valid]] = entries[valid]
+    return coeffs
+
+
+@functools.lru_cache(maxsize=16)
 def pair_mask(grid, cutoff):
     """psi(out-in, in) over all (output, input) index pairs, FFT order."""
-    key = (grid.n, cutoff.big_b, cutoff.little_b)
-    mask = _psi_pair_cache.get(key)
-    if mask is None:
-        eta, valid, _ = _lattice_structure(grid)
-        xi = grid.freqs[None, :].astype(np.float64)
-        mask = cutoff(eta.astype(np.float64), xi) * valid
-        mask.setflags(write=False)
-        _psi_pair_cache[key] = mask
+    mask = gather_pairs(cutoff_mask(grid, cutoff), grid)
+    mask.setflags(write=False)
     return mask
 
 
@@ -142,10 +153,7 @@ def materialize(symbol, cutoff):
     materialize(regularize(a, c), c) == materialize(a, c) exactly.
     """
     grid = symbol.grid
-    sym = regularize(symbol, cutoff)
-    _, valid, rows = _lattice_structure(grid)
-    cols = np.broadcast_to(np.arange(grid.n)[None, :], rows.shape)
-    entries = np.where(valid, sym.coeffs[rows, cols], 0.0)
+    entries = gather_pairs(regularize(symbol, cutoff).coeffs, grid)
     outside = entries[pair_mask(grid, cutoff) == 0.0]
     if np.any(outside):
         raise InvariantBroken(
@@ -163,12 +171,8 @@ def symbol_of_matrix(matrix, order_m=0.0):
     nothing.  No cutoff division is performed: the result is the raw
     symbol of the matrix under the op quantization.
     """
-    grid = matrix.grid
-    _, valid, rows = _lattice_structure(grid)
-    cols = np.broadcast_to(np.arange(grid.n)[None, :], rows.shape)
-    coeffs = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    coeffs[rows[valid], cols[valid]] = matrix.entries[valid]
-    return Symbol(grid, coeffs, order_m=order_m)
+    return Symbol(matrix.grid, scatter_pairs(matrix.entries, matrix.grid),
+                  order_m=order_m)
 
 
 @dataclass(frozen=True)

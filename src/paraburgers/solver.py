@@ -35,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantBroken, NanDetected, SpectrumOverflow
-from .gauge import dispersion_profile
 from .paraop import DEFAULT_CUTOFF_ARGS, dealias_product, paraproduct
-from .spectral import Field, Grid, derivative, homogeneous_sobolev_norm, \
-    linf_norm, multiplier_apply
+from .spectral import Field, Grid, derivative, dispersion_profile, \
+    homogeneous_sobolev_norm, linf_norm, multiplier_apply
 from .symbols import Cutoff
 
 EQUATIONS = ("full", "paralinear")

@@ -16,6 +16,8 @@ Conventions, fixed once and used everywhere:
   Negative-order multipliers send the zero mode to zero.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import GridMismatch, NonFiniteMultiplier
@@ -147,44 +149,30 @@ def block_profile(t):
     return 1.0 - smoothstep(t - 1.0)
 
 
-class LpBlocks:
-    """Littlewood-Paley block multipliers P_0, ..., P_K on a grid.
+@functools.lru_cache(maxsize=16)
+def lp_profiles(grid):
+    """Littlewood-Paley block multipliers P_0, ..., P_K as a read-only
+    (K+1) x N array, one row per block, columns in FFT order.
 
     K is the smallest integer with 2^K >= N/2 so the profiles sum to one on
     every retained mode.
     """
-
-    def __init__(self, grid):
-        self.grid = grid
-        self.count = int(np.ceil(np.log2(grid.n // 2))) + 1
-        xi = grid.freqs.astype(np.float64)
-        lowpass = [block_profile(xi / 2.0 ** k) for k in range(self.count)]
-        profiles = [lowpass[0]]
-        for k in range(1, self.count):
-            profiles.append(lowpass[k] - lowpass[k - 1])
-        self.profiles = np.array(profiles)
-
-    def profile(self, k):
-        return self.profiles[k]
-
-
-_blocks_cache = {}
-
-
-def get_blocks(grid):
-    blocks = _blocks_cache.get(grid.n)
-    if blocks is None:
-        blocks = LpBlocks(grid)
-        _blocks_cache[grid.n] = blocks
-    return blocks
+    count = int(np.ceil(np.log2(grid.n // 2))) + 1
+    xi = grid.freqs.astype(np.float64)
+    lowpass = [block_profile(xi / 2.0 ** k) for k in range(count)]
+    profiles = [lowpass[0]]
+    for k in range(1, count):
+        profiles.append(lowpass[k] - lowpass[k - 1])
+    profiles = np.array(profiles)
+    profiles.setflags(write=False)
+    return profiles
 
 
 def lp_decompose(field):
     """Return the list [P_0 u, ..., P_K u]; the sum reproduces u."""
-    blocks = get_blocks(field.grid)
     return [
         Field(field.grid, profile * field.spectral, field.is_real, _validate=False)
-        for profile in blocks.profiles
+        for profile in lp_profiles(field.grid)
     ]
 
 
@@ -249,12 +237,20 @@ def derivative():
     return lambda xi: 1j * xi.astype(np.float64)
 
 
+def dispersion_phase(x, alpha):
+    """f(x) = x |x|^(alpha-1), exactly odd in floating point (0 at x=0)."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.sign(x) * np.abs(x) ** float(alpha)
+
+
+def dispersion_profile(grid, alpha):
+    """f(xi) on the retained modes, FFT order."""
+    return dispersion_phase(grid.freqs, alpha)
+
+
 def dispersion_symbol(alpha):
-    """d_x |D|^{alpha-1}, the multiplier i*xi*|xi|^{alpha-1} (0 at xi=0)."""
-    def m(xi):
-        x = xi.astype(np.float64)
-        return 1j * np.sign(x) * np.abs(x) ** alpha
-    return m
+    """d_x |D|^{alpha-1}, the multiplier i*f(xi) = i*xi*|xi|^{alpha-1}."""
+    return lambda xi: 1j * dispersion_phase(xi, alpha)
 
 
 def inverse_dx():
@@ -303,27 +299,11 @@ def wk_inf_norm(field, k):
 
 def zygmund_norm(field, s):
     """C^s_* norm: sup_k 2^{ks} ||P_k u||_inf."""
-    blocks = get_blocks(field.grid)
     best = 0.0
-    for k in range(blocks.count):
-        piece = np.fft.ifft(blocks.profile(k) * field.spectral) * field.grid.n
+    for k, profile in enumerate(lp_profiles(field.grid)):
+        piece = np.fft.ifft(profile * field.spectral) * field.grid.n
         best = max(best, 2.0 ** (k * s) * float(np.max(np.abs(piece))))
     return best
-
-
-def norm(field, kind, s=0.0, k=0):
-    """Dispatch table for the norms used across the package."""
-    if kind == "hs":
-        return sobolev_norm(field, s)
-    if kind == "hs_dot":
-        return homogeneous_sobolev_norm(field, s)
-    if kind == "zygmund":
-        return zygmund_norm(field, s)
-    if kind == "linf":
-        return linf_norm(field)
-    if kind == "wkinf":
-        return wk_inf_norm(field, k)
-    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def l2_norm(field):

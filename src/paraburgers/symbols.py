@@ -17,6 +17,7 @@ Seminorms follow the operator-norm convention
 with forward differences Delta_xi on the integer lattice.
 """
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -60,23 +61,13 @@ class Cutoff:
         return f"Cutoff(B={self.big_b:g}, b={self.little_b:g})"
 
 
-def cutoff_eval(cutoff, eta, xi):
-    return cutoff(eta, xi)
-
-
-_mask_cache = {}
-
-
+@functools.lru_cache(maxsize=16)
 def cutoff_mask(grid, cutoff):
     """psi evaluated on the full (eta, xi) lattice, FFT order both axes."""
-    key = (grid.n, cutoff.big_b, cutoff.little_b)
-    mask = _mask_cache.get(key)
-    if mask is None:
-        eta = grid.freqs.astype(np.float64)[:, None]
-        xi = grid.freqs.astype(np.float64)[None, :]
-        mask = cutoff(eta, xi)
-        mask.setflags(write=False)
-        _mask_cache[key] = mask
+    eta = grid.freqs.astype(np.float64)[:, None]
+    xi = grid.freqs.astype(np.float64)[None, :]
+    mask = cutoff(eta, xi)
+    mask.setflags(write=False)
     return mask
 
 

@@ -8,12 +8,11 @@ from paraburgers import experiments
 from paraburgers.errors import InvariantBroken
 from paraburgers.flow import gauss_nodes
 from paraburgers.gauge import (
-    _place_pairs, _time_derivative_stack, dispersion_profile,
-    solve_conjugating, solve_nonlinear_exp
+    _time_derivative_stack, solve_conjugating, solve_nonlinear_exp
 )
-from paraburgers.paraop import DEFAULT_CUTOFF_ARGS, materialize
+from paraburgers.paraop import DEFAULT_CUTOFF_ARGS, gather_pairs, materialize
 from paraburgers.solver import initial_field, run
-from paraburgers.spectral import Grid
+from paraburgers.spectral import Grid, dispersion_profile
 from paraburgers.symbols import Cutoff, transport_symbol
 
 CUTOFF = Cutoff(*DEFAULT_CUTOFF_ARGS)
@@ -120,7 +119,7 @@ class TestConjugationStudy:
     def test_newton_hands_on_its_exponential(self, conjugation_ensemble):
         u = conjugation_ensemble[0].states[-1]
         sol = solve_nonlinear_exp(transport_symbol(u) * -1.0, 2.5, CUTOFF)
-        placed = _place_pairs(sol.p.coeffs, u.grid)
+        placed = gather_pairs(sol.p.coeffs, u.grid)
         assert np.array_equal(sol.extras["transform"], expm(1j * placed))
 
     def test_conjugating_stacks_are_the_defining_equation(
@@ -140,7 +139,7 @@ class TestConjugationStudy:
             for i, (sol, u) in enumerate(zip(sols, traj.states)):
                 assert sol.extras["w_stack"] is extras["w_stack"]
                 w = extras["w_stack"][i]
-                placed = _place_pairs(sol.p.coeffs, u.grid)
+                placed = gather_pairs(sol.p.coeffs, u.grid)
                 assert np.array_equal(w, expm(1j * placed))
                 transport = materialize(transport_symbol(u) * 1j,
                                         CUTOFF).entries

@@ -29,7 +29,6 @@ class TestFlowBuild:
         zero = Symbol(grid, np.zeros((grid.n, grid.n), dtype=complex))
         built = flow.flow_build(zero, CUTOFF, 0.7)
         assert np.max(np.abs(built.matrix.entries - np.eye(grid.n))) == 0.0
-        assert built.method == "matrix_exponential"
 
     def test_constant_symbol_scalar_phase(self):
         grid = Grid(64)
@@ -65,15 +64,6 @@ class TestFlowBuild:
         built = flow.flow_build(order_zero_symbol(grid, rng), CUTOFF, 0.4)
         product = built.matrix.compose(built.inverse_matrix()).entries
         assert np.max(np.abs(product - np.eye(grid.n))) < 1e-9
-
-    def test_ode_route_agrees_with_expm(self):
-        grid = Grid(64)
-        rng = np.random.default_rng(44)
-        p = order_zero_symbol(grid, rng)
-        dense = flow.flow_build(p, CUTOFF, 0.5)
-        ode = flow.flow_build(p, CUTOFF, 0.5, method="ode_integration")
-        assert ode.method == "ode_integration"
-        assert (dense.matrix - ode.matrix).max_entry() < 1e-8
 
     def test_adjoint_law(self):
         grid = Grid(64)

@@ -14,9 +14,10 @@ from paraburgers.errors import (
     SmallnessViolated,
     TamenessViolated,
 )
-from paraburgers.spectral import Grid, Field
-from paraburgers.symbols import Cutoff, Symbol, regularize, seminorm, x_derivative
-from paraburgers import gauge
+from paraburgers.spectral import Grid, Field, lp_profiles, zygmund_norm
+from paraburgers.symbols import Cutoff, Symbol, regularize, seminorm, \
+    transport_symbol, x_derivative
+from paraburgers import gauge, normalform, paraop, symbols
 
 # Measured at B = 8 over N in {64, 128, 256, 512}; frozen ~3% wide.
 ELLIPTICITY_BRACKETS = {
@@ -213,13 +214,39 @@ class TestResonanceEllipticity:
     def test_lattice_tables_stay_bounded_over_an_alpha_scan(self):
         for alpha in np.linspace(1.1, 2.9, 40):
             gauge.ellipticity_bracket(Grid(16), alpha, Cutoff(2.0, 1.0))
-        tables = (gauge._denominator_table, gauge._resonance_scale,
-                  gauge._lattice_valid)
-        for table in tables:
-            assert table.cache_info().currsize <= 16
-        assert not gauge._denominator_table(Grid(16), 1.5).flags.writeable
-        assert not gauge._resonance_scale(Grid(16), 1.5).flags.writeable
-        assert not gauge._lattice_valid(Grid(16)).flags.writeable
+        # every other lattice table, with a new grid and cutoff each step so
+        # the tables keyed on (grid, cutoff) or on the grid alone see 40 keys
+        for i, alpha in enumerate(np.linspace(1.1, 2.9, 40)):
+            grid, cutoff = Grid(16 + 2 * i), Cutoff(1.0 + alpha, 1.0)
+            u = Field.from_physical(grid, 1e-3 * np.cos(grid.x))
+            a = transport_symbol(u)
+            gauge.cole_hopf_parametrix(a, alpha, cutoff)
+            paraop.materialize(a, cutoff)
+            paraop.pair_mask(grid, cutoff)
+            gauge._pair_denominator(grid, alpha)
+            zygmund_norm(u, 1.0)
+            normalform.normal_form(u, u, 1.0, alpha, cutoff)
+        grid, cutoff = Grid(16), Cutoff(2.0, 1.0)
+        tables = {
+            gauge._denominator_table: (grid, 1.5),
+            gauge._resonance_scale: (grid, 1.5),
+            gauge._lattice_valid: (grid,),
+            gauge._pair_denominator: (grid, 1.5),
+            gauge._cole_hopf_weight: (grid, 1.5),
+            symbols.cutoff_mask: (grid, cutoff),
+            paraop.pair_mask: (grid, cutoff),
+            paraop._pair_slots: (grid,),
+            lp_profiles: (grid,),
+            normalform.build_chi: (1.0, 1.5, cutoff, grid),
+            normalform.build_chi1: (1.0, 1.5, cutoff, grid),
+        }
+        for table, key in tables.items():
+            assert table.cache_info().currsize <= 16, table.__name__
+            value = table(*key)
+            arrays = value if isinstance(value, tuple) else (value,)
+            for array in arrays:
+                array = getattr(array, "values", array)
+                assert not array.flags.writeable, table.__name__
 
 
 class TestColeHopfParametrix:

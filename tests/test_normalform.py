@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paraburgers.errors import GridMismatch, NonFiniteMultiplier
 from paraburgers.paraop import dealias_product
@@ -320,3 +321,22 @@ class TestNormalForm:
         zero = Field(grid, np.zeros(grid.n), is_real=True)
         assert normalform.equivalence_constant(
             zero, zero, 2.0, 1.5, self.CUTOFF) == 1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(8, 32).map(lambda half: 2 * half),
+           alpha=st.floats(1.1, 1.9),
+           s=st.sampled_from([0.0, 1.0, 2.0]),
+           cutoff=st.sampled_from([Cutoff(8.0, 2.0), Cutoff(2.0, 1.0)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_real_fields_stay_real(self, n, alpha, s, cutoff, seed):
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+        u = random_real_field(grid, rng, amplitude=0.1)
+        v = random_real_field(grid, rng)
+        w = normalform.normal_form(u, v, s, alpha, cutoff)
+        assert w.is_real
+        pos = w.spectral[1:n // 2]
+        neg = w.spectral[-1:-(n // 2):-1]
+        defect = max(abs(w.spectral[0].imag),
+                     float(np.max(np.abs(neg - np.conj(pos)))))
+        assert defect <= 1e-12 * float(np.max(np.abs(w.spectral)))

@@ -5,11 +5,10 @@ import pytest
 
 from paraburgers import solver
 from paraburgers.errors import InvariantBroken, NanDetected, SpectrumOverflow
-from paraburgers.gauge import dispersion_profile
 from paraburgers.paraop import materialize
 from paraburgers.solver import SimConfig, Trajectory, default_dt, \
     initial_field, rescale, run, step
-from paraburgers.spectral import Field, Grid, derivative, \
+from paraburgers.spectral import Field, Grid, derivative, dispersion_profile, \
     homogeneous_sobolev_norm, l2_norm, linf_norm, multiplier_apply
 from paraburgers.symbols import Cutoff, Symbol
 

@@ -17,12 +17,11 @@ from paraburgers.spectral import (
     block_profile,
     derivative,
     dispersion_symbol,
-    get_blocks,
     inverse_dx,
     linf_norm,
     lp_decompose,
+    lp_profiles,
     multiplier_apply,
-    norm,
     sobolev_norm,
     wk_inf_norm,
     zygmund_norm,
@@ -162,8 +161,7 @@ def test_block_profile_shape():
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_partition_of_unity(n):
     grid = Grid(n)
-    blocks = get_blocks(grid)
-    total = blocks.profiles.sum(axis=0)
+    total = lp_profiles(grid).sum(axis=0)
     assert np.max(np.abs(total - 1.0)) <= 1e-12
 
 
@@ -195,13 +193,11 @@ def test_wkinf_cosine():
     assert wk_inf_norm(u, 1) == pytest.approx(2.0, rel=1e-12)
 
 
-def test_norm_dispatch():
+def test_cosine_linf_and_h1_norms():
     grid = Grid(32)
     u = Field.from_physical(grid, np.cos(grid.x))
-    assert norm(u, "linf") == pytest.approx(1.0, rel=1e-12)
-    assert norm(u, "hs", s=1.0) == pytest.approx(np.sqrt(np.pi) * 2 ** 0.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        norm(u, "no-such-norm")
+    assert linf_norm(u) == pytest.approx(1.0, rel=1e-12)
+    assert sobolev_norm(u, 1.0) == pytest.approx(np.sqrt(np.pi) * 2 ** 0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", [4, 8, 16, 32])

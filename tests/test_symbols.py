@@ -9,7 +9,6 @@ from paraburgers.spectral import Field, Grid
 from paraburgers.symbols import (
     Cutoff,
     Symbol,
-    cutoff_eval,
     cutoff_mask,
     regularize,
     seminorm,
@@ -234,8 +233,3 @@ def test_x_derivative():
     da = x_derivative(a)
     b = Symbol.from_function(grid, lambda x, xi: -np.sin(x) + 0.0 * xi)
     assert np.max(np.abs(da.coeffs - b.coeffs)) <= 1e-13
-
-
-def test_cutoff_eval_alias():
-    c = Cutoff(2.0, 1.0)
-    assert cutoff_eval(c, 3, 8.0) == 1.0

@@ -21,6 +21,8 @@ from .symbols import Symbol, seminorm
 FLOW_STABILITY_C = 2.0
 
 GAUSS_POINTS = 16
+# Composite panels of the flow-identity quadratures: 64 nodes on [0, tau].
+QUADRATURE_PANELS = 4
 
 
 def gauss_nodes(a, b, panels=1):
@@ -110,12 +112,12 @@ def commutator_factor(p, b, c, tau, **flow_args):
     return materialize(b, c) - conjugate(p, b, c, -tau, **flow_args)
 
 
-def commutator_factor_quadrature(p, b, c, tau, panels=4):
+def commutator_factor_quadrature(p, b, c, tau):
     """Integral form of commutator_factor by composite Gauss quadrature."""
     generator = materialize(p, c)
     t_b = materialize(b, c)
     bracket = 1j * (generator.compose(t_b).entries - t_b.compose(generator).entries)
-    nodes, weights = gauss_nodes(0.0, tau, panels)
+    nodes, weights = gauss_nodes(0.0, tau, QUADRATURE_PANELS)
     total = np.zeros_like(bracket)
     for r, w in zip(nodes, weights):
         forward = scipy.linalg.expm(1j * r * generator.entries)
@@ -150,7 +152,7 @@ def bch_truncation(p, b, c, tau, truncation_k, band=None, **flow_args):
     return float(np.linalg.norm(defect, 2))
 
 
-def flow_difference_residual(p, p_other, c, tau, panels=4):
+def flow_difference_residual(p, p_other, c, tau):
     """Quadrature residual of the two-flow difference identity.
 
     e^{i tau T_p} - e^{i tau T_p'} =
@@ -161,7 +163,7 @@ def flow_difference_residual(p, p_other, c, tau, panels=4):
     left = (scipy.linalg.expm(1j * tau * g1.entries)
             - scipy.linalg.expm(1j * tau * g2.entries))
     middle = 1j * (g1.entries - g2.entries)
-    nodes, weights = gauss_nodes(0.0, tau, panels)
+    nodes, weights = gauss_nodes(0.0, tau, QUADRATURE_PANELS)
     right = np.zeros_like(left)
     for r, w in zip(nodes, weights):
         right += w * (scipy.linalg.expm(1j * (tau - r) * g1.entries)
@@ -202,7 +204,7 @@ def flow_compose_check(p, p_other, c, tau, rtol=1e-10, atol=1e-12):
     return max(discrepancy, flow_difference_residual(p, p_other, c, tau))
 
 
-def flow_symbol_residual(p, c, tau, probe, panels=4):
+def flow_symbol_residual(p, c, tau, probe):
     """Residual of the flow-symbol identity on one probe field.
 
     e^{i tau T_p} T_1 u = T_{e^{i tau p}} u
@@ -221,7 +223,7 @@ def flow_symbol_residual(p, c, tau, probe, panels=4):
     t_ip = materialize(Symbol(grid, 1j * p.coeffs), c)
     left = scipy.linalg.expm(1j * tau * generator.entries) @ probe.spectral
     total = exp_symbol_matrix(tau).entries @ probe.spectral
-    nodes, weights = gauss_nodes(0.0, tau, panels)
+    nodes, weights = gauss_nodes(0.0, tau, QUADRATURE_PANELS)
     for s, w in zip(nodes, weights):
         exp_s = np.exp(1j * s * p_values)
         inner = (t_ip.entries @ exp_symbol_matrix(s).entries

@@ -38,12 +38,12 @@ from .errors import (
     SmallnessViolated,
     TamenessViolated,
 )
-from .paraop import DEFAULT_CUTOFF_ARGS, OperatorMatrix, gather_pairs, \
-    materialize, pair_mask, scatter_pairs
+from .paraop import DEFAULT_CUTOFF_ARGS, gather_pairs, materialize, pair_mask, \
+    scatter_pairs
 from .spectral import dispersion_phase, dispersion_profile
-from .symbols import Cutoff, SeminormReport, Symbol, column_wk_inf, cutoff_mask, \
-    regularize, seminorm, seminorm_report, seminorm_table, transport_symbol, \
-    x_derivative, xi_forward_difference
+from .symbols import Cutoff, Symbol, column_wk_inf, cutoff_mask, regularize, \
+    seminorm, seminorm_table, transport_symbol, x_derivative, \
+    xi_forward_difference
 
 SMALL_DIVISOR_FLOOR = 1e-8
 NEUMANN_TOL = 1e-10
@@ -152,13 +152,17 @@ def commutator_rank(grid, alpha, cutoff=None):
 
 @dataclass(frozen=True)
 class GaugeSolution:
-    """A solved gauge symbol plus the numbers that certify it."""
+    """A solved gauge symbol plus the numbers that certify it.
+
+    residual_norm is the largest defect of the solved equation on the
+    cutoff support; extras holds each route's certificates and the
+    intermediates its callers reuse.
+    """
 
     p: Symbol
     route: str
     residual_norm: float
     iterations: int
-    seminorm_report: SeminormReport
     extras: dict = dataclass_field(default_factory=dict)
 
 
@@ -221,12 +225,11 @@ def commutator_estimates(p, a_reg, alpha, cutoff):
                + alpha ((1+1/B)^(alpha-1) - 1) / (1 - (1-1/B)^alpha)
                * M^{beta+1-alpha}(d_x p)
 
-    The denominator B [1 - (1-1/B)^alpha] is the sharp chord bound for the
-    homogeneous weight |xi|^(-m); those values are the certified lhs/rhs
-    pairs here.  With the inhomogeneous (1+|xi|)^(-m) seminorm the lowest
-    support column picks up ((1+|xi|)/|xi|)^(alpha-1), which outgrows the
-    chord slack once B is large, so those numbers are reported under the
-    seminorm_ prefix but not certified.
+    Both sides use the homogeneous weight |xi|^(-m), for which the
+    denominator B [1 - (1-1/B)^alpha] is the sharp chord bound; under the
+    inhomogeneous (1+|xi|)^(-m) weight of `seminorm` the lowest support
+    column picks up ((1+|xi|)/|xi|)^(alpha-1), which outgrows the chord
+    slack once B is large, so no bound on those values is certified.
 
     Both sides are compared on the materializable zone: p only exists at
     pairs whose output frequency stays on the lattice, so a is truncated
@@ -253,8 +256,6 @@ def commutator_estimates(p, a_reg, alpha, cutoff):
         "transport_rhs": transport_rhs,
         "xi_lhs": xi_lhs,
         "xi_rhs": xi_rhs,
-        "seminorm_transport_lhs": seminorm(p_x, order_m=beta + 1.0 - alpha),
-        "seminorm_transport_rhs": seminorm(a_reg, order_m=beta) / gain,
     }
 
 
@@ -329,7 +330,6 @@ def solve_commutator(a, alpha, cutoff=None, route="explicit_formula"):
         route=route,
         residual_norm=residual,
         iterations=iterations,
-        seminorm_report=seminorm_report(p),
         extras=extras,
     )
 
@@ -494,7 +494,6 @@ def solve_time_dependent(a_samples, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
                 route="explicit_formula",
                 residual_norm=residual,
                 iterations=1 + len(increments),
-                seminorm_report=seminorm_report(p),
                 extras=extras,
             )
         )
@@ -584,7 +583,6 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
         route="newton",
         residual_norm=residual,
         iterations=iterations,
-        seminorm_report=seminorm_report(p),
         extras=extras,
     )
 
@@ -617,16 +615,16 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
 
     Newton steps solve the time-dependent linear problem for -i times the
     extracted residual symbol; samples are warm-started from neighbours.
-    Each solution carries the cutoff-masked gauge matrix and the residual
-    operator (everything the defining equation leaves off-support).
 
-    Every solution also carries, shared and uncopied, the two stacks the
-    final sweep computed, one row per sample: extras["w_stack"] holds the
+    Every solution carries, shared and uncopied, the two stacks the final
+    sweep computed, one row per sample: extras["w_stack"] holds the
     unmasked W_i = expm(i T_{p_i}) and extras["g_stack"] the defining
     residual g_i = d_t W_i + [D, W_i] - W_i T_{i u_i xi} on all pairs.  The
     first sweep reuses the exponentials of the per-sample Newton solves
     (`solve_nonlinear_exp`'s extras["transform"]) instead of recomputing
-    them.
+    them.  extras["off_support_norm"] is the largest |g_i| where psi
+    vanishes, and extras["tameness"] the tameness check's (measured, bound)
+    pair for each time derivative j = 1, 2.
     """
     if not alpha > 2:
         raise ValueError(f"conjugating gauge needs alpha > 2, got {alpha:g}")
@@ -693,21 +691,13 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
         for i, p_coeffs in enumerate(p_stack):
             w_stack[i] = expm(1j * gather_pairs(p_coeffs, grid))
 
-    masked = psi_pair * w_stack
-    masked_dot = _time_derivative_stack(masked, dt)
     solutions = []
     for i in range(len(fields)):
         p = Symbol(grid, p_stack[i], order_m=order_p, cutoff=cutoff)
-        res_entries = (
-            masked_dot[i] - masked[i] * den_pair - masked[i] @ transport_mats[i]
-        )
         extras = {
             "off_support_norm": float(
                 np.max(np.abs(np.where(psi_pair == 0.0, g_stack[i], 0.0)))
             ),
-            "gauge_matrix": OperatorMatrix(grid, masked[i], "masked gauge"),
-            "residual_operator": OperatorMatrix(grid, res_entries,
-                                                "conjugation residual"),
             "tameness": tameness,
             "w_stack": w_stack,
             "g_stack": g_stack,
@@ -718,7 +708,6 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
                 route="newton",
                 residual_norm=residuals[i],
                 iterations=iterations,
-                seminorm_report=seminorm_report(p),
                 extras=extras,
             )
         )

@@ -41,7 +41,6 @@ from .spectral import Field, Grid, derivative, dispersion_profile, \
 from .symbols import Cutoff
 
 EQUATIONS = ("full", "paralinear")
-SCHEMES = ("if_rk4",)
 INITIAL_FAMILIES = ("cos1", "cos_mix", "bump", "random")
 
 BLOWUP_SUP_FACTOR = 1e6
@@ -60,7 +59,6 @@ class SimConfig:
     equation: str = "full"
     cutoff: Cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS)
     dt: float = None
-    scheme: str = "if_rk4"
     dealias: bool = True
     init: str = "cos1"
     amplitude: float = 0.01
@@ -72,8 +70,6 @@ class SimConfig:
             raise ValueError(f"alpha must lie in (1, 3], got {self.alpha}")
         if self.equation not in EQUATIONS:
             raise ValueError(f"unknown equation {self.equation!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.init not in INITIAL_FAMILIES:
             raise ValueError(f"unknown initial condition family {self.init!r}")
         if self.dt is not None:

@@ -18,7 +18,6 @@ with forward differences Delta_xi on the integer lattice.
 """
 
 import functools
-from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -206,18 +205,6 @@ def column_wk_inf(grid, coeffs, n):
     return _column_wk_ladder(grid, coeffs, n)[-1]
 
 
-@dataclass
-class SeminormReport:
-    """Seminorm values indexed by (xi-difference count k, x-regularity n)."""
-
-    order_m: float
-    rho: float
-    values: dict = dataclass_field(default_factory=dict)
-
-    def value(self, k, n):
-        return self.values[(k, n)]
-
-
 def seminorm_table(grid, coeffs, order_m, k_max=0, n_max=0):
     """Every entry M^m(a; k, n) with k <= k_max, n <= n_max, as a dict.
 
@@ -254,10 +241,3 @@ def seminorm(symbol, order_m=None, n=0, k=0):
     """Single seminorm entry M^m(a; k, n); see the module docstring."""
     m = symbol.order_m if order_m is None else float(order_m)
     return seminorm_table(symbol.grid, symbol.coeffs, m, k_max=k, n_max=n)[(k, n)]
-
-
-def seminorm_report(symbol, order_m=None, k_max=1, n_max=1):
-    """The (k, n) table of `seminorm` entries, computed in one pass."""
-    m = symbol.order_m if order_m is None else float(order_m)
-    values = seminorm_table(symbol.grid, symbol.coeffs, m, k_max, n_max)
-    return SeminormReport(order_m=m, rho=symbol.rho, values=values)

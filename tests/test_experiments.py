@@ -1,4 +1,8 @@
-"""Energy and conjugation studies: certificates and pinned results."""
+"""Studies, diagnostics and scans: certificates, closed forms, pinned results."""
+
+import csv
+import io
+import math
 
 import numpy as np
 import pytest
@@ -10,9 +14,10 @@ from paraburgers.flow import gauss_nodes
 from paraburgers.gauge import (
     _time_derivative_stack, solve_conjugating, solve_nonlinear_exp
 )
-from paraburgers.paraop import DEFAULT_CUTOFF_ARGS, gather_pairs, materialize
+from paraburgers.paraop import DEFAULT_CUTOFF_ARGS, OperatorMatrix, gather_pairs, \
+    materialize, order_probe
 from paraburgers.solver import initial_field, run
-from paraburgers.spectral import Grid, dispersion_profile
+from paraburgers.spectral import Field, Grid, dispersion_profile
 from paraburgers.symbols import Cutoff, transport_symbol
 
 CUTOFF = Cutoff(*DEFAULT_CUTOFF_ARGS)
@@ -145,3 +150,118 @@ class TestConjugationStudy:
                                         CUTOFF).entries
                 assert np.array_equal(extras["g_stack"][i],
                                       w_dot[i] - w * den - w @ transport)
+
+
+class TestDiagnostics:
+    # a cos x on Grid(32): the cubic term of the Hamiltonian sums to zero,
+    # x = pi/2 is a node, and |D|^(2-alpha) of u^2 = a^2/2 (1 + cos 2x) keeps
+    # only the cos 2x mode, scaled by 2^(2-alpha)
+    AMPLITUDE = 0.3
+    ALPHA = 1.5
+
+    def record(self, t=0.0):
+        grid = Grid(32)
+        u = Field.from_physical(grid, self.AMPLITUDE * np.cos(grid.x))
+        return experiments.diagnostics(u, self.ALPHA, s_list=(1.0, 2.0), t=t)
+
+    def test_closed_forms_for_a_cosine(self):
+        a, alpha = self.AMPLITUDE, self.ALPHA
+        rec = self.record(t=0.5)
+        assert rec.t == 0.5
+        assert rec.mass == pytest.approx(math.pi * a ** 2, rel=1e-12)
+        assert rec.hamiltonian == pytest.approx(math.pi * a ** 2, rel=1e-12)
+        for s in (1.0, 2.0):
+            assert rec.sobolev_norms[s] == pytest.approx(
+                math.sqrt(2.0 ** s * math.pi) * a, rel=1e-12)
+        assert rec.sup_norm == pytest.approx(a, rel=1e-12)
+        assert rec.lipschitz == pytest.approx(a, rel=1e-12)
+        assert rec.weak_criterion == pytest.approx(
+            a ** 2 * 2.0 ** (1.0 - alpha), rel=1e-12)
+
+    def test_csv_round_trips(self):
+        records = [self.record(t=0.1 * i) for i in range(3)]
+        rows = list(csv.reader(io.StringIO(
+            experiments.diagnostics_csv(records, times=[1.0, 2.0, 3.0]))))
+        assert rows[0] == ["t", "mass", "hamiltonian", "H1", "H2",
+                           "lipschitz", "weak_criterion", "sup"]
+        assert len(rows) == 1 + len(records)
+        for row, rec, t in zip(rows[1:], records, (1.0, 2.0, 3.0)):
+            expected = (t, rec.mass, rec.hamiltonian, rec.sobolev_norms[1.0],
+                        rec.sobolev_norms[2.0], rec.lipschitz,
+                        rec.weak_criterion, rec.sup_norm)
+            assert tuple(float(v) for v in row) == expected
+        stored = list(csv.reader(io.StringIO(
+            experiments.diagnostics_csv(records))))
+        assert [float(row[0]) for row in stored[1:]] == [r.t for r in records]
+
+
+def cell(amplitude, outcome, family="cos1", alpha=1.5):
+    return experiments.ScanCell(family=family, alpha=alpha,
+                                amplitude=amplitude, coarse=outcome,
+                                fine=outcome, outcome=outcome,
+                                lip_growth=1.0, sup_growth=1.0)
+
+
+class TestScans:
+    def test_one_cell_scan_and_its_csv(self):
+        cells = experiments.blowup_scan("cos1", (1.5,), (1.0,),
+                                        n_pair=(32, 64), t_end=0.05)
+        assert len(cells) == 1
+        (only,) = cells
+        assert (only.family, only.alpha, only.amplitude) == ("cos1", 1.5, 1.0)
+        labels = ("none", "lipschitz", "sup_norm")
+        assert only.coarse in labels and only.fine in labels
+        expected = only.coarse if only.coarse == only.fine else "inconclusive"
+        assert only.outcome == expected
+        assert only.lip_growth > 0.0 and only.sup_growth > 0.0
+
+        rows = list(csv.reader(io.StringIO(experiments.scan_csv(cells))))
+        assert rows[0] == ["family", "alpha", "amplitude", "coarse", "fine",
+                           "outcome", "lip_growth", "sup_growth"]
+        assert len(rows) == 1 + len(cells)
+        family, alpha, amplitude, coarse, fine, outcome, lip, sup = rows[1]
+        assert (family, coarse, fine, outcome) == (
+            only.family, only.coarse, only.fine, only.outcome)
+        assert (float(alpha), float(amplitude), float(lip), float(sup)) == (
+            only.alpha, only.amplitude, only.lip_growth, only.sup_growth)
+
+    def test_monotonicity_violations_skip_inconclusive_cells(self):
+        cells = [
+            cell(1.0, "lipschitz"), cell(1.5, "inconclusive"),
+            cell(2.0, "none"), cell(3.0, "sup_norm"),
+            # an inconclusive cell neither blows up nor stays quiet
+            cell(1.0, "inconclusive", alpha=1.8), cell(2.0, "none", alpha=1.8),
+            cell(1.0, "sup_norm", alpha=1.2),
+            cell(2.0, "inconclusive", alpha=1.2),
+            # a quiet cell under a blowing one is no violation
+            cell(1.0, "none", family="bump"), cell(2.0, "lipschitz",
+                                                   family="bump"),
+        ]
+        assert experiments.monotonicity_violations(cells) == [
+            ("cos1", 1.5, 1.0, 2.0)
+        ]
+        assert experiments.monotonicity_violations(
+            [c for c in cells if c.outcome != "inconclusive"]
+        ) == [("cos1", 1.5, 1.0, 2.0)]
+
+
+def diagonal_operator(n, order=0.5):
+    grid = Grid(n)
+    weights = (1.0 + np.abs(grid.freqs).astype(np.float64)) ** order
+    return OperatorMatrix(grid, np.diag(weights).astype(np.complex128))
+
+
+class TestResidualOrder:
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_small_grid_falls_back_to_the_default_probe(self, n):
+        # the cutoff's first probe band, ceil(B + b) + 6 = 16, leaves no
+        # room for a second band below n/2 - 16 at these sizes
+        operator = diagonal_operator(n)
+        assert experiments.residual_order(operator, CUTOFF) == \
+            order_probe(operator)
+
+    def test_probe_bands_sit_above_the_cutoff(self):
+        operator = diagonal_operator(128)
+        estimate = experiments.residual_order(operator, CUTOFF)
+        assert estimate.centers == (16, 32)
+        assert experiments.residual_order(operator) == order_probe(operator)

@@ -50,8 +50,6 @@ class TestSimConfig:
     def test_unknown_enums(self):
         with pytest.raises(ValueError, match="equation"):
             SimConfig(n_points=64, alpha=1.5, t_end=1.0, equation="weak")
-        with pytest.raises(ValueError, match="scheme"):
-            SimConfig(n_points=64, alpha=1.5, t_end=1.0, scheme="euler")
         with pytest.raises(ValueError, match="family"):
             SimConfig(n_points=64, alpha=1.5, t_end=1.0, init="soliton")
 
@@ -68,7 +66,6 @@ class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig(n_points=64, alpha=1.5, t_end=1.0)
         assert cfg.equation == "full"
-        assert cfg.scheme == "if_rk4"
         assert cfg.dealias
         assert cfg.dt is None
 

@@ -14,8 +14,6 @@ when grid refinement cannot agree on its classification.
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,16 +113,6 @@ class ScanCell:
     outcome: str
     lip_growth: float
     sup_growth: float
-
-
-def _map_cells(fn, cells):
-    """Independent cells in a worker pool; results keep input order."""
-    cells = list(cells)
-    if len(cells) <= 1:
-        return [fn(cell) for cell in cells]
-    workers = min(len(cells), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
 
 
 def _sample_spacing(times):
@@ -325,10 +313,8 @@ def energy_estimate_study(traj, s, alpha, c=None):
         raise ValueError(f"energy study needs alpha in (1, 2), got {alpha:g}")
     cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if c is None else c
     trajectories = _trajectories(traj)
-    per_cell = _map_cells(
-        lambda tr: _energy_cell(tr, float(s), float(alpha), cutoff),
-        trajectories,
-    )
+    per_cell = [_energy_cell(tr, float(s), float(alpha), cutoff)
+                for tr in trajectories]
     ratios = [r for cell in per_cell for r in cell]
     envelope, top = _envelope_fit(ratios)
     verdict = "bounded" if top <= envelope else "violated"
@@ -418,11 +404,9 @@ def conjugation_study(traj, alpha, c=None, s_probes=(0.0, 1.0, 2.0),
         )
     cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if c is None else c
     trajectories = _trajectories(traj)
-    per_cell = _map_cells(
-        lambda tr: _conjugation_cell(tr, float(alpha), cutoff,
-                                     tuple(s_probes), float(elliptic_c)),
-        trajectories,
-    )
+    per_cell = [_conjugation_cell(tr, float(alpha), cutoff, tuple(s_probes),
+                                  float(elliptic_c))
+                for tr in trajectories]
     ratios = [r for cell, _ in per_cell for r in cell]
     orders = [est.slope for _, est in per_cell if est is not None]
     worst_order = max(orders) if orders else 0.0
@@ -499,8 +483,7 @@ def blowup_scan(family, alpha_list, amplitude_list, n_pair=(512, 1024),
     """
     coarse_n, fine_n = n_pair
 
-    def one_cell(cell):
-        alpha, amplitude = cell
+    def one_cell(alpha, amplitude):
         coarse, _, _ = _scan_run(family, alpha, amplitude, coarse_n,
                                  t_end, seed, dt, cutoff)
         fine, lip_growth, sup_growth = _scan_run(
@@ -512,9 +495,8 @@ def blowup_scan(family, alpha_list, amplitude_list, n_pair=(512, 1024),
                         fine=fine, outcome=outcome,
                         lip_growth=lip_growth, sup_growth=sup_growth)
 
-    cells = [(alpha, amplitude) for alpha in alpha_list
-             for amplitude in amplitude_list]
-    return _map_cells(one_cell, cells)
+    return [one_cell(alpha, amplitude) for alpha in alpha_list
+            for amplitude in amplitude_list]
 
 
 def monotonicity_violations(cells):

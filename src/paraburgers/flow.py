@@ -21,7 +21,7 @@ from .symbols import Symbol, seminorm
 FLOW_STABILITY_C = 2.0
 
 GAUSS_POINTS = 16
-# Composite panels of the flow-identity quadratures: 64 nodes on [0, tau].
+# Composite panels of the flow-symbol quadrature: 64 nodes on [0, tau].
 QUADRATURE_PANELS = 4
 
 
@@ -64,6 +64,17 @@ class FlowOperator:
 
     def inverse_matrix(self):
         return _propagator(self.generator, -self.tau)
+
+
+def _block_integral(a, b, c, tau):
+    """int_0^tau e^{(tau-r) a} b e^{r c} dr, exactly.
+
+    It is the upper-right block of expm(tau [[a, b], [0, c]]) (Van Loan,
+    IEEE Trans. Automat. Control 23, 1978), so no quadrature is needed.
+    """
+    n = a.shape[0]
+    block = np.block([[a, b], [np.zeros_like(a), c]])
+    return scipy.linalg.expm(tau * block)[:n, n:]
 
 
 def _propagator(generator, tau):
@@ -113,17 +124,18 @@ def commutator_factor(p, b, c, tau, **flow_args):
 
 
 def commutator_factor_quadrature(p, b, c, tau):
-    """Integral form of commutator_factor by composite Gauss quadrature."""
-    generator = materialize(p, c)
-    t_b = materialize(b, c)
-    bracket = 1j * (generator.compose(t_b).entries - t_b.compose(generator).entries)
-    nodes, weights = gauss_nodes(0.0, tau, QUADRATURE_PANELS)
-    total = np.zeros_like(bracket)
-    for r, w in zip(nodes, weights):
-        forward = scipy.linalg.expm(1j * r * generator.entries)
-        backward = scipy.linalg.expm(-1j * r * generator.entries)
-        total += w * (backward @ bracket @ forward)
-    return OperatorMatrix(p.grid, total, "commutator[quad]")
+    """Integral form of commutator_factor, int_0^tau e^{-irG} K e^{irG} dr
+    with G = T_p and K = i [G, T_b].
+
+    Writing e^{-irG} = e^{-i tau G} e^{i(tau-r)G} makes the integral
+    e^{-i tau G} times a block-exponential integral.
+    """
+    g = materialize(p, c).entries
+    t_b = materialize(b, c).entries
+    bracket = 1j * (g @ t_b - t_b @ g)
+    total = (scipy.linalg.expm(-1j * tau * g)
+             @ _block_integral(1j * g, bracket, 1j * g, tau))
+    return OperatorMatrix(p.grid, total, "commutator[integral]")
 
 
 def bch_terms(p, b, c, tau, count):
@@ -153,21 +165,19 @@ def bch_truncation(p, b, c, tau, truncation_k, band=None, **flow_args):
 
 
 def flow_difference_residual(p, p_other, c, tau):
-    """Quadrature residual of the two-flow difference identity.
+    """Residual of the two-flow difference identity.
 
     e^{i tau T_p} - e^{i tau T_p'} =
         int_0^tau e^{i(tau-r) T_p} i T_{p-p'} e^{i r T_p'} dr.
+    The left side takes the two flows separately, the right side the
+    block-exponential integral, so the check does not reuse one for the
+    other.
     """
-    g1 = materialize(p, c)
-    g2 = materialize(p_other, c)
-    left = (scipy.linalg.expm(1j * tau * g1.entries)
-            - scipy.linalg.expm(1j * tau * g2.entries))
-    middle = 1j * (g1.entries - g2.entries)
-    nodes, weights = gauss_nodes(0.0, tau, QUADRATURE_PANELS)
-    right = np.zeros_like(left)
-    for r, w in zip(nodes, weights):
-        right += w * (scipy.linalg.expm(1j * (tau - r) * g1.entries)
-                      @ middle @ scipy.linalg.expm(1j * r * g2.entries))
+    g1 = materialize(p, c).entries
+    g2 = materialize(p_other, c).entries
+    left = (scipy.linalg.expm(1j * tau * g1)
+            - scipy.linalg.expm(1j * tau * g2))
+    right = _block_integral(1j * g1, 1j * (g1 - g2), 1j * g2, tau)
     return float(np.max(np.abs(left - right)))
 
 

@@ -538,7 +538,6 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
         )
     psi_pair = pair_mask(grid, cutoff)
     support_pairs = psi_pair > SYMBOL_EXTRACTION_FLOOR
-    sub_pairs = (psi_pair > 0.0) & ~support_pairs
     den_pair = _pair_denominator(grid, alpha)
     a_pair = materialize(a_reg, cutoff).entries
     p_coeffs = np.zeros((grid.n, grid.n), dtype=np.complex128)
@@ -548,7 +547,6 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
     iterations = 0
     residual = np.inf
     off_support = 0.0
-    sub_norm = 0.0
     for step in range(max_iterations + 1):
         p_matrix = materialize(Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff), cutoff)
         transform = expm(1j * p_matrix.entries)
@@ -556,7 +554,6 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
         r_pair = -1j * commutator - a_pair
         residual = float(np.max(np.abs(r_pair[support_pairs])))
         off_support = float(np.max(np.abs(np.where(psi_pair == 0.0, commutator, 0.0))))
-        sub_norm = float(np.max(np.abs(r_pair[sub_pairs]))) if np.any(sub_pairs) else 0.0
         if residual < tol:
             iterations = step
             break
@@ -569,13 +566,11 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
     p = Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff)
     extras = {
         "off_support_norm": off_support,
-        "subthreshold_norm": sub_norm,
         "smallness": {
             "threshold": smallness,
             "measured": measured,
             "margin": smallness - measured,
         },
-        "transport_seminorm": seminorm(x_derivative(p), order_m=order_p + 1.0),
         "transform": transform,
     }
     return GaugeSolution(

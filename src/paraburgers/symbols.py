@@ -73,25 +73,24 @@ def cutoff_mask(grid, cutoff):
 class Symbol:
     """x-periodic symbol tabulated by coefficients a_hat(eta, xi)."""
 
-    def __init__(self, grid, coeffs, order_m=0.0, rho=np.inf, cutoff=None):
+    def __init__(self, grid, coeffs, order_m=0.0, cutoff=None):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != (grid.n, grid.n):
             raise ValueError(f"expected {(grid.n, grid.n)} coefficients")
         self.grid = grid
         self.coeffs = coeffs
         self.order_m = float(order_m)
-        self.rho = rho
         self.cutoff = cutoff
 
     @classmethod
-    def from_function(cls, grid, fn, order_m=0.0, rho=np.inf):
+    def from_function(cls, grid, fn, order_m=0.0):
         """Tabulate a(x_j, xi) columnwise; fn must broadcast over arrays."""
         x = grid.x[:, None]
         xi = grid.freqs.astype(np.float64)[None, :]
         values = np.asarray(fn(x, xi), dtype=np.complex128)
         values = np.broadcast_to(values, (grid.n, grid.n))
         coeffs = np.fft.fft(values, axis=0) / grid.n
-        return cls(grid, coeffs, order_m=order_m, rho=rho)
+        return cls(grid, coeffs, order_m=order_m)
 
     @classmethod
     def from_field(cls, field, xi_profile=None, order_m=None):
@@ -110,29 +109,26 @@ class Symbol:
         return np.fft.ifft(self.coeffs, axis=0) * self.grid.n
 
     def copy(self, coeffs=None, **overrides):
-        out = Symbol(
+        return Symbol(
             self.grid,
             self.coeffs.copy() if coeffs is None else coeffs,
             order_m=overrides.get("order_m", self.order_m),
-            rho=overrides.get("rho", self.rho),
             cutoff=overrides.get("cutoff", self.cutoff),
         )
-        return out
 
     def __add__(self, other):
         if self.grid != other.grid:
             raise ValueError("symbols on different grids")
         cut = self.cutoff if self.cutoff == other.cutoff else None
         return Symbol(self.grid, self.coeffs + other.coeffs,
-                      order_m=max(self.order_m, other.order_m),
-                      rho=min(self.rho, other.rho), cutoff=cut)
+                      order_m=max(self.order_m, other.order_m), cutoff=cut)
 
     def __sub__(self, other):
         return self + (other * (-1.0))
 
     def __mul__(self, scalar):
         return Symbol(self.grid, self.coeffs * complex(scalar),
-                      order_m=self.order_m, rho=self.rho, cutoff=self.cutoff)
+                      order_m=self.order_m, cutoff=self.cutoff)
 
     __rmul__ = __mul__
 

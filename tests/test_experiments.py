@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -243,6 +244,30 @@ class TestScans:
         assert experiments.monotonicity_violations(
             [c for c in cells if c.outcome != "inconclusive"]
         ) == [("cos1", 1.5, 1.0, 2.0)]
+
+
+class TestCellsRunInOrder:
+    def test_every_cell_runs_on_the_callers_thread(
+            self, small_ensemble, conjugation_ensemble, monkeypatch):
+        seen = {}
+        for name in ("_energy_cell", "_conjugation_cell", "_scan_run"):
+            def recording(*args, _name=name,
+                          _original=getattr(experiments, name)):
+                seen.setdefault(_name, []).append(threading.get_ident())
+                return _original(*args)
+
+            monkeypatch.setattr(experiments, name, recording)
+
+        experiments.energy_estimate_study(small_ensemble, 2.0, 1.5)
+        experiments.conjugation_study(conjugation_ensemble, 2.5)
+        cells = experiments.blowup_scan("cos1", (1.5,), (0.5, 1.0),
+                                        n_pair=(32, 64), t_end=0.05)
+        assert [c.amplitude for c in cells] == [0.5, 1.0]
+        # one call per member, and a coarse and a fine run per scan cell
+        assert {name: len(ids) for name, ids in seen.items()} == {
+            "_energy_cell": 4, "_conjugation_cell": 4, "_scan_run": 4}
+        main = threading.main_thread().ident
+        assert all(ident == main for ids in seen.values() for ident in ids)
 
 
 def diagonal_operator(n, order=0.5):

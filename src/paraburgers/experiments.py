@@ -430,8 +430,8 @@ def _growth_classification(traj, initial_lip, initial_sup):
     is counted as amplitude divergence, since overflow needs
     astronomically large values.
     """
-    lips = np.array([rec[0] for rec in traj.diagnostics])
-    sups = np.array([rec[1] for rec in traj.diagnostics])
+    lips = np.array([rec[0] for rec in traj.peaks])
+    sups = np.array([rec[1] for rec in traj.peaks])
     lip_growth = float(np.max(lips) / initial_lip)
     sup_growth = float(np.max(sups) / initial_sup)
     if traj.blowup == "lipschitz":
@@ -456,6 +456,7 @@ def _scan_run(family, alpha, amplitude, n_points, t_end, seed, dt, cutoff):
                 seed=seed)
     if cutoff is not None:
         base["cutoff"] = cutoff
+    seed_state = None
     if dt is not None:
         step_dt = dt
     else:
@@ -464,11 +465,8 @@ def _scan_run(family, alpha, amplitude, n_points, t_end, seed, dt, cutoff):
     steps = max(1, math.ceil(t_end / step_dt))
     stride = max(1, steps // 256)
     cfg = SimConfig(**base, dt=step_dt, stride=stride)
-    gradient = derivative()
-    traj = run(cfg, diagnose=lambda u: (
-        linf_norm(multiplier_apply(u, gradient)), linf_norm(u)
-    ))
-    initial_lip, initial_sup = traj.diagnostics[0]
+    traj = run(cfg, initial=seed_state)
+    initial_lip, initial_sup = traj.peaks[0]
     return _growth_classification(traj, initial_lip, initial_sup)
 
 

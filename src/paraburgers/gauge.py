@@ -546,14 +546,12 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
     order_p = a_reg.order_m + 1.0 - alpha
     iterations = 0
     residual = np.inf
-    off_support = 0.0
     for step in range(max_iterations + 1):
         p_matrix = materialize(Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff), cutoff)
         transform = expm(1j * p_matrix.entries)
         commutator = transform * den_pair
         r_pair = -1j * commutator - a_pair
         residual = float(np.max(np.abs(r_pair[support_pairs])))
-        off_support = float(np.max(np.abs(np.where(psi_pair == 0.0, commutator, 0.0))))
         if residual < tol:
             iterations = step
             break
@@ -564,8 +562,9 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
         r_coeffs = _extract_pairs(r_pair, grid, psi_pair)
         p_coeffs = p_coeffs - _divide(r_coeffs, grid, alpha, cutoff)
     p = Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff)
+    off_support = np.where(psi_pair == 0.0, commutator, 0.0)
     extras = {
-        "off_support_norm": off_support,
+        "off_support_norm": float(np.max(np.abs(off_support))),
         "smallness": {
             "threshold": smallness,
             "measured": measured,

@@ -12,15 +12,21 @@ nonlinearity in the rotated frame.  Free evolution is therefore exact to
 round-off and conservation tests are sharp: every drift they measure
 comes from the nonlinear stages.
 
+The four stages of `step` pass coefficient arrays; only the new state is
+wrapped in a `Field`.  The half and full propagators of each (grid,
+alpha, dt) and the grid's i xi and 2/3 mask are read-only cached tables.
 The paralinear right-hand side -T_u d_x u is `paraop.paraproduct(u,
 d_x u, cutoff)`, summed on the cone band of the cutoff without forming
-the N x N operator; the full one is the (by default 2/3-dealiased)
-pointwise product -u d_x u.
+the N x N operator.  The full one is the (by default 2/3-dealiased)
+pointwise product -u d_x u of `paraop.product_coeffs`, whose two inverse
+FFTs run as one batch.
 
 Blow-up handling is detection, not continuation: a NaN, a sup-norm
 pile-up, or a Lipschitz spike truncates the run and flags the
-trajectory.  No viscous regularization is attempted; past wave breaking
-the spectral representation is meaningless anyway.
+trajectory.  The sup and Lipschitz readings of a state come from one
+batched inverse FFT of [i xi v, v], and the trajectory keeps them for
+every recorded sample.  No viscous regularization is attempted; past
+wave breaking the spectral representation is meaningless anyway.
 
 The rescaling map realizes the paper-counterpart symmetry so that its
 homogeneous-norm law ||u_lam||_{H^s} = lam^(alpha+s-3/2) ||u||_{H^s}
@@ -30,14 +36,16 @@ measure change contributes on the line is folded into the coefficients,
 since relabeling on a fixed torus has no measure to stretch).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantBroken, NanDetected, SpectrumOverflow
-from .paraop import DEFAULT_CUTOFF_ARGS, dealias_product, paraproduct
-from .spectral import Field, Grid, derivative, dispersion_profile, \
-    homogeneous_sobolev_norm, linf_norm, multiplier_apply
+from .paraop import DEFAULT_CUTOFF_ARGS, paraproduct, product_coeffs, \
+    product_tables
+from .spectral import Field, Grid, dispersion_profile, \
+    homogeneous_sobolev_norm, linf_norm
 from .symbols import Cutoff
 
 EQUATIONS = ("full", "paralinear")
@@ -87,25 +95,34 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded samples of a run; truncated early iff blowup is set."""
+    """Recorded samples of a run; truncated early iff blowup is set.
+
+    peaks holds the blow-up detector's (lipschitz, sup) readings,
+    ||d_x u||_inf and ||u||_inf, of each recorded state; a trajectory
+    assembled by hand may leave it empty.
+    """
 
     times: np.ndarray
     states: tuple
     diagnostics: tuple = ()
     blowup: str = None
     low_mode_residual: float = 0.0
+    peaks: tuple = ()
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
+        object.__setattr__(self, "peaks", tuple(self.peaks))
         if times[0] != 0.0:
             raise ValueError(f"trajectories start at t = 0, got {times[0]}")
         if np.any(np.diff(times) <= 0):
             raise ValueError("sample times must increase strictly")
         if len(self.states) != len(times):
             raise ValueError("one state per sample time required")
+        if self.peaks and len(self.peaks) != len(times):
+            raise ValueError("one detector reading per sample time required")
         grid = self.states[0].grid
         for state in self.states:
             if state.grid != grid:
@@ -148,24 +165,33 @@ def initial_field(grid, name, amplitude, seed=0):
     return field * (float(amplitude) / peak)
 
 
-def _nonlinearity(cfg, grid):
-    """-u d_x u (full, dealiased on request) or -T_u d_x u (paralinear)."""
-    dx = derivative()
+def _nonlinearity(cfg, grid, real):
+    """-u d_x u (full, dealiased on request) or -T_u d_x u (paralinear),
+    from and to coefficient arrays of a real or complex state."""
+    ixi = product_tables(grid)[0]
     if cfg.equation == "full":
-        if cfg.dealias:
-            def rhs(u):
-                return dealias_product(u, multiplier_apply(u, dx)) * (-1.0)
-        else:
-            def rhs(u):
-                ux = multiplier_apply(u, dx)
-                return Field.from_physical(grid, u.physical() * ux.physical()) \
-                    * (-1.0)
+        def rhs(v):
+            return product_coeffs(grid, v, ixi * v, (real, real),
+                                  cfg.dealias) * -1.0
     else:
         cutoff = cfg.cutoff
 
-        def rhs(u):
-            return paraproduct(u, multiplier_apply(u, dx), cutoff) * (-1.0)
+        def rhs(v):
+            u = Field(grid, v, real, _validate=False)
+            ux = Field(grid, ixi * v, real, _validate=False)
+            return paraproduct(u, ux, cutoff).spectral * -1.0
     return rhs
+
+
+@functools.lru_cache(maxsize=16)
+def propagators(grid, alpha, h):
+    """Read-only (exp(-i h f / 2), exp(-i h f)) on the retained modes."""
+    phase = dispersion_profile(grid, alpha)
+    half = np.exp(-0.5j * h * phase)
+    full = np.exp(-1.0j * h * phase)
+    half.setflags(write=False)
+    full.setflags(write=False)
+    return half, full
 
 
 def step(state, cfg, dt=None, nonlinear=True):
@@ -174,23 +200,17 @@ def step(state, cfg, dt=None, nonlinear=True):
     h = cfg.dt if dt is None else dt
     if h is None or not h > 0:
         raise ValueError(f"need a positive step size, got {h}")
-    phase = dispersion_profile(grid, cfg.alpha)
-    half = np.exp(-0.5j * h * phase)
-    full = np.exp(-1.0j * h * phase)
+    half, full = propagators(grid, cfg.alpha, h)
 
     v = state.spectral
     if not nonlinear:
         out = full * v
     else:
-        rhs = _nonlinearity(cfg, grid)
-
-        def lift(coeffs):
-            return Field(grid, coeffs, state.is_real, _validate=False)
-
-        n1 = rhs(state).spectral
-        n2 = rhs(lift(half * (v + 0.5 * h * n1))).spectral
-        n3 = rhs(lift(half * v + 0.5 * h * n2)).spectral
-        n4 = rhs(lift(full * v + h * half * n3)).spectral
+        rhs = _nonlinearity(cfg, grid, state.is_real)
+        n1 = rhs(v)
+        n2 = rhs(half * (v + 0.5 * h * n1))
+        n3 = rhs(half * v + 0.5 * h * n2)
+        n4 = rhs(full * v + h * half * n3)
         out = full * v + (h / 6.0) * (full * n1 + 2.0 * half * (n2 + n3) + n4)
     if not np.all(np.isfinite(out)):
         raise NanDetected(f"non-finite coefficients after a step of {h:g}")
@@ -216,10 +236,24 @@ def _free_band(cutoff):
     return int(np.floor(cutoff.little_b))
 
 
+def _peaks(state):
+    """The detector's (lipschitz, sup) = (||d_x u||_inf, ||u||_inf), from
+    one batched inverse FFT of [i xi v, v]."""
+    grid = state.grid
+    v = state.spectral
+    rows = np.fft.ifft(np.stack((product_tables(grid)[0] * v, v)),
+                       axis=-1) * grid.n
+    if state.is_real:
+        rows = rows.real
+    lip, sup = np.max(np.abs(rows), axis=-1)
+    return float(lip), float(sup)
+
+
 def run(cfg, diagnose=None, initial=None):
     """Integrate to t_end, recording every stride-th sample and the last.
 
-    diagnose(u) is called at recorded samples and its results collected.
+    diagnose(u) is called at recorded samples and its results collected;
+    the detector's readings of the same samples are kept as peaks.
     A NaN, sup-norm, or Lipschitz trigger truncates the trajectory and
     sets its blowup reason.  For paralinear runs the modes below the
     cutoff floor never see the transport term; their deviation from the
@@ -237,8 +271,8 @@ def run(cfg, diagnose=None, initial=None):
         raise ValueError(f"t_end = {cfg.t_end} shorter than one step {h:g}")
 
     steps = int(np.ceil(cfg.t_end / h - 1e-9))
-    sup0 = max(linf_norm(state), np.finfo(float).tiny)
-    deriv = derivative()
+    peaks = [_peaks(state)]
+    sup0 = max(peaks[0][1], np.finfo(float).tiny)
 
     follow_free = cfg.equation == "paralinear"
     if follow_free:
@@ -260,11 +294,11 @@ def run(cfg, diagnose=None, initial=None):
             blowup = "nan"
             break
         t += dt_k
-        sup = linf_norm(state)
+        lip, sup = _peaks(state)
         if sup > BLOWUP_SUP_FACTOR * sup0:
             blowup = "sup_norm"
             break
-        if linf_norm(multiplier_apply(state, deriv)) > BLOWUP_LIPSCHITZ:
+        if lip > BLOWUP_LIPSCHITZ:
             blowup = "lipschitz"
             break
         if follow_free:
@@ -273,6 +307,7 @@ def run(cfg, diagnose=None, initial=None):
         if (k + 1) % cfg.stride == 0 or k == steps - 1:
             times.append(t)
             states.append(state)
+            peaks.append((lip, sup))
             if diagnose is not None:
                 records.append(diagnose(state))
 
@@ -282,7 +317,7 @@ def run(cfg, diagnose=None, initial=None):
             f"low modes strayed from the free flow by {free_gap:.3e}"
         )
     return Trajectory(np.array(times), tuple(states), tuple(records),
-                      blowup, free_gap)
+                      blowup, free_gap, tuple(peaks))
 
 
 def rescale(u, lam, alpha):

@@ -494,6 +494,17 @@ class TestNonlinearExp:
         assert np.isfinite(sol.extras["off_support_norm"])
         assert sol.extras["smallness"]["margin"] > 0.0
 
+    def test_off_support_norm_reads_the_converged_commutator(self):
+        rng = np.random.default_rng(59)
+        a = band_symbol(self.grid, self.cutoff, rng, amplitude=1e-2)
+        sol = gauge.solve_nonlinear_exp(a, 1.5, self.cutoff)
+        assert sol.iterations > 0
+        commutator = sol.extras["transform"] * \
+            gauge._pair_denominator(self.grid, 1.5)
+        off = np.where(paraop.pair_mask(self.grid, self.cutoff) == 0.0,
+                       commutator, 0.0)
+        assert sol.extras["off_support_norm"] == float(np.max(np.abs(off)))
+
 
 class TestConjugating:
     def setup_method(self):

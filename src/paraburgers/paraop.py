@@ -12,11 +12,16 @@ semantics and serve the gauge and study layers, which need the operator
 itself.
 
 Applying an operator to a field never needs the matrix.  psi vanishes
-unless |xi| > B|eta| + b, so only the rows |eta| <= (N/2 - b)/B of the
-symbol can contribute: a band of about N/B x-frequencies.  `apply` and
-`paraproduct` sum that band straight into the output, at cost O(N^2/B)
-and without any N x N array, and agree with the dense matrix to rounding
-error for every cutoff.
+unless |xi| > B|eta| + b, so only the rows |eta| <= reach =
+floor((N/2 - b)/B) of the symbol can contribute, and output mode xi_m
+reads only the 2 reach + 1 inputs xi_m - eta.  Those are one sliding
+window over the xi-sorted input, zero-padded by reach on each side so
+that inputs off the lattice read as zero, and a cached table holds psi on
+the windows.  `paraproduct` is one (N x (2 reach + 1)) multiply of the
+windows by that table and one matrix-vector product with the band of
+u_hat; `apply` gathers a general symbol onto the same windows and takes
+one row-wise sum.  Neither forms an N x N array, and both agree with the
+dense matrix to rounding error for every cutoff.
 """
 
 import functools
@@ -178,46 +183,73 @@ def symbol_of_matrix(matrix, order_m=0.0):
 
 @dataclass(frozen=True)
 class _ConeBand:
-    """The rows |eta| <= reach of the symbol lattice that psi can reach.
+    """The rows |eta| <= reach of the symbol lattice that psi can reach, as
+    a window table.
 
-    Columns run in increasing xi; `cols` holds their FFT positions and
-    weights[k, j] is psi(eta_k, xi_j).
+    Output mode xi_m (m = 0 .. N-1, increasing xi) reads the inputs
+    xi_m - eta_j with eta_j = reach - j, j = 0 .. 2 reach: row m of the
+    sliding windows over the xi-sorted input, zero-padded by reach on each
+    side.  weights[m, j] = psi(eta_j, xi_m - eta_j), zero where
+    xi_m - eta_j leaves the lattice; rows holds the FFT positions of the
+    eta_j.  At N = 512 and Cutoff(8, 2) the table is 512 x 63 floats.
     """
 
+    reach: int
     rows: np.ndarray
-    cols: np.ndarray
     weights: np.ndarray
+
+
+def _band_eta_xi(grid, reach):
+    # (eta_j, xi_m - eta_j) of every window slot, and whether xi is on
+    # the lattice
+    eta = reach - np.arange(2 * reach + 1)
+    xi = np.arange(-(grid.n // 2), grid.n // 2)[:, None] - eta[None, :]
+    return eta, xi, (xi >= -(grid.n // 2)) & (xi < grid.n // 2)
 
 
 @functools.lru_cache(maxsize=16)
 def _cone_band(grid, cutoff):
     # psi(eta, xi) > 0 needs B|eta| + b < |xi| <= N/2
     reach = max(int(np.floor((grid.n / 2 - cutoff.little_b) / cutoff.big_b)), 0)
-    eta = np.arange(-reach, reach + 1)
-    xi = np.arange(-(grid.n // 2), grid.n // 2)
-    band = _ConeBand(np.mod(eta, grid.n), np.mod(xi, grid.n),
-                     cutoff(eta[:, None], xi[None, :]))
-    for array in (band.rows, band.cols, band.weights):
-        array.setflags(write=False)
+    eta, xi, on = _band_eta_xi(grid, reach)
+    band = _ConeBand(reach, np.mod(eta, grid.n),
+                     np.where(on, cutoff(eta[None, :], xi), 0.0))
+    band.rows.setflags(write=False)
+    band.weights.setflags(write=False)
     return band
 
 
-def _band_sum(band, terms, spectral):
-    """Sum terms[k, j] * v(xi_j) into output mode xi_j + eta_k, dropping
-    outputs that leave the lattice.
+@functools.lru_cache(maxsize=16)
+def _band_slots(grid, reach):
+    """Flat symbol-layout index of slot (eta_j, xi_m - eta_j) for every
+    window entry; where xi leaves the lattice the slot wraps, and meets a
+    zero of the padded input."""
+    eta, xi, _ = _band_eta_xi(grid, reach)
+    slots = np.mod(eta, grid.n) * grid.n + np.mod(xi, grid.n)
+    slots.setflags(write=False)
+    return slots
 
-    The k product rows go into zero-padded rows of length n + k.  Read
-    back as rows of length n + k - 1, row r appears shifted right by r,
-    so one column sum collects every term at its output frequency; the
-    n columns from reach = k // 2 on are the lattice.
+
+def _band_sum(band, terms, spectral, column):
+    """Output mode xi_m gets sum_j terms[m, j] v(xi_m - eta_j) column[j];
+    inputs off the lattice read as zero.
+
+    The windows are a strided view of the zero-padded, xi-sorted input,
+    so the only temporary is their (N, 2 reach + 1) product with terms,
+    contracted by one matrix-vector product.
     """
-    k, n = terms.shape
-    skew = np.zeros((k, n + k), dtype=np.complex128)
-    np.multiply(terms, spectral[band.cols], out=skew[:, :n])
-    total = skew.ravel()[: k * (n + k - 1)].reshape(k, n + k - 1).sum(axis=0)
-    out = np.empty(n, dtype=np.complex128)
-    out[band.cols] = total[k // 2: k // 2 + n]
-    return out
+    n, reach = spectral.shape[0], band.reach
+    half = n // 2
+    padded = np.zeros(n + 2 * reach, dtype=np.complex128)
+    padded[reach: reach + half] = spectral[half:]
+    padded[reach + half: reach + n] = spectral[:half]
+    # windows[m, j] = padded[m + j]; built directly, as
+    # sliding_window_view would, without its per-call Python overhead
+    step = padded.itemsize
+    windows = np.ndarray((n, 2 * reach + 1), np.complex128, padded,
+                         strides=(step, step))
+    total = (windows * terms) @ column
+    return np.concatenate((total[half:], total[:half]))
 
 
 def apply(symbol, cutoff, field):
@@ -228,19 +260,22 @@ def apply(symbol, cutoff, field):
     """
     grid = check_same_grid(symbol, field)
     band = _cone_band(grid, cutoff)
-    terms = symbol.coeffs[band.rows[:, None], band.cols[None, :]]
+    terms = symbol.coeffs.ravel()[_band_slots(grid, band.reach)]
     if symbol.cutoff != cutoff:
         terms = terms * band.weights
-    return Field(grid, _band_sum(band, terms, field.spectral), _validate=False)
+    # a row-wise sum: the symbol varies along both axes of the window
+    ones = np.ones(2 * band.reach + 1)
+    return Field(grid, _band_sum(band, terms, field.spectral, ones),
+                 _validate=False)
 
 
 def paraproduct(u, v, cutoff):
     """T_u v for a field u: apply(Symbol.from_field(u), cutoff, v) without
-    tabulating the symbol."""
+    tabulating the symbol, as one matrix-vector product."""
     grid = check_same_grid(u, v)
     band = _cone_band(grid, cutoff)
-    terms = u.spectral[band.rows][:, None] * band.weights
-    return Field(grid, _band_sum(band, terms, v.spectral), _validate=False)
+    return Field(grid, _band_sum(band, band.weights, v.spectral,
+                                 u.spectral[band.rows]), _validate=False)
 
 
 def _xi_difference_symbol(symbol, j):

@@ -16,10 +16,11 @@ The four stages of `step` pass coefficient arrays; only the new state is
 wrapped in a `Field`.  The half and full propagators of each (grid,
 alpha, dt) and the grid's i xi and 2/3 mask are read-only cached tables.
 The paralinear right-hand side -T_u d_x u is `paraop.paraproduct(u,
-d_x u, cutoff)`, summed on the cone band of the cutoff without forming
-the N x N operator.  The full one is the (by default 2/3-dealiased)
-pointwise product -u d_x u of `paraop.product_coeffs`, whose two inverse
-FFTs run as one batch.
+d_x u, cutoff)`, a windowed sum over the cone band of the cutoff: one
+(N x (2 reach + 1)) multiply of the input's sliding windows by a cached
+cutoff table and one matrix-vector product, with no N x N operator.  The
+full one is the (by default 2/3-dealiased) pointwise product -u d_x u of
+`paraop.product_coeffs`, whose two inverse FFTs run as one batch.
 
 Blow-up handling is detection, not continuation: a NaN, a sup-norm
 pile-up, or a Lipschitz spike truncates the run and flags the

@@ -212,6 +212,55 @@ class TestConeBand:
         assert not np.any(out.spectral[low])
 
 
+# reach = floor((N/2 - b) / B) at its two ends: 0 on the smallest grid with
+# b = N/2, and 98 at the top of CONE_CASES (N = 256, B = 3*3/7, b = 1)
+WINDOW_CORNERS = [(8, Cutoff(2, 4), 0),
+                  (256, Cutoff(3, 1).compose(Cutoff(3, 1)), 98)]
+
+
+class TestWindowTable:
+    """The cached window tables shared by paraproduct and apply."""
+
+    @pytest.mark.parametrize("n, cutoff, reach", WINDOW_CORNERS)
+    def test_tables_are_read_only(self, n, cutoff, reach):
+        band = paraop._cone_band(Grid(n), cutoff)
+        slots = paraop._band_slots(Grid(n), band.reach)
+        assert band.reach == reach
+        assert band.weights.shape == slots.shape == (n, 2 * reach + 1)
+        for table in (band.rows, band.weights, slots):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_caches_stay_bounded(self):
+        rng = np.random.default_rng(8)
+        for k in range(3 * paraop._cone_band.cache_info().maxsize):
+            grid, cutoff = Grid(8 + 2 * k), Cutoff(2 + k % 3, 1 + k % 2)
+            u, v = random_real_field(grid, rng), random_real_field(grid, rng)
+            paraop.paraproduct(u, v, cutoff)
+            paraop.apply(Symbol.from_field(u), cutoff, v)
+            for table in (paraop._cone_band, paraop._band_slots):
+                info = table.cache_info()
+                assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("n, cutoff, reach", WINDOW_CORNERS)
+    def test_corners_keep_exact_zeros(self, n, cutoff, reach, real):
+        grid = Grid(n)
+        rng = np.random.default_rng(n + reach)
+        u, v = _field(grid, rng, real), _field(grid, rng, real)
+        low = np.abs(grid.freqs) <= np.floor(cutoff.little_b)
+        sym = Symbol.from_field(u)
+        dense = paraop.materialize(sym, cutoff).apply(v).spectral
+        outputs = (paraop.paraproduct(u, v, cutoff).spectral,
+                   paraop.apply(sym, cutoff, v).spectral,
+                   paraop.apply(regularize(sym, cutoff), cutoff, v).spectral)
+        for out in outputs:
+            assert not np.any(out[low])
+            assert np.max(np.abs(out - dense)) <= 1e-12 * max(
+                np.max(np.abs(dense)), 1e-300)
+
+
 class TestSpectrumLocalisation:
     def test_high_and_low_inclusions_per_entry(self):
         grid = Grid(128)

@@ -330,6 +330,27 @@ class TestRun:
             free = step(free, cfg, nonlinear=False)
         assert linf_norm(band.final() - free) > 1e-4 * linf_norm(free)
 
+    def test_windowed_paraproduct_matches_dense_under_default_cutoff(
+            self, monkeypatch):
+        # random data at N = 256 has modes above B + b = 10, so the default
+        # Cutoff(8, 2) moves it off the free flow (measured gap 2.8e-4)
+        cfg = SimConfig(n_points=256, alpha=1.5, t_end=0.02, dt=2e-3,
+                        equation="paralinear", init="random", amplitude=1e-2,
+                        stride=5)
+        assert cfg.cutoff == Cutoff(8, 2)
+        windowed = run(cfg)
+        monkeypatch.setattr(
+            solver, "paraproduct",
+            lambda u, v, c: materialize(Symbol.from_field(u), c).apply(v))
+        dense = run(cfg)
+        assert len(windowed.states) == len(dense.states) == 3
+        for a, b in zip(windowed.states, dense.states):
+            assert linf_norm(a - b) <= 1e-12 * linf_norm(b)
+        free = windowed.states[0]
+        for _ in range(10):
+            free = step(free, cfg, nonlinear=False)
+        assert linf_norm(windowed.final() - free) > 1e-5 * linf_norm(free)
+
     def test_dealias_changes_solution(self):
         # strongly nonlinear coarse-grid run where the aliased tail matters
         # (measured gap 1.9e-2)

@@ -3,7 +3,8 @@ conservation diagnostics, the gauged energy estimate, the conjugation
 residual, and wave-breaking scans over grids of runs.
 
 The studies consume trajectories from `solver.run` and reduce them to
-`EstimateReport`s.  Fitted constants are envelope fits, mean plus three
+`EstimateReport`s; a scan drives the solver's stacked loop directly and
+keeps only detector readings.  Fitted constants are envelope fits, mean plus three
 standard deviations of the log-ratios, so a `bounded` verdict means no
 sample escapes the ensemble's own envelope; the maximum ratio is kept
 alongside to expose single-sample violations.  Wave-breaking outcomes
@@ -27,8 +28,8 @@ from .paraop import (
     materialize, order_probe, pair_mask
 )
 from .solver import (
-    BLOWUP_LIPSCHITZ, BLOWUP_SUP_FACTOR, SimConfig, Trajectory, default_dt,
-    initial_field, run
+    BLOWUP_LIPSCHITZ, BLOWUP_SUP_FACTOR, SimConfig, Trajectory, _advance,
+    default_dt, initial_field
 )
 from .spectral import (
     Field, Grid, abs_d_pow, bessel_pow, derivative, dispersion_profile,
@@ -420,23 +421,25 @@ def conjugation_study(traj, alpha, c=None, s_probes=(0.0, 1.0, 2.0),
 
 # -- wave-breaking scans ----------------------------------------------------
 
-def _growth_classification(traj, initial_lip, initial_sup):
+def _growth_classification(peaks, blowup):
     """Blow-up class from recorded growth plus the detector's verdict.
 
-    The detector sees every step while the record is stride-censored, so
-    a tripped run credits the growth its trigger guarantees: the sup
-    trigger fires at BLOWUP_SUP_FACTOR times the initial sup norm, the
-    gradient trigger at an absolute BLOWUP_LIPSCHITZ.  A non-finite state
-    is counted as amplitude divergence, since overflow needs
-    astronomically large values.
+    peaks are a run's (lipschitz, sup) readings at its recorded samples,
+    from t = 0, and blowup its detector's reason.  The detector sees every
+    step while the record is stride-censored, so a tripped run credits
+    the growth its trigger guarantees: the sup trigger fires at
+    BLOWUP_SUP_FACTOR times the initial sup norm, the gradient trigger at
+    an absolute BLOWUP_LIPSCHITZ.  A non-finite state is counted as
+    amplitude divergence, since overflow needs astronomically large values.
     """
-    lips = np.array([rec[0] for rec in traj.peaks])
-    sups = np.array([rec[1] for rec in traj.peaks])
+    initial_lip, initial_sup = peaks[0]
+    lips = np.array([rec[0] for rec in peaks])
+    sups = np.array([rec[1] for rec in peaks])
     lip_growth = float(np.max(lips) / initial_lip)
     sup_growth = float(np.max(sups) / initial_sup)
-    if traj.blowup == "lipschitz":
+    if blowup == "lipschitz":
         lip_growth = max(lip_growth, BLOWUP_LIPSCHITZ / initial_lip)
-    elif traj.blowup in ("sup_norm", "nan"):
+    elif blowup in ("sup_norm", "nan"):
         sup_growth = max(sup_growth, BLOWUP_SUP_FACTOR)
     if lip_growth >= GROWTH_FACTOR and sup_growth < QUIET_FACTOR:
         label = "lipschitz"
@@ -450,24 +453,36 @@ def _growth_classification(traj, initial_lip, initial_sup):
     return label, lip_growth, sup_growth
 
 
-def _scan_run(family, alpha, amplitude, n_points, t_end, seed, dt, cutoff):
-    base = dict(n_points=n_points, alpha=alpha, t_end=t_end,
-                equation="full", init=family, amplitude=amplitude,
-                seed=seed)
-    if cutoff is not None:
-        base["cutoff"] = cutoff
-    seed_state = None
-    if dt is not None:
-        step_dt = dt
-    else:
-        seed_state = initial_field(Grid(n_points), family, amplitude, seed)
-        step_dt = default_dt(SimConfig(**base), seed_state)
-    steps = max(1, math.ceil(t_end / step_dt))
-    stride = max(1, steps // 256)
-    cfg = SimConfig(**base, dt=step_dt, stride=stride)
-    traj = run(cfg, initial=seed_state)
-    initial_lip, initial_sup = traj.peaks[0]
-    return _growth_classification(traj, initial_lip, initial_sup)
+def _scan_run(family, cells, n_points, t_end, seed, dt, cutoff):
+    """(label, lip_growth, sup_growth) of every (alpha, amplitude) cell on
+    one grid, all cells integrated as the rows of one stack.
+
+    Each row keeps only its detector readings, not its states.
+    """
+    grid = Grid(n_points)
+    cfgs, states, hs = [], [], []
+    for alpha, amplitude in cells:
+        base = dict(n_points=n_points, alpha=alpha, t_end=t_end,
+                    equation="full", init=family, amplitude=amplitude,
+                    seed=seed)
+        if cutoff is not None:
+            base["cutoff"] = cutoff
+        state = initial_field(grid, family, amplitude, seed)
+        step_dt = dt if dt is not None else default_dt(SimConfig(**base),
+                                                       state)
+        count = max(1, math.ceil(t_end / step_dt))
+        cfgs.append(SimConfig(**base, dt=step_dt, stride=max(1, count // 256)))
+        states.append(state)
+        hs.append(step_dt)
+
+    peaks = [[] for _ in cells]
+
+    def keep(row, t, coeffs, reading):
+        peaks[row].append(reading)
+
+    ends = _advance(cfgs, states, hs, keep)
+    return [_growth_classification(readings, blowup)
+            for readings, (blowup, _) in zip(peaks, ends)]
 
 
 def blowup_scan(family, alpha_list, amplitude_list, n_pair=(512, 1024),
@@ -478,23 +493,25 @@ def blowup_scan(family, alpha_list, amplitude_list, n_pair=(512, 1024),
     t_end or the solver's divergence detector trips, then classifies
     growth; the cell's outcome is the shared label, or `inconclusive`
     when the grids disagree.  Outcomes are recorded, never judged.
+
+    Every cell picks its own step on each grid (`default_dt` unless dt is
+    given), and all cells of one grid advance together as the rows of
+    one stacked integration, one RK4 loop per grid; a row leaves the
+    stack when its run ends or trips.
     """
     coarse_n, fine_n = n_pair
-
-    def one_cell(alpha, amplitude):
-        coarse, _, _ = _scan_run(family, alpha, amplitude, coarse_n,
-                                 t_end, seed, dt, cutoff)
-        fine, lip_growth, sup_growth = _scan_run(
-            family, alpha, amplitude, fine_n, t_end, seed, dt, cutoff
-        )
-        outcome = coarse if coarse == fine else "inconclusive"
-        return ScanCell(family=family, alpha=float(alpha),
-                        amplitude=float(amplitude), coarse=coarse,
-                        fine=fine, outcome=outcome,
-                        lip_growth=lip_growth, sup_growth=sup_growth)
-
-    return [one_cell(alpha, amplitude) for alpha in alpha_list
-            for amplitude in amplitude_list]
+    cells = [(alpha, amplitude) for alpha in alpha_list
+             for amplitude in amplitude_list]
+    coarse = _scan_run(family, cells, coarse_n, t_end, seed, dt, cutoff)
+    fine = _scan_run(family, cells, fine_n, t_end, seed, dt, cutoff)
+    return [
+        ScanCell(family=family, alpha=float(alpha),
+                 amplitude=float(amplitude), coarse=low, fine=high,
+                 outcome=low if low == high else "inconclusive",
+                 lip_growth=lip_growth, sup_growth=sup_growth)
+        for (alpha, amplitude), (low, _, _), (high, lip_growth, sup_growth)
+        in zip(cells, coarse, fine)
+    ]
 
 
 def monotonicity_violations(cells):

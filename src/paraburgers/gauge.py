@@ -50,6 +50,8 @@ NEUMANN_TOL = 1e-10
 NEUMANN_MAX_TERMS = 50
 SYMBOL_EXTRACTION_FLOOR = 1e-3
 TAMENESS_C = 1.0
+NEWTON_TOL = 1e-9
+NEWTON_MAX_ITERATIONS = 25
 
 # An increment upturn counts as the differencing noise floor, not a stall,
 # only after the ladder has decayed by this factor.
@@ -512,8 +514,9 @@ def _extract_pairs(entries, grid, psi_pair):
     return scatter_pairs(divided, grid)
 
 
-def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
-                        max_iterations=25, initial=None):
+def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05,
+                        tol=NEWTON_TOL, max_iterations=NEWTON_MAX_ITERATIONS,
+                        initial=None):
     """Newton solve of F(p) = sigma_a with F(p) = -i [expm(i T_p), D].
 
     The normalization makes D_0 F the linear commutator map, so each step
@@ -528,6 +531,18 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
     if not alpha >= 1:
         raise ValueError(f"need alpha >= 1, got {alpha:g}")
     cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if cutoff is None else cutoff
+    return _newton_exp(a, alpha, cutoff, smallness, tol, max_iterations,
+                       initial)
+
+
+def _newton_exp(a, alpha, cutoff, smallness, tol, max_iterations, initial,
+                transform=None):
+    """The Newton loop of `solve_nonlinear_exp`.
+
+    transform, when given, is expm(i T_p) of the initial placement, which
+    a warm-starting caller already holds; step 0 uses it instead of
+    exponentiating the same matrix again.
+    """
     grid = a.grid
     a_reg = regularize(a, cutoff)
     measured = seminorm(a_reg, order_m=a_reg.order_m)
@@ -547,8 +562,11 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05, tol=1e-9,
     iterations = 0
     residual = np.inf
     for step in range(max_iterations + 1):
-        p_matrix = materialize(Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff), cutoff)
-        transform = expm(1j * p_matrix.entries)
+        if step or transform is None:
+            p_matrix = materialize(
+                Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff), cutoff
+            )
+            transform = expm(1j * p_matrix.entries)
         commutator = transform * den_pair
         r_pair = -1j * commutator - a_pair
         residual = float(np.max(np.abs(r_pair[support_pairs])))
@@ -608,7 +626,9 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
         d_t W + [D, W] - W T_{i u xi} = 0    on the cutoff support.
 
     Newton steps solve the time-dependent linear problem for -i times the
-    extracted residual symbol; samples are warm-started from neighbours.
+    extracted residual symbol.  The per-sample Newton solve of sample i
+    starts from p_{i-1} and from the exponential of p_{i-1} that the solve
+    of sample i-1 returned, so the warm start costs no expm.
 
     Every solution carries, shared and uncopied, the two stacks the final
     sweep computed, one row per sample: extras["w_stack"] holds the
@@ -639,13 +659,14 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
     den_pair = _pair_denominator(grid, alpha)
     order_p = 2.0 - alpha
 
-    guess = None
+    guess = guess_transform = None
     p_stack = np.zeros((len(fields), grid.n, grid.n), dtype=np.complex128)
     w_stack = np.empty_like(p_stack)
     for i, sym in enumerate(transport):
-        sol = solve_nonlinear_exp(1j * sym, alpha, cutoff, smallness=smallness,
-                                  initial=guess)
-        guess = sol.p
+        # sample i starts from p_{i-1}, whose exponential is already known
+        sol = _newton_exp(1j * sym, alpha, cutoff, smallness, NEWTON_TOL,
+                          NEWTON_MAX_ITERATIONS, guess, guess_transform)
+        guess, guess_transform = sol.p, sol.extras["transform"]
         p_stack[i] = sol.p.coeffs
         w_stack[i] = sol.extras["transform"]
 

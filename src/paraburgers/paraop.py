@@ -152,6 +152,19 @@ def multiplier_matrix(grid, m):
     return OperatorMatrix(grid, np.diag(multiplier_values(grid, m)), "multiplier")
 
 
+def _regularized_entries(coeffs, grid, cutoff):
+    """gather_pairs(coeffs) of a symbol regularized with cutoff; raises
+    InvariantBroken if an entry is nonzero where psi vanishes."""
+    entries = gather_pairs(coeffs, grid)
+    outside = entries[pair_mask(grid, cutoff) == 0.0]
+    if np.any(outside):
+        raise InvariantBroken(
+            f"{np.count_nonzero(outside)} entries outside the {cutoff!r} "
+            f"pair mask; a symbol marked regularized was not"
+        )
+    return entries
+
+
 def materialize(symbol, cutoff):
     """Dense matrix of T_a for the given cutoff.
 
@@ -159,13 +172,8 @@ def materialize(symbol, cutoff):
     materialize(regularize(a, c), c) == materialize(a, c) exactly.
     """
     grid = symbol.grid
-    entries = gather_pairs(regularize(symbol, cutoff).coeffs, grid)
-    outside = entries[pair_mask(grid, cutoff) == 0.0]
-    if np.any(outside):
-        raise InvariantBroken(
-            f"{np.count_nonzero(outside)} entries outside the {cutoff!r} "
-            f"pair mask; a symbol marked regularized was not"
-        )
+    entries = _regularized_entries(regularize(symbol, cutoff).coeffs, grid,
+                                   cutoff)
     return OperatorMatrix(grid, entries, f"T[{cutoff!r}]")
 
 
@@ -256,12 +264,16 @@ def apply(symbol, cutoff, field):
     """T_a u on the cone band; equals materialize(symbol, cutoff).apply(field).
 
     psi is applied unless the symbol is already regularized with this
-    cutoff, in which case its coefficients are used as they are.
+    cutoff, in which case its coefficients are used as they are, after
+    the check `materialize` makes: they must vanish wherever psi does, or
+    InvariantBroken is raised.
     """
     grid = check_same_grid(symbol, field)
     band = _cone_band(grid, cutoff)
     terms = symbol.coeffs.ravel()[_band_slots(grid, band.reach)]
-    if symbol.cutoff != cutoff:
+    if symbol.cutoff == cutoff:
+        _regularized_entries(symbol.coeffs, grid, cutoff)
+    else:
         terms = terms * band.weights
     # a row-wise sum: the symbol varies along both axes of the window
     ones = np.ones(2 * band.reach + 1)
@@ -400,18 +412,22 @@ def product_coeffs(grid, a, b, real, dealias=True):
     """Coefficients of the physical-space product of the fields with
     coefficient arrays a and b; real = (a_real, b_real).
 
-    Both inverse FFTs run as one batch over the (2, N) stack.  With
-    dealias the 2/3 rule is applied to both inputs and to the output.
+    a and b may carry leading sample axes, (..., N), and are multiplied
+    sample by sample.  Every inverse FFT runs in one batch over the
+    (..., 2, N) stack and every forward FFT in another, one transform per
+    row.  With dealias the 2/3 rule is applied to both inputs and to the
+    output.
     """
-    pair = np.stack((a, b))
+    pair = np.stack((a, b), axis=-2)
     if dealias:
         keep = product_tables(grid)[1]
         pair = np.where(keep, pair, 0.0)
     rows = np.fft.ifft(pair, axis=-1) * grid.n
-    x, y = (row.real if row_real else row for row, row_real in zip(rows, real))
-    out = np.fft.fft(x * y) / grid.n
+    x, y = (rows[..., i, :].real if row_real else rows[..., i, :]
+            for i, row_real in enumerate(real))
+    out = np.fft.fft(x * y, axis=-1) / grid.n
     if all(real):
-        out[grid.index_of(grid.nyquist)] = 0.0
+        out[..., grid.index_of(grid.nyquist)] = 0.0
     return np.where(keep, out, 0.0) if dealias else out
 
 

@@ -12,20 +12,28 @@ nonlinearity in the rotated frame.  Free evolution is therefore exact to
 round-off and conservation tests are sharp: every drift they measure
 comes from the nonlinear stages.
 
-The four stages of `step` pass coefficient arrays; only the new state is
-wrapped in a `Field`.  The half and full propagators of each (grid,
-alpha, dt) and the grid's i xi and 2/3 mask are read-only cached tables.
-The paralinear right-hand side -T_u d_x u is `paraop.paraproduct(u,
-d_x u, cutoff)`, a windowed sum over the cone band of the cutoff: one
-(N x (2 reach + 1)) multiply of the input's sliding windows by a cached
-cutoff table and one matrix-vector product, with no N x N operator.  The
-full one is the (by default 2/3-dealiased) pointwise product -u d_x u of
-`paraop.product_coeffs`, whose two inverse FFTs run as one batch.
+There is one stepping loop.  It advances an (R x N) stack of coefficient
+arrays on one grid, one run per row, and `run` is its one-row case;
+`blowup_scan` puts all cells of a grid in one stack.  Each row has its
+own step, its own propagators, its own record stride and its own
+detector, and leaves the stack when it reaches its t_end or trips.  The
+four stages of the RK4 kernel, shared with `step`, pass coefficient
+arrays; only recorded states are wrapped in `Field`s.  The half and full
+propagators of each (grid, alpha, dt) and the grid's i xi and 2/3 mask
+are read-only cached tables.  The paralinear right-hand side -T_u d_x u
+of a row is `paraop.paraproduct(u, d_x u, cutoff)`, a windowed sum over
+the cone band of the row's cutoff: one (N x (2 reach + 1)) multiply of
+the input's sliding windows by a cached cutoff table and one
+matrix-vector product, with no N x N operator.  The full one is the (by
+default 2/3-dealiased) pointwise product -u d_x u of
+`paraop.product_coeffs`, whose inverse FFTs for all rows run as one
+batch and whose forward FFTs as another, one complex transform per row,
+so every row gets the arithmetic of a run of its own.
 
 Blow-up handling is detection, not continuation: a NaN, a sup-norm
 pile-up, or a Lipschitz spike truncates the run and flags the
-trajectory.  The sup and Lipschitz readings of a state come from one
-batched inverse FFT of [i xi v, v], and the trajectory keeps them for
+trajectory.  The sup and Lipschitz readings of every row come from one
+batched inverse FFT of [i xi v, v], and a trajectory keeps them for
 every recorded sample.  No viscous regularization is attempted; past
 wave breaking the spectral representation is meaningless anyway.
 
@@ -166,21 +174,35 @@ def initial_field(grid, name, amplitude, seed=0):
     return field * (float(amplitude) / peak)
 
 
-def _nonlinearity(cfg, grid, real):
+def _nonlinearity(cfgs, grid, real):
     """-u d_x u (full, dealiased on request) or -T_u d_x u (paralinear),
-    from and to coefficient arrays of a real or complex state."""
+    from and to coefficients of real or complex states: an (N,) state for
+    one config, an (R, N) stack with row r under cfgs[r] for several.  The
+    rows share the equation and its dealiasing; a paralinear row uses its
+    own cutoff."""
     ixi = product_tables(grid)[0]
-    if cfg.equation == "full":
-        def rhs(v):
-            return product_coeffs(grid, v, ixi * v, (real, real),
-                                  cfg.dealias) * -1.0
-    else:
-        cutoff = cfg.cutoff
+    if cfgs[0].equation == "full":
+        dealias = cfgs[0].dealias
 
         def rhs(v):
-            u = Field(grid, v, real, _validate=False)
-            ux = Field(grid, ixi * v, real, _validate=False)
-            return paraproduct(u, ux, cutoff).spectral * -1.0
+            return product_coeffs(grid, v, ixi * v, (real, real),
+                                  dealias) * -1.0
+        return rhs
+
+    cutoffs = [cfg.cutoff for cfg in cfgs]
+
+    def transport(v, cutoff):
+        return paraproduct(Field(grid, v, real, _validate=False),
+                           Field(grid, ixi * v, real, _validate=False),
+                           cutoff).spectral
+
+    if len(cutoffs) == 1:
+        def rhs(v):
+            return transport(v, cutoffs[0]) * -1.0
+    else:
+        def rhs(v):
+            return np.stack([transport(row, cutoff)
+                             for row, cutoff in zip(v, cutoffs)]) * -1.0
     return rhs
 
 
@@ -195,6 +217,18 @@ def propagators(grid, alpha, h):
     return half, full
 
 
+def _rk4(v, h, half, full, rhs):
+    """The integrating-factor RK4 update of coefficients v: an (N,) state
+    with a float step h and (N,) propagators, or an (R, N) stack with an
+    (R, 1) column of steps and (R, N) propagators, one row each.  Each row
+    of a stack gets the arithmetic of a lone state."""
+    n1 = rhs(v)
+    n2 = rhs(half * (v + 0.5 * h * n1))
+    n3 = rhs(half * v + 0.5 * h * n2)
+    n4 = rhs(full * v + h * half * n3)
+    return full * v + (h / 6.0) * (full * n1 + 2.0 * half * (n2 + n3) + n4)
+
+
 def step(state, cfg, dt=None, nonlinear=True):
     """One integrating-factor RK4 step; nonlinear=False is the free flow."""
     grid = state.grid
@@ -207,12 +241,8 @@ def step(state, cfg, dt=None, nonlinear=True):
     if not nonlinear:
         out = full * v
     else:
-        rhs = _nonlinearity(cfg, grid, state.is_real)
-        n1 = rhs(v)
-        n2 = rhs(half * (v + 0.5 * h * n1))
-        n3 = rhs(half * v + 0.5 * h * n2)
-        n4 = rhs(full * v + h * half * n3)
-        out = full * v + (h / 6.0) * (full * n1 + 2.0 * half * (n2 + n3) + n4)
+        out = _rk4(v, h, half, full,
+                   _nonlinearity((cfg,), grid, state.is_real))
     if not np.all(np.isfinite(out)):
         raise NanDetected(f"non-finite coefficients after a step of {h:g}")
     return Field(grid, out, state.is_real, _validate=False)
@@ -237,28 +267,140 @@ def _free_band(cutoff):
     return int(np.floor(cutoff.little_b))
 
 
-def _peaks(state):
-    """The detector's (lipschitz, sup) = (||d_x u||_inf, ||u||_inf), from
-    one batched inverse FFT of [i xi v, v]."""
-    grid = state.grid
-    v = state.spectral
-    rows = np.fft.ifft(np.stack((product_tables(grid)[0] * v, v)),
+def _peaks(grid, v, real):
+    """The detector's (lipschitz, sup) = (||d_x u||_inf, ||u||_inf) of
+    each row of v, as an (..., 2) array, from one batched inverse FFT of
+    [i xi v, v]."""
+    rows = np.fft.ifft(np.stack((product_tables(grid)[0] * v, v), axis=-2),
                        axis=-1) * grid.n
-    if state.is_real:
+    if real:
         rows = rows.real
-    lip, sup = np.max(np.abs(rows), axis=-1)
-    return float(lip), float(sup)
+    return np.max(np.abs(rows), axis=-1)
+
+
+class _Row:
+    """One run of a stack: its clock, its step count and its detector."""
+
+    def __init__(self, index, cfg, h, grid, coeffs, reading):
+        self.index = index
+        self.cfg = cfg
+        self.h = h
+        self.steps = int(np.ceil(cfg.t_end / h - 1e-9))
+        self.k = 0
+        self.t = 0.0
+        self.sup0 = max(reading[1], np.finfo(float).tiny)
+        self.blowup = None
+        self.free_gap = 0.0
+        self.free = None
+        if cfg.equation == "paralinear":
+            mask = np.abs(grid.freqs) <= _free_band(cfg.cutoff)
+            self.free = (mask, dispersion_profile(grid, cfg.alpha)[mask],
+                         coeffs[mask].copy())
+
+    def advance(self, coeffs, dt, finite, reading, sample):
+        """Account for a step of dt to coeffs; False once the row is done."""
+        if not finite:
+            self.blowup = "nan"
+            return False
+        self.t += dt
+        lip, sup = reading
+        if sup > BLOWUP_SUP_FACTOR * self.sup0:
+            self.blowup = "sup_norm"
+            return False
+        if lip > BLOWUP_LIPSCHITZ:
+            self.blowup = "lipschitz"
+            return False
+        if self.free is not None:
+            mask, phase, start = self.free
+            drift = coeffs[mask] - np.exp(-1j * self.t * phase) * start
+            self.free_gap = max(self.free_gap, float(np.max(np.abs(drift))))
+        self.k += 1
+        done = self.k == self.steps
+        if done or self.k % self.cfg.stride == 0:
+            sample(self.index, self.t, coeffs, (lip, sup))
+        if done and self.free is not None and \
+                self.free_gap > LOW_MODE_TOL * (1.0 + self.sup0):
+            raise InvariantBroken(
+                f"low modes strayed from the free flow by {self.free_gap:.3e}"
+            )
+        return not done
+
+
+def _advance(cfgs, states, hs, sample):
+    """Integrate a stack of runs on one grid, row r from states[r] with
+    step hs[r] under cfgs[r] to its own t_end.
+
+    The rows share the grid, the equation and its dealiasing, and the
+    realness of their states; alpha, cutoff, step, t_end and stride are
+    per row.  Each iteration advances every live row by one step of the
+    shared RK4 kernel, with its own propagators and its last step cut
+    short to land on t_end, and reads every row's detector from one
+    batched inverse FFT.  sample(r, t, coeffs, (lipschitz, sup)) is
+    called at t = 0 and at every stride-th step and the last of row r;
+    coeffs is a view to be copied or wrapped, not written.  A row leaves
+    the stack when it reaches t_end or trips the detector.
+
+    Returns (blowup reason, low-mode residual) per row.
+    """
+    if not states:
+        return []
+    grid, real, first = states[0].grid, states[0].is_real, cfgs[0]
+    for cfg, state, h in zip(cfgs, states, hs):
+        if (state.grid != grid or cfg.n_points != grid.n
+                or state.is_real != real or cfg.equation != first.equation
+                or cfg.dealias != first.dealias):
+            raise ValueError("stacked runs must share the grid, the "
+                             "equation, dealiasing and realness")
+        if cfg.t_end < h:
+            raise ValueError(
+                f"t_end = {cfg.t_end} shorter than one step {h:g}"
+            )
+
+    v = np.stack([state.spectral for state in states])
+    rows = []
+    for r, reading in enumerate(_peaks(grid, v, real).tolist()):
+        rows.append(_Row(r, cfgs[r], hs[r], grid, v[r], reading))
+        sample(r, 0.0, v[r], tuple(reading))
+
+    live, dts = rows, None
+    while live:
+        now = [min(row.h, row.cfg.t_end - row.t) for row in live]
+        if now != dts:
+            dts = now
+            tables = [propagators(grid, row.cfg.alpha, dt)
+                      for row, dt in zip(live, dts)]
+            rhs = _nonlinearity([row.cfg for row in live], grid, real)
+            if len(live) == 1:
+                # a lone row steps as one (N,) state, which costs less
+                # per array operation than a one-row stack
+                shape, h, (half, full) = (grid.n,), dts[0], tables[0]
+            else:
+                shape, h = v.shape, np.array(dts)[:, None]
+                half = np.stack([pair[0] for pair in tables])
+                full = np.stack([pair[1] for pair in tables])
+        v = _rk4(v.reshape(shape), h, half, full, rhs).reshape(len(live), -1)
+        finite = np.isfinite(v).all(axis=-1)
+        readings = _peaks(grid, v, real).tolist()
+        stay = [j for j, row in enumerate(live)
+                if row.advance(v[j], dts[j], finite[j], readings[j], sample)]
+        if len(stay) < len(live):
+            live = [live[j] for j in stay]
+            v = v[stay]
+            dts = None
+    return [(row.blowup, row.free_gap) for row in rows]
 
 
 def run(cfg, diagnose=None, initial=None):
     """Integrate to t_end, recording every stride-th sample and the last.
 
-    diagnose(u) is called at recorded samples and its results collected;
-    the detector's readings of the same samples are kept as peaks.
-    A NaN, sup-norm, or Lipschitz trigger truncates the trajectory and
-    sets its blowup reason.  For paralinear runs the modes below the
-    cutoff floor never see the transport term; their deviation from the
-    free flow is tracked and must stay at round-off.
+    The run is the one-row case of the stacked loop that `blowup_scan`
+    uses for a whole grid of cells.  diagnose(u) is called at recorded
+    samples and its results collected; the detector's readings of the
+    same samples are kept as peaks.  A NaN, sup-norm, or Lipschitz
+    trigger truncates the trajectory and sets its blowup reason.  For
+    paralinear runs the modes below the cutoff floor never see the
+    transport term; their deviation from the free flow is tracked and
+    must stay at round-off.
     """
     grid = Grid(cfg.n_points)
     if initial is None:
@@ -268,55 +410,20 @@ def run(cfg, diagnose=None, initial=None):
             raise ValueError("initial field does not match n_points")
         state = initial
     h = cfg.dt if cfg.dt is not None else default_dt(cfg, state)
-    if cfg.t_end < h:
-        raise ValueError(f"t_end = {cfg.t_end} shorter than one step {h:g}")
 
-    steps = int(np.ceil(cfg.t_end / h - 1e-9))
-    peaks = [_peaks(state)]
-    sup0 = max(peaks[0][1], np.finfo(float).tiny)
+    times, states, records, peaks = [], [], [], []
 
-    follow_free = cfg.equation == "paralinear"
-    if follow_free:
-        free = np.abs(grid.freqs) <= _free_band(cfg.cutoff)
-        free_phase = dispersion_profile(grid, cfg.alpha)[free]
-        free_start = state.spectral[free].copy()
-    free_gap = 0.0
+    def keep(row, t, coeffs, reading):
+        # the first sample is the initial field itself
+        u = Field(grid, coeffs, state.is_real, _validate=False) \
+            if times else state
+        times.append(t)
+        states.append(u)
+        peaks.append(reading)
+        if diagnose is not None:
+            records.append(diagnose(u))
 
-    times = [0.0]
-    states = [state]
-    records = [] if diagnose is None else [diagnose(state)]
-    blowup = None
-    t = 0.0
-    for k in range(steps):
-        dt_k = min(h, cfg.t_end - t)
-        try:
-            state = step(state, cfg, dt=dt_k)
-        except NanDetected:
-            blowup = "nan"
-            break
-        t += dt_k
-        lip, sup = _peaks(state)
-        if sup > BLOWUP_SUP_FACTOR * sup0:
-            blowup = "sup_norm"
-            break
-        if lip > BLOWUP_LIPSCHITZ:
-            blowup = "lipschitz"
-            break
-        if follow_free:
-            drift = state.spectral[free] - np.exp(-1j * t * free_phase) * free_start
-            free_gap = max(free_gap, float(np.max(np.abs(drift))))
-        if (k + 1) % cfg.stride == 0 or k == steps - 1:
-            times.append(t)
-            states.append(state)
-            peaks.append((lip, sup))
-            if diagnose is not None:
-                records.append(diagnose(state))
-
-    if follow_free and blowup is None and \
-            free_gap > LOW_MODE_TOL * (1.0 + sup0):
-        raise InvariantBroken(
-            f"low modes strayed from the free flow by {free_gap:.3e}"
-        )
+    [(blowup, free_gap)] = _advance([cfg], [state], [h], keep)
     return Trajectory(np.array(times), tuple(states), tuple(records),
                       blowup, free_gap, tuple(peaks))
 

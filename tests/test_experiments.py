@@ -263,9 +263,9 @@ class TestCellsRunInOrder:
         cells = experiments.blowup_scan("cos1", (1.5,), (0.5, 1.0),
                                         n_pair=(32, 64), t_end=0.05)
         assert [c.amplitude for c in cells] == [0.5, 1.0]
-        # one call per member, and a coarse and a fine run per scan cell
+        # one call per member, and one stacked run per grid of the scan
         assert {name: len(ids) for name, ids in seen.items()} == {
-            "_energy_cell": 4, "_conjugation_cell": 4, "_scan_run": 4}
+            "_energy_cell": 4, "_conjugation_cell": 4, "_scan_run": 2}
         main = threading.main_thread().ident
         assert all(ident == main for ids in seen.values() for ident in ids)
 

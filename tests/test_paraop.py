@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paraburgers.errors import DegenerateProbe, GridMismatch, InvariantBroken
+from paraburgers.solver import initial_field
 from paraburgers.spectral import Grid, Field, abs_d_pow, sobolev_norm
 from paraburgers.symbols import Cutoff, Symbol, regularize, seminorm
 from paraburgers import paraop
@@ -121,6 +122,22 @@ class TestApply:
         u = Field.from_physical(Grid(64), np.ones(64))
         with pytest.raises(GridMismatch):
             paraop.apply(a, cutoff, u)
+
+    def test_unregularized_symbol_marked_regularized_raises(self):
+        # materialize refuses this symbol; apply must not silently use its
+        # unmasked coefficients instead
+        grid = Grid(64)
+        cutoff = Cutoff(8.0, 2.0)
+        u = initial_field(grid, "random", 1.0)
+        sym = Symbol.from_field(u)
+        fake = sym.copy(cutoff=cutoff)
+        with pytest.raises(InvariantBroken, match="pair mask"):
+            paraop.materialize(fake, cutoff)
+        with pytest.raises(InvariantBroken, match="pair mask"):
+            paraop.apply(fake, cutoff, u)
+        np.testing.assert_array_equal(
+            paraop.apply(regularize(sym, cutoff), cutoff, u).spectral,
+            paraop.apply(sym, cutoff, u).spectral)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_fast_path_agrees_with_dense(self, seed):

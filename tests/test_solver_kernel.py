@@ -1,5 +1,9 @@
 """The array-level RK4 kernel: bit for bit the Field-level step it
-replaced, the detector readings a trajectory keeps, and its cached tables."""
+replaced, the detector readings a trajectory keeps, its cached tables, and
+the stacked loop that advances many runs at once."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -199,3 +203,126 @@ class TestTables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
+
+
+# -- the stacked loop --------------------------------------------------------
+
+def stacked_runs(cfgs, states=None):
+    """(times, states, peaks, blowup, low_mode_residual) of each config, all
+    run as the rows of one stack from their initial fields or states."""
+    grid = Grid(cfgs[0].n_points)
+    if states is None:
+        states = [initial_field(grid, c.init, c.amplitude, c.seed)
+                  for c in cfgs]
+    samples = [[] for _ in cfgs]
+
+    def keep(row, t, coeffs, reading):
+        samples[row].append((t, coeffs.copy(), reading))
+
+    with np.errstate(all="ignore"):
+        ends = solver._advance(cfgs, states, [c.dt for c in cfgs], keep)
+    return [([t for t, _, _ in rows], [v for _, v, _ in rows],
+             [p for _, _, p in rows], blowup, gap)
+            for rows, (blowup, gap) in zip(samples, ends)]
+
+
+def assert_row_is_run(row, cfg, initial=None):
+    times, states, peaks, blowup, gap = row
+    with np.errstate(all="ignore"):
+        traj = run(cfg, initial=initial)
+    assert times == traj.times.tolist()
+    assert len(states) == len(traj.states)
+    for v, u in zip(states, traj.states):
+        assert v.tobytes() == u.spectral.tobytes()
+    assert peaks == list(traj.peaks)
+    assert blowup == traj.blowup
+    assert gap == traj.low_mode_residual
+
+
+# a quiet row whose t_end ends on a short step, a quiet row with another
+# alpha and step, one that trips the Lipschitz detector (after 11 steps at
+# N = 64), one that trips the sup-norm detector (after 7) and one that
+# overflows in its first step, with different strides
+FULL_ROWS = (
+    SimConfig(n_points=64, alpha=1.5, t_end=0.0205, dt=1e-3, init="bump",
+              amplitude=0.5, stride=3),
+    SimConfig(n_points=64, alpha=2.0, t_end=0.01, dt=7e-4, init="random",
+              amplitude=0.3, seed=4),
+    SimConfig(n_points=64, alpha=1.2, t_end=0.3, dt=3e-3, init="cos_mix",
+              amplitude=80.0, stride=2),
+    SimConfig(n_points=64, alpha=1.2, t_end=0.5, dt=5e-3, init="cos1",
+              amplitude=60.0, stride=2),
+    SimConfig(n_points=64, alpha=1.5, t_end=0.1, dt=1e-3, init="bump",
+              amplitude=1e150),
+)
+PARALINEAR_ROWS = (
+    SimConfig(n_points=64, alpha=1.5, t_end=0.013, dt=2e-3, init="bump",
+              amplitude=0.5, equation="paralinear", cutoff=Cutoff(2.5, 1.3),
+              stride=2),
+    SimConfig(n_points=64, alpha=2.5, t_end=0.01, dt=1e-3, init="random",
+              amplitude=0.2, equation="paralinear"),
+)
+
+
+class TestStackEqualsRows:
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_full_rows_match_their_runs(self, n):
+        cfgs = [dataclasses.replace(cfg, n_points=n) for cfg in FULL_ROWS]
+        rows = stacked_runs(cfgs)
+        assert [row[3] for row in rows] == [None, None, "lipschitz",
+                                            "sup_norm", "nan"]
+        assert cfgs[0].t_end / cfgs[0].dt % 1.0 > 0.0
+        for row, cfg in zip(rows, cfgs):
+            assert_row_is_run(row, cfg)
+
+    def test_complex_rows_match_their_runs(self):
+        states = [complex_state(Grid(64)) for _ in FULL_ROWS]
+        rows = stacked_runs(FULL_ROWS, states)
+        for row, cfg, state in zip(rows, FULL_ROWS, states):
+            assert_row_is_run(row, cfg, state)
+
+    def test_row_order_does_not_matter(self):
+        forward = stacked_runs(FULL_ROWS)
+        backward = stacked_runs(FULL_ROWS[::-1])[::-1]
+        for a, b in zip(forward, backward):
+            assert a[0] == b[0] and a[2:] == b[2:]
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a[1], b[1]))
+
+    def test_paralinear_rows_match_their_runs(self):
+        rows = stacked_runs(PARALINEAR_ROWS)
+        assert all(row[4] > 0.0 for row in rows)
+        for row, cfg in zip(rows, PARALINEAR_ROWS):
+            assert_row_is_run(row, cfg)
+
+    def test_rows_must_share_the_equation_and_realness(self):
+        with pytest.raises(ValueError, match="share"):
+            stacked_runs((FULL_ROWS[0], PARALINEAR_ROWS[0]))
+        grid = Grid(64)
+        with pytest.raises(ValueError, match="share"):
+            stacked_runs(FULL_ROWS[:2], [real_state(grid),
+                                         complex_state(grid)])
+
+    @pytest.mark.parametrize("dt, fine_labels", [
+        (None, {"none"}),
+        # a step too long for the amplitude-80 cells on the fine grid
+        (3e-3, {"none", "lipschitz"}),
+    ])
+    def test_scan_cells_are_classified_per_cell_runs(self, dt, fine_labels):
+        family, t_end, n_pair = "cos_mix", 0.1, (32, 64)
+        cells = experiments.blowup_scan(family, (1.2, 1.5), (1.0, 80.0),
+                                        n_pair=n_pair, t_end=t_end, dt=dt)
+        assert {c.fine for c in cells} == fine_labels
+        for cell in cells:
+            labels = []
+            for n in n_pair:
+                base = SimConfig(n_points=n, alpha=cell.alpha, t_end=t_end,
+                                 init=family, amplitude=cell.amplitude)
+                h = dt if dt is not None else solver.default_dt(
+                    base, initial_field(Grid(n), family, cell.amplitude))
+                stride = max(1, math.ceil(t_end / h) // 256)
+                traj = run(dataclasses.replace(base, dt=h, stride=stride))
+                labels.append(experiments._growth_classification(
+                    traj.peaks, traj.blowup))
+            coarse, fine = labels
+            assert (cell.coarse, cell.fine) == (coarse[0], fine[0])
+            assert (cell.lip_growth, cell.sup_growth) == fine[1:]

@@ -18,10 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvariantBroken
-from .gauge import _time_derivative_stack, solve_commutator, solve_conjugating
+from .gauge import (
+    _expm, _time_derivative_stack, solve_commutator, solve_conjugating
+)
 from .normalform import normal_form
 from .paraop import (
     DEFAULT_CUTOFF_ARGS, OperatorMatrix, adjoint_star, dealias_product,
@@ -227,7 +228,7 @@ def _skew_gap(gauge, transported):
     for any square G, hermitian or not.
     """
     conjugated = 1j * (
-        expm(-1j * gauge) @ transported @ expm(1j * gauge) - transported
+        _expm(-1j * gauge) @ transported @ _expm(1j * gauge) - transported
     )
     return float(np.max(np.abs(conjugated + conjugated.conj().T)))
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from paraburgers.errors import (
     InvariantBroken,
@@ -439,6 +440,63 @@ def test_stack_seminorm_is_the_max_over_samples_exactly(n):
         assert gauge._stack_seminorm(stack, grid, order_m) == expected
 
 
+def stencil_reference(stack, dt):
+    """The time stencil written as whole-array expressions."""
+    out = np.zeros_like(stack)
+    out[0] = (-3.0 * stack[0] + 4.0 * stack[1] - stack[2]) / (2.0 * dt)
+    out[-1] = (3.0 * stack[-1] - 4.0 * stack[-2] + stack[-3]) / (2.0 * dt)
+    out[1] = (stack[2] - stack[0]) / (2.0 * dt)
+    out[-2] = (stack[-1] - stack[-3]) / (2.0 * dt)
+    out[2:-2] = (
+        -stack[4:] + 8.0 * stack[3:-1] - 8.0 * stack[1:-3] + stack[:-4]
+    ) / (12.0 * dt)
+    return out
+
+
+@pytest.mark.parametrize("tail", [(), (7,), (16, 16)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_time_stencil_is_the_array_expression_bit_for_bit(tail, dtype):
+    rng = np.random.default_rng(len(tail))
+    for count in range(5, 14):
+        shape = (count, *tail)
+        stack = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 5, shape)
+        if dtype is np.complex128:
+            stack = stack + 1j * rng.standard_normal(shape)
+        got = gauge._time_derivative_stack(stack, 0.002)
+        assert got.dtype == stack.dtype
+        assert got.tobytes() == stencil_reference(stack, 0.002).tobytes()
+
+
+class TestTaylorExponential:
+    N = 64
+
+    def generator(self, kind, norm):
+        """iH for hermitian H, or a non-normal complex matrix, at ||.||_1."""
+        rng = np.random.default_rng(61)
+        m = (rng.standard_normal((self.N, self.N))
+             + 1j * rng.standard_normal((self.N, self.N)))
+        a = 1j * (m + m.conj().T) if kind == "hermitian" else m + 3.0 * np.triu(m)
+        return a * (norm / np.max(np.sum(np.abs(a), axis=0)))
+
+    @pytest.mark.parametrize("norm", [1e-12, 3.6e-6, 1e-3, 0.15, 1.0, 5.0])
+    @pytest.mark.parametrize("kind", ["hermitian", "nonnormal"])
+    def test_matches_scipy(self, kind, norm):
+        a = self.generator(kind, norm)
+        reference = expm(a)
+        gap = np.max(np.abs(gauge._expm(a) - reference))
+        assert gap <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("norm", [1e-12, 3.6e-6, 1e-3, 0.15, 1.0, 5.0])
+    def test_hermitian_generator_gives_a_unitary(self, norm):
+        u = gauge._expm(self.generator("hermitian", norm))
+        gap = np.max(np.abs(u.conj().T @ u - np.eye(self.N)))
+        assert gap <= 1e-14
+
+    def test_zero_gives_the_identity_exactly(self):
+        zero = np.zeros((self.N, self.N), dtype=np.complex128)
+        assert np.array_equal(gauge._expm(zero), np.eye(self.N))
+
+
 class TestNonlinearExp:
     def setup_method(self):
         self.grid = Grid(64)
@@ -553,6 +611,16 @@ class TestConjugating:
         for j in (1, 2):
             measured, bound = report[j]
             assert measured <= bound
+
+    def test_readings_are_the_per_sample_maxima_of_the_residual(self):
+        sols = gauge.solve_conjugating(self.cosine_fields(1e-3), self.dt,
+                                       self.alpha, self.cutoff)
+        psi = paraop.pair_mask(self.grid, self.cutoff)
+        support = psi > gauge.SYMBOL_EXTRACTION_FLOOR
+        for sol, g in zip(sols, sols[0].extras["g_stack"]):
+            assert sol.residual_norm == float(np.max(np.abs(g[support])))
+            off = np.where(psi == 0.0, g, 0.0)
+            assert sol.extras["off_support_norm"] == float(np.max(np.abs(off)))
 
     def test_tighter_tolerance_drives_deeper(self):
         sols = gauge.solve_conjugating(self.cosine_fields(1e-3), self.dt,

@@ -499,6 +499,11 @@ def blowup_scan(family, alpha_list, amplitude_list, n_pair=(512, 1024),
     given), and all cells of one grid advance together as the rows of
     one stacked integration, one RK4 loop per grid; a row leaves the
     stack when its run ends or trips.
+
+    `cutoff` has no effect while the scan runs only `equation="full"`:
+    neither the full right-hand side nor its checks read the cutoff.  It
+    will matter once the scan runs the paralinear equation too (ROADMAP
+    item 4).
     """
     coarse_n, fine_n = n_pair
     cells = [(alpha, amplitude) for alpha in alpha_list

@@ -16,12 +16,17 @@ unless |xi| > B|eta| + b, so only the rows |eta| <= reach =
 floor((N/2 - b)/B) of the symbol can contribute, and output mode xi_m
 reads only the 2 reach + 1 inputs xi_m - eta.  Those are one sliding
 window over the xi-sorted input, zero-padded by reach on each side so
-that inputs off the lattice read as zero, and a cached table holds psi on
-the windows.  `paraproduct` is one (N x (2 reach + 1)) multiply of the
-windows by that table and one matrix-vector product with the band of
-u_hat; `apply` gathers a general symbol onto the same windows and takes
-one row-wise sum.  Neither forms an N x N array, and both agree with the
-dense matrix to rounding error for every cutoff.
+that inputs off the lattice read as zero, and a cached complex table
+holds psi on the windows.  `paraproduct_coeffs` multiplies the windows
+by that table and contracts them with the band of u_hat in one
+matrix-vector product; `apply` gathers a general symbol onto the same
+windows and takes one row-wise sum.  When u and v are both real
+(`Field.is_real`), T_u v is Hermitian, because psi(eta, xi) =
+psi(-eta, -xi): only the N/2 + 1 output modes xi <= 0 are summed, an
+((N/2 + 1) x (2 reach + 1)) multiply, and xi in [1, N/2 - 1] takes the
+conjugates of -xi.  Other inputs take the full (N x (2 reach + 1)) sum.
+Neither path forms an N x N array, and both agree with the dense matrix
+to rounding error for every cutoff.
 """
 
 import functools
@@ -198,8 +203,10 @@ class _ConeBand:
     xi_m - eta_j with eta_j = reach - j, j = 0 .. 2 reach: row m of the
     sliding windows over the xi-sorted input, zero-padded by reach on each
     side.  weights[m, j] = psi(eta_j, xi_m - eta_j), zero where
-    xi_m - eta_j leaves the lattice; rows holds the FFT positions of the
-    eta_j.  At N = 512 and Cutoff(8, 2) the table is 512 x 63 floats.
+    xi_m - eta_j leaves the lattice, stored as complex128 so that its
+    products with complex windows and symbols need no cast; rows holds the
+    FFT positions of the eta_j.  At N = 512 and Cutoff(8, 2) the table is
+    512 x 63 complex values, 516 KB.
     """
 
     reach: int
@@ -220,8 +227,9 @@ def _cone_band(grid, cutoff):
     # psi(eta, xi) > 0 needs B|eta| + b < |xi| <= N/2
     reach = max(int(np.floor((grid.n / 2 - cutoff.little_b) / cutoff.big_b)), 0)
     eta, xi, on = _band_eta_xi(grid, reach)
+    weights = np.where(on, cutoff(eta[None, :], xi), 0.0)
     band = _ConeBand(reach, np.mod(eta, grid.n),
-                     np.where(on, cutoff(eta[None, :], xi), 0.0))
+                     weights.astype(np.complex128))
     band.rows.setflags(write=False)
     band.weights.setflags(write=False)
     return band
@@ -238,25 +246,33 @@ def _band_slots(grid, reach):
     return slots
 
 
-def _band_sum(band, terms, spectral, column):
+def _band_sum(band, terms, spectral, column, real):
     """Output mode xi_m gets sum_j terms[m, j] v(xi_m - eta_j) column[j];
     inputs off the lattice read as zero.
 
     The windows are a strided view of the zero-padded, xi-sorted input,
-    so the only temporary is their (N, 2 reach + 1) product with terms,
-    contracted by one matrix-vector product.
+    so the only temporary is their product with terms, contracted by one
+    matrix-vector product.  With real, v and column are coefficients of
+    real fields, whose Nyquist mode is zero, and terms[m, j] is even
+    under (eta, xi) -> (-eta, -xi), as psi is, so the output is
+    Hermitian: only the rows xi_m in [-N/2, 0] are summed, and xi in
+    [1, N/2 - 1] takes the conjugate of the sum at -xi.
     """
     n, reach = spectral.shape[0], band.reach
     half = n // 2
     padded = np.zeros(n + 2 * reach, dtype=np.complex128)
     padded[reach: reach + half] = spectral[half:]
     padded[reach + half: reach + n] = spectral[:half]
+    rows = half + 1 if real else n
     # windows[m, j] = padded[m + j]; built directly, as
     # sliding_window_view would, without its per-call Python overhead
     step = padded.itemsize
-    windows = np.ndarray((n, 2 * reach + 1), np.complex128, padded,
+    windows = np.ndarray((rows, 2 * reach + 1), np.complex128, padded,
                          strides=(step, step))
-    total = (windows * terms) @ column
+    total = (windows * terms[:rows]) @ column
+    if real:
+        return np.concatenate((total[half:], total[half - 1: 0: -1].conj(),
+                               total[:half]))
     return np.concatenate((total[half:], total[:half]))
 
 
@@ -277,17 +293,25 @@ def apply(symbol, cutoff, field):
         terms = terms * band.weights
     # a row-wise sum: the symbol varies along both axes of the window
     ones = np.ones(2 * band.reach + 1)
-    return Field(grid, _band_sum(band, terms, field.spectral, ones),
+    return Field(grid, _band_sum(band, terms, field.spectral, ones, False),
                  _validate=False)
+
+
+def paraproduct_coeffs(grid, u, v, cutoff, real):
+    """Coefficients of T_u v from the (N,) coefficient arrays u and v;
+    real says both are coefficients of real fields, and then only the
+    output modes xi <= 0 are summed and the rest are their conjugates."""
+    band = _cone_band(grid, cutoff)
+    return _band_sum(band, band.weights, v, u[band.rows], real)
 
 
 def paraproduct(u, v, cutoff):
     """T_u v for a field u: apply(Symbol.from_field(u), cutoff, v) without
     tabulating the symbol, as one matrix-vector product."""
     grid = check_same_grid(u, v)
-    band = _cone_band(grid, cutoff)
-    return Field(grid, _band_sum(band, band.weights, v.spectral,
-                                 u.spectral[band.rows]), _validate=False)
+    return Field(grid, paraproduct_coeffs(grid, u.spectral, v.spectral,
+                                          cutoff, u.is_real and v.is_real),
+                 _validate=False)
 
 
 def _xi_difference_symbol(symbol, j):

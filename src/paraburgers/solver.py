@@ -21,11 +21,14 @@ four stages of the RK4 kernel, shared with `step`, pass coefficient
 arrays; only recorded states are wrapped in `Field`s.  The half and full
 propagators of each (grid, alpha, dt) and the grid's i xi and 2/3 mask
 are read-only cached tables.  The paralinear right-hand side -T_u d_x u
-of a row is `paraop.paraproduct(u, d_x u, cutoff)`, a windowed sum over
-the cone band of the row's cutoff: one (N x (2 reach + 1)) multiply of
-the input's sliding windows by a cached cutoff table and one
-matrix-vector product, with no N x N operator.  The full one is the (by
-default 2/3-dealiased) pointwise product -u d_x u of
+of a row is `paraop.paraproduct_coeffs(grid, u, d_x u, cutoff, real)`, a
+windowed sum over the cone band of the row's cutoff: the input's sliding
+windows times a cached complex cutoff table, contracted in one
+matrix-vector product, with no N x N operator.  For a real state
+(`Field.is_real`) both inputs are real and the output Hermitian, so
+only the N/2 + 1 output modes xi <= 0 are summed and the others are
+their conjugates; a complex state takes the sum over all N modes.  The
+full one is the (by default 2/3-dealiased) pointwise product -u d_x u of
 `paraop.product_coeffs`, whose inverse FFTs for all rows run as one
 batch and whose forward FFTs as another, one complex transform per row,
 so every row gets the arithmetic of a run of its own.
@@ -51,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantBroken, NanDetected, SpectrumOverflow
-from .paraop import DEFAULT_CUTOFF_ARGS, paraproduct, product_coeffs, \
-    product_tables
+from .paraop import DEFAULT_CUTOFF_ARGS, paraproduct_coeffs, \
+    product_coeffs, product_tables
 from .spectral import Field, Grid, dispersion_profile, \
     homogeneous_sobolev_norm, linf_norm
 from .symbols import Cutoff
@@ -192,9 +195,7 @@ def _nonlinearity(cfgs, grid, real):
     cutoffs = [cfg.cutoff for cfg in cfgs]
 
     def transport(v, cutoff):
-        return paraproduct(Field(grid, v, real, _validate=False),
-                           Field(grid, ixi * v, real, _validate=False),
-                           cutoff).spectral
+        return paraproduct_coeffs(grid, v, ixi * v, cutoff, real)
 
     if len(cutoffs) == 1:
         def rhs(v):

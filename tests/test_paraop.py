@@ -244,6 +244,7 @@ class TestWindowTable:
         slots = paraop._band_slots(Grid(n), band.reach)
         assert band.reach == reach
         assert band.weights.shape == slots.shape == (n, 2 * reach + 1)
+        assert band.weights.dtype == np.complex128
         for table in (band.rows, band.weights, slots):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -276,6 +277,72 @@ class TestWindowTable:
             assert not np.any(out[low])
             assert np.max(np.abs(out - dense)) <= 1e-12 * max(
                 np.max(np.abs(dense)), 1e-300)
+
+
+# the solver's paralinear grid and cutoff, then the window corners
+HALF_LATTICE_CASES = [(512, Cutoff(8, 2))] + [(n, c) for n, c, _ in
+                                               WINDOW_CORNERS]
+
+
+class TestHalfLattice:
+    """Real inputs sum only the output modes xi <= 0 and conjugate the
+    rest; complex inputs take the full sum."""
+
+    @pytest.mark.parametrize("n, cutoff", HALF_LATTICE_CASES)
+    def test_real_output_is_exactly_hermitian(self, n, cutoff):
+        grid = Grid(n)
+        rng = np.random.default_rng(n)
+        u, v = _field(grid, rng, True), _field(grid, rng, True)
+        out = paraop.paraproduct(u, v, cutoff).spectral
+        half = n // 2
+        assert (out[1:half].tobytes()
+                == np.conj(out[:half:-1]).tobytes())
+        assert out[0].imag == 0.0
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("n, cutoff", HALF_LATTICE_CASES)
+    def test_coeffs_are_the_field_wrapper(self, n, cutoff, real):
+        grid = Grid(n)
+        rng = np.random.default_rng(n + 1)
+        u, v = _field(grid, rng, real), _field(grid, rng, real)
+        coeffs = paraop.paraproduct_coeffs(grid, u.spectral, v.spectral,
+                                           cutoff, real)
+        assert coeffs.tobytes() == paraop.paraproduct(
+            u, v, cutoff).spectral.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=CONE_CASES["n"], cutoff=CONE_CASES["cutoff"],
+           seed=CONE_CASES["seed"])
+    def test_half_sum_matches_full_sum(self, n, cutoff, seed):
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+        u, v = _field(grid, rng, True), _field(grid, rng, True)
+        half, full = (paraop.paraproduct_coeffs(grid, u.spectral, v.spectral,
+                                                cutoff, real)
+                      for real in (True, False))
+        _assert_close(half, full)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    @pytest.mark.parametrize("cutoff", [Cutoff(8, 2), Cutoff(2.5, 1.3),
+                                        Cutoff(3, 1).compose(Cutoff(3, 1))])
+    def test_complex_table_gives_the_float_products(self, n, cutoff, real):
+        # numpy casts a float table to complex inside the products, so
+        # storing it complex changes no bit of paraproduct or apply
+        grid = Grid(n)
+        rng = np.random.default_rng(n + 2)
+        u, v = _field(grid, rng, real), _field(grid, rng, real)
+        band = paraop._cone_band(grid, cutoff)
+        floats = band.weights.real.copy()
+        column = u.spectral[band.rows]
+        assert (paraop._band_sum(band, band.weights, v.spectral, column,
+                                 real).tobytes()
+                == paraop._band_sum(band, floats, v.spectral, column,
+                                    real).tobytes())
+        sym = Symbol.from_field(u, xi_profile=lambda xi: np.cos(xi / 7.0)
+                                + 1j * np.sin(xi / 5.0))
+        terms = sym.coeffs.ravel()[paraop._band_slots(grid, band.reach)]
+        assert (terms * band.weights).tobytes() == (terms * floats).tobytes()
 
 
 class TestSpectrumLocalisation:

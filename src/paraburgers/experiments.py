@@ -23,10 +23,10 @@ from .errors import InvariantBroken
 from .gauge import (
     _expm, _time_derivative_stack, solve_commutator, solve_conjugating
 )
-from .normalform import normal_form
+from .normalform import normal_form_coeffs
 from .paraop import (
     DEFAULT_CUTOFF_ARGS, OperatorMatrix, adjoint_star, dealias_product,
-    materialize, order_probe, pair_mask
+    materialize, order_probe, pair_mask, product_coeffs, product_tables
 )
 from .solver import (
     BLOWUP_LIPSCHITZ, BLOWUP_SUP_FACTOR, SimConfig, Trajectory, _advance,
@@ -35,7 +35,7 @@ from .solver import (
 from .spectral import (
     Field, Grid, abs_d_pow, bessel_pow, derivative, dispersion_profile,
     homogeneous_sobolev_norm, l2_norm, linf_norm, multiplier_apply,
-    sobolev_norm
+    multiplier_values, sobolev_norm, sobolev_norms
 )
 from .symbols import Cutoff, transport_symbol
 
@@ -266,16 +266,25 @@ def _cancellation_check(u, alpha, cutoff):
 
 
 def _energy_cell(traj, s, alpha, cutoff):
+    """The ratios of one trajectory, its samples reduced as the rows of
+    one (T, N) coefficient stack.
+
+    Each row gets the arithmetic of a lone sample: v = <D>^s u, w, their
+    norms, and the weight ||d_x |D|^(1-alpha) (u^2)||_inf ||v||.  The
+    stack is read as real when every state is marked real.
+    """
     h = _sample_spacing(traj.times)
     states = traj.states
-    v_fields = [multiplier_apply(u, bessel_pow(s)) for u in states]
-    w_fields = [normal_form(u, v, s, alpha, cutoff)
-                for u, v in zip(states, v_fields)]
-    v_norms = np.array([l2_norm(v) for v in v_fields])
-    w_norms = np.array([l2_norm(w) for w in w_fields])
+    grid = states[0].grid
+    real = all(u.is_real for u in states)
+    u_stack = np.stack([u.spectral for u in states])
+    v_stack = multiplier_values(grid, bessel_pow(s)) * u_stack
+    w_stack = normal_form_coeffs(grid, u_stack, v_stack, s, alpha, cutoff)
+    v_norms = sobolev_norms(grid, v_stack, 0.0)
+    w_norms = sobolev_norms(grid, w_stack, 0.0)
 
     critical = max(0.0, 1.5 - alpha) + 0.01
-    if max(sobolev_norm(u, critical) for u in states) <= SMALLNESS:
+    if np.max(sobolev_norms(grid, u_stack, critical)) <= SMALLNESS:
         for vn, wn in zip(v_norms, w_norms):
             if vn == 0.0:
                 continue
@@ -287,15 +296,15 @@ def _energy_cell(traj, s, alpha, cutoff):
                 )
 
     rates = _time_derivative_stack(w_norms, h)
-    ratios = []
-    for u, vn, rate in zip(states, v_norms, rates):
-        smoothed = multiplier_apply(dealias_product(u, u),
-                                    abs_d_pow(1.0 - alpha))
-        weight = linf_norm(multiplier_apply(smoothed, derivative())) * vn
-        if weight == 0.0:
-            ratios.append(0.0 if rate == 0.0 else np.inf)
-        else:
-            ratios.append(abs(rate) / weight)
+    square = product_coeffs(grid, u_stack, u_stack, (real, real))
+    smoothed = multiplier_values(grid, abs_d_pow(1.0 - alpha)) * square
+    slopes = np.fft.ifft(product_tables(grid)[0] * smoothed, axis=-1) * grid.n
+    peaks = np.max(np.abs(slopes.real if real else slopes), axis=-1)
+    weights = peaks * v_norms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.abs(rates) / weights
+    ratios = np.where(weights == 0.0, np.where(rates == 0.0, 0.0, np.inf),
+                      ratios)
 
     _cancellation_check(states[len(states) // 2], alpha, cutoff)
     return ratios
@@ -307,7 +316,9 @@ def energy_estimate_study(traj, s, alpha, c=None):
     Per sample: v = <D>^s u, w = normal_form(u, v), and the ratio
     |d/dt ||w||| / (||d_x |D|^(1-alpha) u^2||_inf ||v||) is collected;
     the report's envelope covers all samples of all trajectories.  Each
-    trajectory also passes the structural certificates: the gauge
+    trajectory is reduced as one (T, N) stack of its samples' coefficients,
+    with every sample's arithmetic that of a lone state.  Each trajectory
+    also passes the structural certificates: the gauge
     generator is hermitian on the deep pairs, the conjugated bracket is
     skew-hermitian, and w stays norm-equivalent to v on small data.
     """

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NonFiniteMultiplier, SmallDivisor
 from .spectral import Field, Grid, abs_d_pow, check_same_grid, \
-    dispersion_phase, l2_norm, multiplier_apply
+    dispersion_phase, l2_norm, multiplier_values
 from .symbols import cutoff_mask
 
 RESONANCE_FLOOR = 1e-8
@@ -73,6 +73,10 @@ class Multiplier2:
     """A bilinear Fourier multiplier tabulated on the mode lattice.
 
     values[i, j] holds chi(freqs[i], freqs[j]), both axes in FFT order.
+    The table also keeps its cone band for `multilinear_coeffs`: the live
+    rows (those with a nonzero entry), and for live row xi1 and output
+    mode xi the column of xi - xi1 and the entry there, zero where
+    xi - xi1 leaves the lattice.
     """
 
     grid: Grid
@@ -91,6 +95,10 @@ class Multiplier2:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_real_pairing", _conjugation_even(self.grid, values))
+        rows, cols, entries = _live_rows(self.grid, values)
+        object.__setattr__(self, "_band_rows", rows)
+        object.__setattr__(self, "_band_cols", cols)
+        object.__setattr__(self, "_band_entries", entries)
 
     def support(self):
         """Boolean mask of nonzero entries."""
@@ -109,20 +117,54 @@ def _conjugation_even(grid, values):
     return bool(np.max(np.abs(flipped - np.conj(sub))) <= 1e-12 * scale)
 
 
+def _live_rows(grid, values):
+    # at N = 64 the chi1 table of Cutoff(8, 2) has 6 live rows, |xi1| <= 3
+    rows = np.flatnonzero(np.any(values != 0, axis=1))
+    partner = grid.freqs[None, :] - grid.freqs[rows, None]
+    on = (partner >= grid.nyquist) & (partner <= -grid.nyquist - 1)
+    cols = np.mod(partner, grid.n)
+    entries = np.where(on, values[rows[:, None], cols], 0.0)
+    for table in (rows, cols, entries):
+        table.setflags(write=False)
+    return rows, cols, entries
+
+
+def multilinear_coeffs(chi, a, b):
+    """Coefficients of Pi_chi(f1, f2) from the coefficient arrays a of f1
+    and b of f2, (..., N) stacks taken row by row.
+
+    Output mode xi sums chi(xi1, xi - xi1) a(xi1) b(xi - xi1) over the
+    live rows xi1 of chi only, each term as chi (a b), adding the rows in
+    FFT order from +0.  The direct double sum over the lattice adds in
+    that same order, and its other rows add exact zeros, so the two agree
+    bit for bit; pairs whose xi - xi1 leaves the lattice are dropped,
+    never aliased.
+    """
+    # np.multiply, not *, fixes the order chi (a b) at every size: numpy
+    # elides a temporary operand of 256 KiB or more and then multiplies in
+    # the other order, and complex products round differently in each
+    pairs = np.multiply(np.take(a, chi._band_rows, axis=-1)[..., None],
+                        np.take(b, chi._band_cols, axis=-1))
+    terms = np.multiply(chi._band_entries, pairs)
+    out = np.zeros(terms.shape[:-2] + terms.shape[-1:], dtype=np.complex128)
+    for r in range(terms.shape[-2]):
+        out += terms[..., r, :]
+    return out
+
+
 def multilinear_apply(chi, f1, f2):
     """Pi_chi(f1, f2): modes xi1 + xi2 accumulate chi(xi1, xi2) f1^ f2^.
 
-    The reference semantics is the direct double sum over the lattice;
-    output modes falling off the lattice are dropped, never aliased.
+    Computed as the cone-band row sum of `multilinear_coeffs`, which
+    visits only the rows xi1 where chi is nonzero; the direct double sum
+    over the lattice is its oracle in the tests (`dense_multilinear` in
+    tests/helpers.py).  Output modes falling off the lattice are dropped,
+    never aliased.
     """
     grid = check_same_grid(chi, f1, f2)
-    terms = chi.values * np.outer(f1.spectral, f2.spectral)
-    total = grid.freqs[:, None] + grid.freqs[None, :]
-    keep = (total >= grid.nyquist) & (total <= -grid.nyquist - 1)
-    out = np.zeros(grid.n, dtype=np.complex128)
-    np.add.at(out, total[keep] % grid.n, terms[keep])
     is_real = f1.is_real and f2.is_real and chi._real_pairing
-    return Field(grid, out, is_real, _validate=False)
+    return Field(grid, multilinear_coeffs(chi, f1.spectral, f2.spectral),
+                 is_real, _validate=False)
 
 
 @functools.lru_cache(maxsize=16)
@@ -180,12 +222,22 @@ def build_chi1(s, alpha, cutoff, grid):
     return Multiplier2(grid, chi.values * lift[:, None] * lower[None, :])
 
 
+def normal_form_coeffs(grid, u, v, s, alpha, cutoff):
+    """Coefficients of w = v + Pi_chi1(u, |D|^(1-alpha) v) from the
+    coefficient arrays of u and v, (..., N) stacks taken row by row."""
+    chi1 = build_chi1(s, alpha, cutoff, grid)
+    smoothed = multiplier_values(grid, abs_d_pow(1.0 - float(alpha))) * v
+    return v + multilinear_coeffs(chi1, u, smoothed)
+
+
 def normal_form(u, v, s, alpha, cutoff):
     """The transformed unknown w = v + Pi_chi1(u, |D|^(1-alpha) v)."""
     grid = check_same_grid(u, v)
-    chi1 = build_chi1(s, alpha, cutoff, grid)
-    smoothed = multiplier_apply(v, abs_d_pow(1.0 - float(alpha)))
-    return v + multilinear_apply(chi1, u, smoothed)
+    is_real = u.is_real and v.is_real and \
+        build_chi1(s, alpha, cutoff, grid)._real_pairing
+    return Field(grid, normal_form_coeffs(grid, u.spectral, v.spectral, s,
+                                          alpha, cutoff),
+                 is_real, _validate=False)
 
 
 def equivalence_constant(u, v, s, alpha, cutoff):

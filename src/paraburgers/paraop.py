@@ -26,7 +26,9 @@ psi(-eta, -xi): only the N/2 + 1 output modes xi <= 0 are summed, an
 ((N/2 + 1) x (2 reach + 1)) multiply, and xi in [1, N/2 - 1] takes the
 conjugates of -xi.  Other inputs take the full (N x (2 reach + 1)) sum.
 Neither path forms an N x N array, and both agree with the dense matrix
-to rounding error for every cutoff.
+to rounding error for every cutoff, except that the output of real
+inputs is a real field and zeroes its unpaired Nyquist mode, as every
+real field does.
 """
 
 import functools
@@ -281,18 +283,24 @@ def apply(symbol, cutoff, field):
 def paraproduct_coeffs(grid, u, v, cutoff, real):
     """Coefficients of T_u v from the (N,) coefficient arrays u and v;
     real says both are coefficients of real fields, and then only the
-    output modes xi <= 0 are summed and the rest are their conjugates."""
+    output modes xi <= 0 are summed, the rest are their conjugates, and
+    the unpaired Nyquist mode -N/2 is zero, as for every real field."""
     band = _cone_band(grid, cutoff)
-    return _band_sum(band, band.weights, v, u[band.rows], real)
+    out = _band_sum(band, band.weights, v, u[band.rows], real)
+    if real:
+        out[grid.index_of(grid.nyquist)] = 0.0
+    return out
 
 
 def paraproduct(u, v, cutoff):
     """T_u v for a field u: apply(Symbol.from_field(u), cutoff, v) without
-    tabulating the symbol, as one matrix-vector product."""
+    tabulating the symbol, as one matrix-vector product.  The output of
+    real u and v is marked real."""
     grid = check_same_grid(u, v)
+    real = u.is_real and v.is_real
     return Field(grid, paraproduct_coeffs(grid, u.spectral, v.spectral,
-                                          cutoff, u.is_real and v.is_real),
-                 _validate=False)
+                                          cutoff, real),
+                 real, _validate=False)
 
 
 def _xi_difference_symbol(symbol, j):
@@ -448,7 +456,8 @@ DEFAULT_CUTOFF_ARGS = (8.0, 2.0)
 
 
 def bony_remainder(a, b, cutoff=None):
-    """Bony decomposition remainder ab - T_a b - T_b a for real fields.
+    """Bony decomposition remainder ab - T_a b - T_b a for real fields,
+    itself a real field.
 
     The pointwise product uses 2/3 dealiasing; the paraproducts need none
     (their cutoff already truncates the convolution).

@@ -26,12 +26,13 @@ windowed sum over the cone band of the row's cutoff: the input's sliding
 windows times a cached complex cutoff table, contracted in one
 matrix-vector product, with no N x N operator.  For a real state
 (`Field.is_real`) both inputs are real and the output Hermitian, so
-only the N/2 + 1 output modes xi <= 0 are summed and the others are
-their conjugates; a complex state takes the sum over all N modes.  The
-full one is the (by default 2/3-dealiased) pointwise product -u d_x u of
-`paraop.product_coeffs`, whose inverse FFTs for all rows run as one
-batch and whose forward FFTs as another, one complex transform per row,
-so every row gets the arithmetic of a run of its own.
+only the N/2 + 1 output modes xi <= 0 are summed, the others are
+their conjugates and the Nyquist mode stays zero; a complex state takes
+the sum over all N modes.  The full one is the (by default
+2/3-dealiased) pointwise product -u d_x u of `paraop.product_coeffs`,
+whose inverse FFTs for all rows run as one batch and whose forward FFTs
+as another, one complex transform per row, so every row gets the
+arithmetic of a run of its own.
 
 Blow-up handling is detection, not continuation: a NaN, a sup-norm
 pile-up, or a Lipschitz spike truncates the run and flags the

@@ -248,9 +248,15 @@ def dispersion_symbol(alpha):
 # -- norms ------------------------------------------------------------------
 
 def sobolev_norm(field, s):
-    xi = field.grid.freqs.astype(np.float64)
+    return float(sobolev_norms(field.grid, field.spectral, s))
+
+
+def sobolev_norms(grid, coeffs, s):
+    """H^s norms of the rows of an (..., N) coefficient stack, each row
+    reduced as `sobolev_norm` reduces a lone field."""
+    xi = grid.freqs.astype(np.float64)
     weights = (1.0 + xi ** 2) ** s
-    return float(np.sqrt(2.0 * np.pi * np.sum(weights * np.abs(field.spectral) ** 2)))
+    return np.sqrt(2.0 * np.pi * np.sum(weights * np.abs(coeffs) ** 2, axis=-1))
 
 
 def homogeneous_sobolev_norm(field, s):

@@ -43,3 +43,23 @@ def gauss_nodes(a, b, panels=1):
         nodes.append(half * base_x + 0.5 * (hi + lo))
         weights.append(half * base_w)
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+def dense_multilinear(chi, a, b):
+    """Pi_chi(f1, f2) by the direct double sum over the lattice, from the
+    (N,) coefficient arrays a of f1 and b of f2: every pair (xi1, xi2)
+    whose sum stays on the lattice adds chi(xi1, xi2) a(xi1) b(xi2) into
+    mode xi1 + xi2, pairs in FFT row order.  The oracle of
+    `normalform.multilinear_coeffs`.
+
+    Each term is chi (a b), by np.multiply: `chi.values * np.outer(a, b)`
+    lets numpy elide the outer product's temporary from N = 128 on and
+    multiply in the other order, which rounds complex chi differently.
+    """
+    grid = chi.grid
+    terms = np.multiply(chi.values, np.outer(a, b))
+    total = grid.freqs[:, None] + grid.freqs[None, :]
+    keep = (total >= grid.nyquist) & (total <= -grid.nyquist - 1)
+    out = np.zeros(grid.n, dtype=np.complex128)
+    np.add.at(out, total[keep] % grid.n, terms[keep])
+    return out

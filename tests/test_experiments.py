@@ -14,13 +14,15 @@ from paraburgers.errors import InvariantBroken
 from paraburgers.gauge import (
     _expm, _time_derivative_stack, solve_conjugating, solve_nonlinear_exp
 )
-from paraburgers.paraop import DEFAULT_CUTOFF_ARGS, OperatorMatrix, gather_pairs, \
-    materialize, order_probe
-from paraburgers.solver import initial_field, run
-from paraburgers.spectral import Field, Grid, dispersion_profile
+from paraburgers.normalform import build_chi1
+from paraburgers.paraop import DEFAULT_CUTOFF_ARGS, OperatorMatrix, \
+    dealias_product, gather_pairs, materialize, order_probe
+from paraburgers.solver import SimConfig, initial_field, run
+from paraburgers.spectral import Field, Grid, abs_d_pow, bessel_pow, \
+    derivative, dispersion_profile, linf_norm, multiplier_apply
 from paraburgers.symbols import Cutoff, transport_symbol
 
-from helpers import gauss_nodes
+from helpers import dense_multilinear, gauss_nodes
 
 CUTOFF = Cutoff(*DEFAULT_CUTOFF_ARGS)
 
@@ -112,6 +114,118 @@ class TestEnergyStudy:
         monkeypatch.setattr(experiments, "HERMITIAN_TOL", -1.0)
         with pytest.raises(InvariantBroken, match="hermiticity"):
             experiments.energy_estimate_study(small_ensemble, 2.0, 1.5)
+
+
+# -- the per-sample energy cell, kept as the reference ----------------------
+
+def reference_l2(coeffs):
+    return float(np.sqrt(2.0 * np.pi * np.sum(np.abs(coeffs) ** 2)))
+
+
+def reference_energy_cell(traj, s, alpha, cutoff):
+    """The energy cell one sample at a time, with the dense double sum
+    for the normal form's correction."""
+    h = experiments._sample_spacing(traj.times)
+    states = traj.states
+    chi1 = build_chi1(s, alpha, cutoff, states[0].grid)
+    v_fields = [multiplier_apply(u, bessel_pow(s)) for u in states]
+    w_coeffs = []
+    for u, v in zip(states, v_fields):
+        smoothed = multiplier_apply(v, abs_d_pow(1.0 - alpha))
+        w_coeffs.append(v.spectral + dense_multilinear(
+            chi1, u.spectral, smoothed.spectral))
+    v_norms = np.array([reference_l2(v.spectral) for v in v_fields])
+    w_norms = np.array([reference_l2(w) for w in w_coeffs])
+
+    critical = max(0.0, 1.5 - alpha) + 0.01
+    weights = (1.0 + states[0].grid.freqs.astype(np.float64) ** 2) ** critical
+    smallness = max(
+        float(np.sqrt(2.0 * np.pi * np.sum(weights * np.abs(u.spectral) ** 2)))
+        for u in states)
+    if smallness <= experiments.SMALLNESS:
+        for vn, wn in zip(v_norms, w_norms):
+            if vn == 0.0:
+                continue
+            equivalence = max(wn / vn, vn / wn)
+            if equivalence > experiments.EQUIVALENCE_BOUND:
+                raise InvariantBroken(
+                    f"transform equivalence constant {equivalence:.3f} "
+                    f"exceeds {experiments.EQUIVALENCE_BOUND:g} on small data"
+                )
+
+    rates = _time_derivative_stack(w_norms, h)
+    ratios = []
+    for u, vn, rate in zip(states, v_norms, rates):
+        smoothed = multiplier_apply(dealias_product(u, u),
+                                    abs_d_pow(1.0 - alpha))
+        weight = linf_norm(multiplier_apply(smoothed, derivative())) * vn
+        if weight == 0.0:
+            ratios.append(0.0 if rate == 0.0 else np.inf)
+        else:
+            ratios.append(abs(rate) / weight)
+
+    experiments._cancellation_check(states[len(states) // 2], alpha, cutoff)
+    return ratios
+
+
+def complex_trajectory():
+    """A paralinear run from a bump times a complex constant plus one
+    unpaired mode, so no state is marked real."""
+    grid = Grid(64)
+    coeffs = initial_field(grid, "bump", 1e-6).spectral * (1.0 + 0.5j)
+    coeffs[grid.index_of(3)] += 2e-7 - 1e-7j
+    cfg = SimConfig(n_points=64, alpha=1.5, t_end=0.02, dt=0.002,
+                    equation="paralinear")
+    return run(cfg, initial=Field(grid, coeffs))
+
+
+ENSEMBLE_INDEX = {family: i for i, family
+                  in enumerate(experiments.ENSEMBLE_FAMILIES)}
+
+
+def hex_ratios(ratios):
+    return [float(r).hex() for r in ratios]
+
+
+class TestStackedEnergyCell:
+    """The (T, N) stacked cell gives the per-sample cell's ratios bit for
+    bit."""
+
+    @pytest.mark.parametrize("study_alpha", [1.5, 1.75])
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_ratios_match_the_per_sample_cell(self, n, study_alpha):
+        # at N = 128 the random member is transport-active
+        configs = experiments.standard_ensemble(n, 1.5, 0.02, dt=0.002,
+                                                amplitudes=(1e-6,))
+        for cfg in configs:
+            traj = run(cfg)
+            assert traj.states[0].is_real
+            stacked = experiments._energy_cell(traj, 2.0, study_alpha, CUTOFF)
+            reference = reference_energy_cell(traj, 2.0, study_alpha, CUTOFF)
+            assert len(stacked) == len(traj.states) == 11
+            assert hex_ratios(stacked) == hex_ratios(reference)
+
+    @pytest.mark.parametrize("study_alpha", [1.5, 1.75])
+    def test_complex_states_match_the_per_sample_cell(self, study_alpha):
+        traj = complex_trajectory()
+        assert not any(u.is_real for u in traj.states)
+        stacked = experiments._energy_cell(traj, 2.0, study_alpha, CUTOFF)
+        reference = reference_energy_cell(traj, 2.0, study_alpha, CUTOFF)
+        assert np.count_nonzero(stacked) >= 10
+        assert hex_ratios(stacked) == hex_ratios(reference)
+
+    def test_equivalence_certificate_fires_alike(self, monkeypatch):
+        # every transform that moves w off v now exceeds the bound
+        monkeypatch.setattr(experiments, "EQUIVALENCE_BOUND", 1.0)
+        configs = experiments.standard_ensemble(64, 1.5, 0.02, dt=0.002,
+                                                amplitudes=(1e-6,))
+        traj = run(configs[ENSEMBLE_INDEX["bump"]])
+        messages = []
+        for cell in (experiments._energy_cell, reference_energy_cell):
+            with pytest.raises(InvariantBroken, match="equivalence") as err:
+                cell(traj, 2.0, 1.5, CUTOFF)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestConjugationStudy:

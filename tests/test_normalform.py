@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paraburgers.errors import GridMismatch, NonFiniteMultiplier
 from paraburgers.paraop import dealias_product
@@ -11,7 +11,7 @@ from paraburgers.spectral import Field, Grid, abs_d_pow, bessel_pow, l2_norm, \
 from paraburgers.symbols import Cutoff
 from paraburgers import normalform
 
-from helpers import random_real_field
+from helpers import dense_multilinear, random_real_field
 
 # Ratio |Omega| / (|xi_min| |xi_max|^(alpha-1)) over 1 <= |xi_i| <= 32,
 # xi1 + xi2 != 0, triple min/max.  Measured once; frozen a hair wide.
@@ -182,6 +182,83 @@ class TestMultilinearApply:
             + 0.5 * normalform.multilinear_apply(chi, g1, f2).spectral
         )
         assert np.array_equal(lhs.spectral, rhs)
+
+
+def _coefficient_stack(rng, shape, real):
+    """Random coefficient rows of real fields (Hermitian, Nyquist zero)
+    or of complex ones."""
+    n = shape[-1]
+    if real:
+        coeffs = np.fft.fft(rng.standard_normal(shape), axis=-1) / n
+        coeffs[..., n // 2] = 0.0
+        return coeffs
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestMultilinearCoeffs:
+    """The cone-band row sum against the dense double sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 64).map(lambda half: 2 * half),
+           table=st.sampled_from(["full", "chi1"]),
+           s=st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+           alpha=st.sampled_from([1.25, 1.5, 1.75, 2.5]),
+           cutoff=st.sampled_from([Cutoff(8.0, 2.0), Cutoff(2.0, 1.0)]),
+           lead=st.sampled_from([(), (3,), (3, 2)]),
+           real=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # from 256 KiB on numpy elides a temporary operand of `*` and swaps a
+    # complex product's factors: the dense sum's at N = 128, the stack's
+    # at any N with enough rows
+    @example(n=128, table="full", s=0.0, alpha=1.5, cutoff=Cutoff(8.0, 2.0),
+             lead=(3, 2), real=False, seed=1)
+    @example(n=64, table="full", s=0.0, alpha=1.5, cutoff=Cutoff(8.0, 2.0),
+             lead=(3, 2), real=False, seed=2)
+    def test_matches_the_dense_sum_bit_for_bit(self, n, table, s, alpha,
+                                                cutoff, lead, real, seed):
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+        if table == "full":
+            # every entry nonzero, so every row is live
+            values = rng.uniform(0.5, 1.5, (n, n)) * np.exp(
+                2j * np.pi * rng.uniform(size=(n, n)))
+            chi = normalform.Multiplier2(grid, values)
+        else:
+            chi = normalform.build_chi1(s, alpha, cutoff, grid)
+        a = _coefficient_stack(rng, lead + (n,), real)
+        b = _coefficient_stack(rng, lead + (n,), real)
+        out = normalform.multilinear_coeffs(chi, a, b)
+        assert out.shape == a.shape and out.dtype == np.complex128
+        for index in np.ndindex(*lead):
+            assert (out[index].tobytes()
+                    == dense_multilinear(chi, a[index], b[index]).tobytes())
+
+    @pytest.mark.parametrize("n, live", [(64, 6), (128, 14), (16, 0)])
+    def test_chi1_has_only_its_cone_rows(self, n, live):
+        # chi1 of Cutoff(8, 2) needs |xi2| > 8 |xi1| + 2 <= N/2
+        grid = Grid(n)
+        chi1 = normalform.build_chi1(2.0, 1.5, Cutoff(8.0, 2.0), grid)
+        rows = chi1._band_rows
+        assert len(rows) == live
+        assert np.all(np.abs(grid.freqs[rows]) <= (n // 2 - 3) // 8)
+        assert not np.any(np.delete(chi1.values, rows, axis=0))
+        for table in (rows, chi1._band_cols, chi1._band_entries):
+            assert not table.flags.writeable
+
+    def test_field_wrappers_share_the_row_sum(self):
+        grid = Grid(64)
+        rng = np.random.default_rng(17)
+        cutoff = Cutoff(8.0, 2.0)
+        u = random_real_field(grid, rng, amplitude=0.1)
+        v = multiplier_apply(u, bessel_pow(2.0))
+        chi1 = normalform.build_chi1(2.0, 1.5, cutoff, grid)
+        smoothed = multiplier_apply(v, abs_d_pow(1.0 - 1.5))
+        pi = normalform.multilinear_apply(chi1, u, smoothed)
+        assert pi.spectral.tobytes() == dense_multilinear(
+            chi1, u.spectral, smoothed.spectral).tobytes()
+        w = normalform.normal_form(u, v, 2.0, 1.5, cutoff)
+        assert w.is_real
+        assert w.spectral.tobytes() == (v.spectral + pi.spectral).tobytes()
 
 
 class TestBuildChi:

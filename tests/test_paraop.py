@@ -175,6 +175,16 @@ def _assert_close(out, reference):
     assert np.max(np.abs(out - reference)) <= 1e-12 * scale
 
 
+def _real_convention(grid, coeffs, real):
+    """The coefficients with the Nyquist mode zeroed when real: the
+    convention every real field keeps, and so T_u v of real u and v."""
+    if not real:
+        return coeffs
+    out = coeffs.copy()
+    out[grid.index_of(grid.nyquist)] = 0.0
+    return out
+
+
 CONE_CASES = dict(
     n=st.integers(4, 128).map(lambda half: 2 * half),
     cutoff=_cutoffs(),
@@ -193,8 +203,10 @@ class TestConeBand:
         rng = np.random.default_rng(seed)
         u, v = _field(grid, rng, real), _field(grid, rng, real)
         dense = paraop.materialize(Symbol.from_field(u), cutoff).apply(v)
-        _assert_close(paraop.paraproduct(u, v, cutoff).spectral,
-                      dense.spectral)
+        out = paraop.paraproduct(u, v, cutoff)
+        assert out.is_real == real
+        _assert_close(out.spectral,
+                      _real_convention(grid, dense.spectral, real))
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["field", "profile", "regularized"]),
@@ -271,13 +283,15 @@ class TestWindowTable:
         low = np.abs(grid.freqs) <= np.floor(cutoff.little_b)
         sym = Symbol.from_field(u)
         dense = paraop.materialize(sym, cutoff).apply(v).spectral
-        outputs = (paraop.paraproduct(u, v, cutoff).spectral,
-                   paraop.apply(sym, cutoff, v).spectral,
-                   paraop.apply(regularize(sym, cutoff), cutoff, v).spectral)
-        for out in outputs:
+        outputs = ((paraop.paraproduct(u, v, cutoff).spectral,
+                    _real_convention(grid, dense, real)),
+                   (paraop.apply(sym, cutoff, v).spectral, dense),
+                   (paraop.apply(regularize(sym, cutoff), cutoff, v).spectral,
+                    dense))
+        for out, reference in outputs:
             assert not np.any(out[low])
-            assert np.max(np.abs(out - dense)) <= 1e-12 * max(
-                np.max(np.abs(dense)), 1e-300)
+            assert np.max(np.abs(out - reference)) <= 1e-12 * max(
+                np.max(np.abs(reference)), 1e-300)
 
 
 # the solver's paralinear grid and cutoff, then the window corners
@@ -321,7 +335,8 @@ class TestHalfLattice:
         half, full = (paraop.paraproduct_coeffs(grid, u.spectral, v.spectral,
                                                 cutoff, real)
                       for real in (True, False))
-        _assert_close(half, full)
+        assert half[grid.index_of(grid.nyquist)] == 0.0
+        _assert_close(half, _real_convention(grid, full, True))
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("n", [64, 256, 512])
@@ -530,6 +545,14 @@ class TestBonyRemainder:
         remainder = paraop.bony_remainder(u, u)
         expected = 0.5 * (1.0 + np.cos(2 * grid.x))
         np.testing.assert_allclose(remainder.physical(), expected, atol=1e-13)
+
+    def test_real_inputs_give_real_fields(self):
+        grid = Grid(64)
+        u = random_real_field(grid, np.random.default_rng(21))
+        assert paraop.paraproduct(u, u, Cutoff(8.0, 2.0)).is_real
+        remainder = paraop.bony_remainder(u, u)
+        assert remainder.is_real
+        assert remainder.physical().dtype == np.float64
 
     def test_complex_input_rejected(self):
         grid = Grid(64)

@@ -352,6 +352,17 @@ class TestRun:
             free = step(free, cfg, nonlinear=False)
         assert linf_norm(windowed.final() - free) > 1e-5 * linf_norm(free)
 
+    def test_paralinear_real_run_keeps_the_nyquist_mode_zero(self):
+        # while the real paraproduct still wrote the Nyquist mode, this
+        # run ended with the coefficient 4.3e-13 + 6.5e-13j there
+        cfg = SimConfig(n_points=64, alpha=1.5, t_end=0.05, dt=2e-3,
+                        equation="paralinear", cutoff=Cutoff(2.5, 1.3),
+                        init="bump", amplitude=0.5)
+        final = run(cfg).final()
+        assert final.is_real
+        assert final.coefficient(-32) == 0.0
+        assert np.max(np.abs(final.spectral)) > 0.01
+
     def test_dealias_changes_solution(self):
         # strongly nonlinear coarse-grid run where the aliased tail matters
         # (measured gap 1.9e-2)

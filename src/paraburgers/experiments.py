@@ -33,7 +33,7 @@ from .solver import (
     default_dt, initial_field
 )
 from .spectral import (
-    Field, Grid, abs_d_pow, bessel_pow, derivative, dispersion_profile,
+    Grid, abs_d_pow, bessel_pow, derivative, dispersion_profile,
     homogeneous_sobolev_norm, l2_norm, linf_norm, multiplier_apply,
     multiplier_values, sobolev_norm, sobolev_norms
 )
@@ -366,23 +366,22 @@ def _conjugation_cell(traj, alpha, cutoff, s_probes, elliptic_c):
     r_stack = (_time_derivative_stack(w_stack, h)
                + w_stack * (1j * profile)[None, :])
 
-    w_fields = [Field(grid, w, is_real=False, _validate=False)
-                for w in w_stack]
-    r_fields = [Field(grid, r, is_real=False, _validate=False)
-                for r in r_stack]
+    # one stacked reduction per s and stack; each row reduces as
+    # `sobolev_norm` reduces a lone sample
+    norms = [[sobolev_norms(grid, stack, s).tolist()
+              for stack in (u_stack, w_stack, r_stack)] for s in s_probes]
 
     ratios = []
-    for u, w_field, r_field in zip(states, w_fields, r_fields):
+    for i, u in enumerate(states):
         mean_mass = math.sqrt(2.0 * math.pi) * abs(u.coefficient(0))
-        for s in s_probes:
-            w_size = sobolev_norm(w_field, s)
-            r_size = sobolev_norm(r_field, s)
+        for s, (u_sizes, w_sizes, r_sizes) in zip(s_probes, norms):
+            w_size, r_size = w_sizes[i], r_sizes[i]
             if w_size == 0.0:
                 if r_size > 0.0:
                     raise InvariantBroken("residual without a transform")
                 continue
             ratios.append(r_size / w_size)
-            recovery = sobolev_norm(u, s) / (w_size + mean_mass)
+            recovery = u_sizes[i] / (w_size + mean_mass)
             if recovery > elliptic_c:
                 raise InvariantBroken(
                     f"ellipticity constant {recovery:.3f} exceeds "

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     InvariantBroken,
@@ -353,6 +352,18 @@ def _time_derivative_stack(stack, dt):
     return out
 
 
+def _trapezoid_integral(stack, dt):
+    """Cumulative trapezoid sum along axis 0, zero at the first row.
+
+    Row i is the sum over k < i of dt (s[k+1] + s[k]) / 2: each term is
+    formed in that order and the terms are added left to right by one
+    cumsum (tests/test_gauge.py, `TestTrapezoidIntegral`, pins the bits).
+    """
+    out = np.zeros_like(stack)
+    out[1:] = np.cumsum(dt * (stack[1:] + stack[:-1]) / 2.0, axis=0)
+    return out
+
+
 def _time_chain(a_stack, dt, grid, alpha, cutoff, order_p, j_max, tol):
     """Stationary solve per sample plus the d_t correction ladder.
 
@@ -639,11 +650,10 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
         )
         # W A feeds the diagonal pairs at second order, where the commutator
         # vanishes and the linearization is the ODE -d_t h = rhs.  Integrate
-        # it with h = 0 at the first sample (the x-mean gauge choice there);
+        # it by the cumulative trapezoid sum of `_trapezoid_integral`, with
+        # h = 0 at the first sample (the x-mean gauge choice there);
         # repeated sweeps tighten the integral to stencil consistency.
-        correction[:, 0, :] -= cumulative_trapezoid(
-            rhs[:, 0, :], dx=dt, axis=0, initial=0
-        )
+        correction[:, 0, :] -= _trapezoid_integral(rhs[:, 0, :], dt)
         p_stack = p_stack + correction
         for i, p_coeffs in enumerate(p_stack):
             w_stack[i] = _expm(1j * gather_pairs(p_coeffs, grid))

@@ -152,6 +152,14 @@ def multilinear_coeffs(chi, a, b):
     return out
 
 
+def _output_field(grid, coeffs, is_real):
+    """Wrap fresh output coefficients; a real output's unpaired Nyquist
+    mode, which the sum writes, is zeroed as for every real field."""
+    if is_real:
+        coeffs[grid.index_of(grid.nyquist)] = 0.0
+    return Field(grid, coeffs, is_real, _validate=False)
+
+
 def multilinear_apply(chi, f1, f2):
     """Pi_chi(f1, f2): modes xi1 + xi2 accumulate chi(xi1, xi2) f1^ f2^.
 
@@ -163,8 +171,8 @@ def multilinear_apply(chi, f1, f2):
     """
     grid = check_same_grid(chi, f1, f2)
     is_real = f1.is_real and f2.is_real and chi._real_pairing
-    return Field(grid, multilinear_coeffs(chi, f1.spectral, f2.spectral),
-                 is_real, _validate=False)
+    coeffs = multilinear_coeffs(chi, f1.spectral, f2.spectral)
+    return _output_field(grid, coeffs, is_real)
 
 
 @functools.lru_cache(maxsize=16)
@@ -235,9 +243,8 @@ def normal_form(u, v, s, alpha, cutoff):
     grid = check_same_grid(u, v)
     is_real = u.is_real and v.is_real and \
         build_chi1(s, alpha, cutoff, grid)._real_pairing
-    return Field(grid, normal_form_coeffs(grid, u.spectral, v.spectral, s,
-                                          alpha, cutoff),
-                 is_real, _validate=False)
+    coeffs = normal_form_coeffs(grid, u.spectral, v.spectral, s, alpha, cutoff)
+    return _output_field(grid, coeffs, is_real)
 
 
 def equivalence_constant(u, v, s, alpha, cutoff):

@@ -41,14 +41,13 @@ class Grid:
         self.x = 2.0 * np.pi * np.arange(n) / n
         self.freqs = np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
         self.nyquist = -n // 2
-        # position of each integer mode in FFT order
-        self._index = {int(xi): i for i, xi in enumerate(self.freqs)}
 
     def index_of(self, xi):
-        try:
-            return self._index[int(xi)]
-        except KeyError:
+        """Position of the integer mode xi in FFT order."""
+        k = int(xi)
+        if not self.nyquist <= k < -self.nyquist:
             raise ValueError(f"mode {xi} not on the lattice of size {self.n}")
+        return k % self.n
 
     def __eq__(self, other):
         return isinstance(other, Grid) and other.n == self.n

@@ -19,7 +19,7 @@ from paraburgers.paraop import DEFAULT_CUTOFF_ARGS, OperatorMatrix, \
     dealias_product, gather_pairs, materialize, order_probe
 from paraburgers.solver import SimConfig, initial_field, run
 from paraburgers.spectral import Field, Grid, abs_d_pow, bessel_pow, \
-    derivative, dispersion_profile, linf_norm, multiplier_apply
+    derivative, dispersion_profile, linf_norm, multiplier_apply, sobolev_norm
 from paraburgers.symbols import Cutoff, transport_symbol
 
 from helpers import dense_multilinear, gauss_nodes
@@ -226,6 +226,78 @@ class TestStackedEnergyCell:
                 cell(traj, 2.0, 1.5, CUTOFF)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+
+# -- the per-sample conjugation norms, kept as the reference ----------------
+
+def reference_conjugation_ratios(traj, alpha, cutoff, s_probes, elliptic_c):
+    """The conjugation cell's ratios and certificates one sample and one
+    s at a time, each norm a `sobolev_norm` of a lone field."""
+    h = experiments._sample_spacing(traj.times)
+    states = traj.states
+    grid = states[0].grid
+    extras = solve_conjugating(states, h, alpha, cutoff)[0].extras
+    u_stack = np.stack([u.spectral for u in states])
+    w_stack = np.einsum("tij,tj->ti", extras["w_stack"], u_stack)
+    r_stack = (_time_derivative_stack(w_stack, h)
+               + w_stack * (1j * dispersion_profile(grid, alpha))[None, :])
+    ratios = []
+    for u, w, r in zip(states, w_stack, r_stack):
+        w_field, r_field = Field(grid, w), Field(grid, r)
+        mean_mass = math.sqrt(2.0 * math.pi) * abs(u.coefficient(0))
+        for s in s_probes:
+            w_size = sobolev_norm(w_field, s)
+            r_size = sobolev_norm(r_field, s)
+            if w_size == 0.0:
+                if r_size > 0.0:
+                    raise InvariantBroken("residual without a transform")
+                continue
+            ratios.append(r_size / w_size)
+            recovery = sobolev_norm(u, s) / (w_size + mean_mass)
+            if recovery > elliptic_c:
+                raise InvariantBroken(
+                    f"ellipticity constant {recovery:.3f} exceeds "
+                    f"{elliptic_c:g} at s = {s:g}"
+                )
+    return ratios
+
+
+class TestStackedConjugationCell:
+    """The conjugation cell's stacked norms give the per-sample ratios bit
+    for bit, in the same sample-major order, and fail alike."""
+
+    S_PROBES = (0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_ratios_match_the_per_sample_cell(self, n):
+        configs = experiments.standard_ensemble(n, 2.5, 0.02, dt=0.002,
+                                                amplitudes=(1e-6,))
+        for cfg in configs:
+            traj = run(cfg)
+            stacked, _ = experiments._conjugation_cell(
+                traj, 2.5, CUTOFF, self.S_PROBES, experiments.ELLIPTIC_C)
+            reference = reference_conjugation_ratios(
+                traj, 2.5, CUTOFF, self.S_PROBES, experiments.ELLIPTIC_C)
+            assert len(stacked) == 3 * len(traj.states)
+            assert hex_ratios(stacked) == hex_ratios(reference)
+
+    # at N = 64 the bump member's recovery constants sit at 1 up to
+    # rounding: the first to exceed 1 is at s = 0, the first to exceed
+    # 1 + 1e-12 at s = 2 of a later sample
+    @pytest.mark.parametrize("elliptic_c,first_s", [(1.0, "0"),
+                                                    (1.0 + 1e-12, "2")])
+    def test_ellipticity_certificate_fires_alike(self, elliptic_c, first_s):
+        configs = experiments.standard_ensemble(64, 2.5, 0.02, dt=0.002,
+                                                amplitudes=(1e-6,))
+        traj = run(configs[ENSEMBLE_INDEX["bump"]])
+        messages = []
+        for cell in (experiments._conjugation_cell,
+                     reference_conjugation_ratios):
+            with pytest.raises(InvariantBroken, match="ellipticity") as err:
+                cell(traj, 2.5, CUTOFF, self.S_PROBES, elliptic_c)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith(f"at s = {first_s}")
 
 
 class TestConjugationStudy:

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
 from paraburgers.errors import (
@@ -418,6 +419,46 @@ def test_time_stencil_is_the_array_expression_bit_for_bit(tail, dtype):
         got = gauge._time_derivative_stack(stack, 0.002)
         assert got.dtype == stack.dtype
         assert got.tobytes() == stencil_reference(stack, 0.002).tobytes()
+
+
+class TestTrapezoidIntegral:
+    """The sweep's diagonal integral is scipy's cumulative_trapezoid with
+    initial=0, byte for byte."""
+
+    @staticmethod
+    def reference(stack, dt):
+        return cumulative_trapezoid(stack, dx=dt, axis=0, initial=0)
+
+    @pytest.mark.parametrize("count", [5, 11])
+    def test_complex_stacks(self, count):
+        rng = np.random.default_rng(count)
+        shape = (count, 32)
+        stack = (rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 5, shape)
+                 + 1j * rng.standard_normal(shape))
+        for dt in (0.002, 1.0 / 3.0):
+            got = gauge._trapezoid_integral(stack, dt)
+            assert got.dtype == stack.dtype
+            assert got.tobytes() == self.reference(stack, dt).tobytes()
+
+    @pytest.mark.parametrize("row", [0, 2, -1])
+    def test_negative_zero_rows(self, row):
+        stack = np.random.default_rng(3).standard_normal((11, 16)) * (1 + 2j)
+        stack[row] = complex(-0.0, -0.0)
+        stack[1, :4] = complex(-0.0, 0.0)
+        got = gauge._trapezoid_integral(stack, 0.002)
+        assert got.tobytes() == self.reference(stack, 0.002).tobytes()
+
+    @pytest.mark.parametrize("count", [5, 11])
+    def test_the_sweeps_diagonal_slice(self, count):
+        # solve_conjugating integrates rhs[:, 0, :], a strided view of the
+        # (T, N, N) right-hand side
+        rng = np.random.default_rng(40 + count)
+        shape = (count, 32, 32)
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        diagonal = rhs[:, 0, :]
+        assert not diagonal.flags.c_contiguous
+        got = gauge._trapezoid_integral(diagonal, 0.002)
+        assert got.tobytes() == self.reference(diagonal, 0.002).tobytes()
 
 
 class TestTaylorExponential:

@@ -417,3 +417,50 @@ class TestNormalForm:
         defect = max(abs(w.spectral[0].imag),
                      float(np.max(np.abs(neg - np.conj(pos)))))
         assert defect <= 1e-12 * float(np.max(np.abs(w.spectral)))
+
+
+class TestRealOutputs:
+    """Real-marked outputs keep the real-field convention: the unpaired
+    Nyquist mode is zero, every other mode is the row sum's."""
+
+    CUTOFF = Cutoff(8.0, 2.0)
+
+    def _inputs(self):
+        # a full-band u: the normal form's sum reaches mode -32 of N = 64
+        grid = Grid(64)
+        u = random_real_field(grid, np.random.default_rng(0), band=31,
+                              amplitude=0.1)
+        return grid, u, multiplier_apply(u, bessel_pow(2.0))
+
+    def test_normal_form_zeroes_the_nyquist_mode(self):
+        grid, u, v = self._inputs()
+        raw = normalform.normal_form_coeffs(grid, u.spectral, v.spectral,
+                                            2.0, 1.5, self.CUTOFF)
+        nyq = grid.index_of(grid.nyquist)
+        assert abs(raw[nyq]) > 1e-3
+        w = normalform.normal_form(u, v, 2.0, 1.5, self.CUTOFF)
+        assert w.is_real
+        assert w.coefficient(grid.nyquist) == 0.0
+        raw[nyq] = 0.0
+        assert w.spectral.tobytes() == raw.tobytes()
+
+    def test_multilinear_apply_zeroes_the_nyquist_mode(self):
+        grid, u, v = self._inputs()
+        chi1 = normalform.build_chi1(2.0, 1.5, self.CUTOFF, grid)
+        smoothed = multiplier_apply(v, abs_d_pow(1.0 - 1.5))
+        raw = normalform.multilinear_coeffs(chi1, u.spectral, smoothed.spectral)
+        nyq = grid.index_of(grid.nyquist)
+        assert abs(raw[nyq]) > 1e-3
+        out = normalform.multilinear_apply(chi1, u, smoothed)
+        assert out.is_real
+        raw[nyq] = 0.0
+        assert out.spectral.tobytes() == raw.tobytes()
+
+    def test_complex_outputs_keep_the_nyquist_mode(self):
+        grid, u, v = self._inputs()
+        z = Field(grid, u.spectral)
+        raw = normalform.normal_form_coeffs(grid, z.spectral, v.spectral,
+                                            2.0, 1.5, self.CUTOFF)
+        w = normalform.normal_form(z, v, 2.0, 1.5, self.CUTOFF)
+        assert not w.is_real
+        assert w.spectral.tobytes() == raw.tobytes()

@@ -42,6 +42,17 @@ def test_grid_validation():
     assert grid.freqs.min() == -8 and grid.freqs.max() == 7
 
 
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_index_of_inverts_the_fft_order(n):
+    grid = Grid(n)
+    for i, xi in enumerate(grid.freqs):
+        assert grid.index_of(xi) == i
+        assert grid.index_of(int(xi)) == i
+    for off in (n // 2, -n // 2 - 1, 3 * n):
+        with pytest.raises(ValueError, match="not on the lattice"):
+            grid.index_of(off)
+
+
 def test_round_trip():
     grid = Grid(64)
     rng = np.random.default_rng(1234)

@@ -58,8 +58,11 @@ from .symbols import Cutoff, Symbol, column_wk_inf, cutoff_mask, regularize, \
 SMALL_DIVISOR_FLOOR = 1e-8
 SYMBOL_EXTRACTION_FLOOR = 1e-3
 TAMENESS_C = 1.0
+SMALLNESS = 0.05
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITERATIONS = 25
+CONJUGATING_TOL = 1e-8
+CHAIN_MAX_LAYERS = 8
 
 # An increment upturn counts as the differencing noise floor, not a stall,
 # only after the ladder has decayed by this factor.
@@ -164,14 +167,13 @@ def commutator_rank(grid, alpha, cutoff=None):
 class GaugeSolution:
     """A solved gauge symbol plus the numbers that certify it.
 
-    route names the solve ("explicit_formula" for the division,
-    "newton" for the exponential problems); residual_norm is the largest
-    defect of the solved equation on the cutoff support; extras holds the
-    solve's certificates and the intermediates its callers reuse.
+    residual_norm is the largest defect of the solved equation on the
+    cutoff support, iterations the Newton steps or sweeps it took (1 for
+    the division); extras holds the solve's certificates and the
+    intermediates its callers reuse.
     """
 
     p: Symbol
-    route: str
     residual_norm: float
     iterations: int
     extras: dict = dataclass_field(default_factory=dict)
@@ -202,12 +204,10 @@ def _divide(coeffs, grid, alpha, cutoff):
     return _divide_stack(coeffs, grid, alpha, cutoff)
 
 
-def _support_residual(p_coeffs, dp_coeffs, a_coeffs, grid, alpha):
-    """Max entry of (L(p) - sigma_{dt p} - sigma_a) over materializable slots."""
+def _support_residual(p_coeffs, a_coeffs, grid, alpha):
+    """Max entry of (L(p) - sigma_a) over materializable slots."""
     den = _denominator_table(grid, alpha)
     res = p_coeffs * den - a_coeffs
-    if dp_coeffs is not None:
-        res = res - dp_coeffs
     return float(np.max(np.abs(np.where(_lattice_valid(grid), res, 0.0))))
 
 
@@ -285,7 +285,7 @@ def solve_commutator(a, alpha, cutoff=None):
     p_coeffs = _divide(a_reg.coeffs, grid, alpha, cutoff)
     order_p = a_reg.order_m + 1.0 - alpha
     p = Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff)
-    residual = _support_residual(p_coeffs, None, a_reg.coeffs, grid, alpha)
+    residual = _support_residual(p_coeffs, a_reg.coeffs, grid, alpha)
     estimates = commutator_estimates(p, a_reg, alpha, cutoff)
     for name in ("transport", "xi"):
         lhs, rhs = estimates[f"{name}_lhs"], estimates[f"{name}_rhs"]
@@ -295,10 +295,9 @@ def solve_commutator(a, alpha, cutoff=None):
             )
     return GaugeSolution(
         p=p,
-        route="explicit_formula",
         residual_norm=residual,
         iterations=1,
-        extras={"estimates": estimates, "off_support_norm": 0.0},
+        extras={"estimates": estimates},
     )
 
 
@@ -468,15 +467,15 @@ def _expm(a):
     return x
 
 
-def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05,
-                        tol=NEWTON_TOL, max_iterations=NEWTON_MAX_ITERATIONS,
-                        initial=None):
+def solve_nonlinear_exp(a, alpha, cutoff=None):
     """Newton solve of F(p) = sigma_a with F(p) = -i [expm(i T_p), D].
 
     The normalization makes D_0 F the linear commutator map, so each step
     is one explicit solve_commutator division and tiny data reproduces the
     linear solution to second order.  The off-support part of the
-    commutator is reported, never driven to zero.
+    commutator is reported, never driven to zero.  M^m_0(a) must not
+    exceed SMALLNESS; Newton stops below NEWTON_TOL and gives up after
+    NEWTON_MAX_ITERATIONS steps.
 
     extras["transform"] is expm(i T_p) for the returned p: the very matrix
     the converged Newton step exponentiated, handed on so that callers do
@@ -485,13 +484,12 @@ def solve_nonlinear_exp(a, alpha, cutoff=None, smallness=0.05,
     if not alpha >= 1:
         raise ValueError(f"need alpha >= 1, got {alpha:g}")
     cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if cutoff is None else cutoff
-    return _newton_exp(a, alpha, cutoff, smallness, tol, max_iterations,
-                       initial)
+    return _newton_exp(a, alpha, cutoff)
 
 
-def _newton_exp(a, alpha, cutoff, smallness, tol, max_iterations, initial,
-                transform=None):
-    """The Newton loop of `solve_nonlinear_exp`.
+def _newton_exp(a, alpha, cutoff, initial=None, transform=None):
+    """The Newton loop of `solve_nonlinear_exp`, started from the symbol
+    initial (zero when None).
 
     transform, when given, is expm(i T_p) of the initial placement, which
     a warm-starting caller already holds; step 0 uses it instead of
@@ -500,10 +498,10 @@ def _newton_exp(a, alpha, cutoff, smallness, tol, max_iterations, initial,
     grid = a.grid
     a_reg = regularize(a, cutoff)
     measured = seminorm(a_reg, order_m=a_reg.order_m)
-    if measured > smallness:
+    if measured > SMALLNESS:
         raise SmallnessViolated(
             f"M^{a_reg.order_m:g}_0(a) = {measured:.3e} exceeds the smallness "
-            f"threshold {smallness:g}"
+            f"threshold {SMALLNESS:g}"
         )
     psi_pair = pair_mask(grid, cutoff)
     support_pairs = psi_pair > SYMBOL_EXTRACTION_FLOOR
@@ -515,7 +513,7 @@ def _newton_exp(a, alpha, cutoff, smallness, tol, max_iterations, initial,
     order_p = a_reg.order_m + 1.0 - alpha
     iterations = 0
     residual = np.inf
-    for step in range(max_iterations + 1):
+    for step in range(NEWTON_MAX_ITERATIONS + 1):
         if step or transform is None:
             p_matrix = materialize(
                 Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff), cutoff
@@ -524,12 +522,13 @@ def _newton_exp(a, alpha, cutoff, smallness, tol, max_iterations, initial,
         commutator = transform * den_pair
         r_pair = -1j * commutator - a_pair
         residual = float(np.max(np.abs(r_pair[support_pairs])))
-        if residual < tol:
+        if residual < NEWTON_TOL:
             iterations = step
             break
-        if step == max_iterations:
+        if step == NEWTON_MAX_ITERATIONS:
             raise NewtonDiverged(
-                f"residual {residual:.3e} after {max_iterations} Newton steps"
+                f"residual {residual:.3e} after {NEWTON_MAX_ITERATIONS} "
+                f"Newton steps"
             )
         r_coeffs = _extract_pairs(r_pair, grid, psi_pair)
         p_coeffs = p_coeffs - _divide(r_coeffs, grid, alpha, cutoff)
@@ -538,22 +537,21 @@ def _newton_exp(a, alpha, cutoff, smallness, tol, max_iterations, initial,
     extras = {
         "off_support_norm": float(np.max(np.abs(off_support))),
         "smallness": {
-            "threshold": smallness,
+            "threshold": SMALLNESS,
             "measured": measured,
-            "margin": smallness - measured,
+            "margin": SMALLNESS - measured,
         },
         "transform": transform,
     }
     return GaugeSolution(
         p=p,
-        route="newton",
         residual_norm=residual,
         iterations=iterations,
         extras=extras,
     )
 
 
-def _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup, tameness_c):
+def _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup):
     """Time derivatives of the transport symbol must cost alpha orders each."""
     report = {}
     stack = a_stack
@@ -561,7 +559,7 @@ def _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup, tameness_c):
         stack = _time_derivative_stack(stack, dt)
         order_j = (j + 1) * alpha - 1.0
         measured = _stack_seminorm(stack, grid, order_j)
-        bound = tameness_c * u_sup * (2.0 ** j + 1.0)
+        bound = TAMENESS_C * u_sup * (2.0 ** j + 1.0)
         report[j] = (measured, bound)
         if measured > bound:
             raise TamenessViolated(
@@ -571,8 +569,7 @@ def _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup, tameness_c):
     return report
 
 
-def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
-                      max_iterations=25, smallness=0.05, tameness_c=TAMENESS_C):
+def solve_conjugating(u_fields, dt, alpha, cutoff=None):
     """Full gauge for the paralinear transport term along a trajectory.
 
     Finds p(t) with W = expm(i T_{p(t)}) satisfying
@@ -593,6 +590,14 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
     them.  extras["off_support_norm"] is the largest |g_i| where psi
     vanishes, and extras["tameness"] the tameness check's (measured, bound)
     pair for each time derivative j = 1, 2.
+
+    The numerical settings are module constants, not options: the sweeps
+    stop once every sample's residual is below CONJUGATING_TOL and give up
+    after NEWTON_MAX_ITERATIONS sweeps, each correction ladder
+    (`_time_chain`) has at most CHAIN_MAX_LAYERS layers and drops layers
+    below CONJUGATING_TOL / 10, the per-sample Newton solves keep the
+    SMALLNESS, NEWTON_TOL and NEWTON_MAX_ITERATIONS of
+    `solve_nonlinear_exp`, and the tameness bounds scale with TAMENESS_C.
     """
     if not alpha > 2:
         raise ValueError(f"conjugating gauge needs alpha > 2, got {alpha:g}")
@@ -606,7 +611,7 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
     transport = [regularize(transport_symbol(u) * 1j, cutoff) for u in fields]
     a_stack = np.stack([s.coeffs for s in transport])
     u_sup = max(float(np.max(np.abs(u.physical()))) for u in fields)
-    tameness = _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup, tameness_c)
+    tameness = _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup)
     transport_mats = [materialize(s, cutoff).entries for s in transport]
     psi_pair = pair_mask(grid, cutoff)
     support_pairs = psi_pair > SYMBOL_EXTRACTION_FLOOR
@@ -618,8 +623,7 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
     w_stack = np.empty_like(p_stack)
     for i, sym in enumerate(transport):
         # sample i starts from p_{i-1}, whose exponential is already known
-        sol = _newton_exp(1j * sym, alpha, cutoff, smallness, NEWTON_TOL,
-                          NEWTON_MAX_ITERATIONS, guess, guess_transform)
+        sol = _newton_exp(1j * sym, alpha, cutoff, guess, guess_transform)
         guess, guess_transform = sol.p, sol.extras["transform"]
         p_stack[i] = sol.p.coeffs
         w_stack[i] = sol.extras["transform"]
@@ -627,26 +631,27 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
     iterations = 0
     residuals = None
     g_stack = None
-    for step in range(max_iterations + 1):
+    for step in range(NEWTON_MAX_ITERATIONS + 1):
         g_stack = _time_derivative_stack(w_stack, dt)
         for i, w in enumerate(w_stack):
             g_stack[i] -= w * den_pair
             g_stack[i] -= w @ transport_mats[i]
         residuals = np.max(np.abs(g_stack[:, support_pairs]), axis=1).tolist()
-        if max(residuals) < tol:
+        if max(residuals) < CONJUGATING_TOL:
             iterations = step
             break
-        if step == max_iterations:
+        if step == NEWTON_MAX_ITERATIONS:
             raise NewtonDiverged(
                 f"conjugating residual {max(residuals):.3e} after "
-                f"{max_iterations} Newton sweeps"
+                f"{NEWTON_MAX_ITERATIONS} Newton sweeps"
             )
         rhs = np.stack([
             -1j * _extract_pairs(g_stack[i], grid, psi_pair)
             for i in range(len(fields))
         ])
         correction, _, _ = _time_chain(
-            rhs, dt, grid, alpha, cutoff, order_p, j_max, tol * 0.1
+            rhs, dt, grid, alpha, cutoff, order_p, CHAIN_MAX_LAYERS,
+            CONJUGATING_TOL * 0.1
         )
         # W A feeds the diagonal pairs at second order, where the commutator
         # vanishes and the linearization is the ODE -d_t h = rhs.  Integrate
@@ -672,7 +677,6 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None, j_max=8, tol=1e-8,
         solutions.append(
             GaugeSolution(
                 p=p,
-                route="newton",
                 residual_norm=residuals[i],
                 iterations=iterations,
                 extras=extras,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NonFiniteMultiplier, SmallDivisor
 from .spectral import Field, Grid, abs_d_pow, check_same_grid, \
-    dispersion_phase, l2_norm, multiplier_values
+    dispersion_phase, multiplier_values
 from .symbols import cutoff_mask
 
 RESONANCE_FLOOR = 1e-8
@@ -245,16 +245,3 @@ def normal_form(u, v, s, alpha, cutoff):
         build_chi1(s, alpha, cutoff, grid)._real_pairing
     coeffs = normal_form_coeffs(grid, u.spectral, v.spectral, s, alpha, cutoff)
     return _output_field(grid, coeffs, is_real)
-
-
-def equivalence_constant(u, v, s, alpha, cutoff):
-    """Smallest C with C^-1 ||v||_2 <= ||w||_2 <= C ||v||_2 at this sample.
-
-    For small u the transform is a perturbation of the identity and C
-    stays close to 1; callers enforce their own threshold.
-    """
-    scale = l2_norm(v)
-    if scale == 0.0:
-        return 1.0
-    ratio = l2_norm(normal_form(u, v, s, alpha, cutoff)) / scale
-    return max(ratio, 1.0 / ratio)

@@ -93,6 +93,10 @@ class SimConfig:
             raise ValueError(f"unknown equation {self.equation!r}")
         if self.init not in INITIAL_FAMILIES:
             raise ValueError(f"unknown initial condition family {self.init!r}")
+        for name in ("amplitude", "t_end"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
         if self.dt is not None:
             if not self.dt > 0:
                 raise ValueError(f"dt must be positive, got {self.dt}")
@@ -148,7 +152,11 @@ class Trajectory:
 
 
 def initial_field(grid, name, amplitude, seed=0):
-    """The named initial-condition families, peak-normalized to amplitude."""
+    """The named initial-condition families, peak-normalized to amplitude.
+
+    `random` draws its modes 1 .. min(N/6, 24) from the seed, so below
+    N = 144 it keeps fewer modes and is different data at every N.
+    """
     x = grid.x
     if name == "cos1":
         values = np.cos(x)

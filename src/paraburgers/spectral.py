@@ -239,11 +239,6 @@ def dispersion_profile(grid, alpha):
     return dispersion_phase(grid.freqs, alpha)
 
 
-def dispersion_symbol(alpha):
-    """d_x |D|^{alpha-1}, the multiplier i*f(xi) = i*xi*|xi|^{alpha-1}."""
-    return lambda xi: 1j * dispersion_phase(xi, alpha)
-
-
 # -- norms ------------------------------------------------------------------
 
 def sobolev_norm(field, s):

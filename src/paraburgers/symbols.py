@@ -41,11 +41,6 @@ class Cutoff:
         xi = np.asarray(xi, dtype=np.float64)
         return smoothstep(np.abs(xi) - self.big_b * np.abs(eta) - self.little_b)
 
-    def compose(self, other):
-        """Cutoff governing T_a T_b supports: B'' = BB'/(B+B'+1), same b."""
-        bb = self.big_b * other.big_b / (self.big_b + other.big_b + 1.0)
-        return Cutoff(bb, min(self.little_b, other.little_b))
-
     def __eq__(self, other):
         return (
             isinstance(other, Cutoff)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from paraburgers.spectral import Field
+from paraburgers.symbols import Symbol, regularize, seminorm
 
 
 def random_real_field(grid, rng, band=None, amplitude=1.0):
@@ -31,6 +32,19 @@ def ring_field(grid, rng, lam):
         coeffs[grid.index_of(xi)] = c
         coeffs[grid.index_of(-xi)] = np.conj(c)
     return Field(grid, coeffs, is_real=True)
+
+
+def band_symbol(grid, cutoff, rng, rows=4, amplitude=1.0):
+    """Random order-zero symbol on rows 1..rows, unit regularized seminorm."""
+    coeffs = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    for eta in range(1, rows + 1):
+        for signed in (eta, -eta):
+            coeffs[grid.index_of(signed)] = (
+                rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+            )
+    sym = Symbol(grid, coeffs, order_m=0.0)
+    scale = seminorm(regularize(sym, cutoff), order_m=0.0)
+    return sym * (amplitude / scale)
 
 
 def gauss_nodes(a, b, panels=1):

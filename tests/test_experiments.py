@@ -275,7 +275,7 @@ class TestStackedConjugationCell:
         for cfg in configs:
             traj = run(cfg)
             stacked, _ = experiments._conjugation_cell(
-                traj, 2.5, CUTOFF, self.S_PROBES, experiments.ELLIPTIC_C)
+                traj, 2.5, CUTOFF, self.S_PROBES)
             reference = reference_conjugation_ratios(
                 traj, 2.5, CUTOFF, self.S_PROBES, experiments.ELLIPTIC_C)
             assert len(stacked) == 3 * len(traj.states)
@@ -286,16 +286,20 @@ class TestStackedConjugationCell:
     # 1 + 1e-12 at s = 2 of a later sample
     @pytest.mark.parametrize("elliptic_c,first_s", [(1.0, "0"),
                                                     (1.0 + 1e-12, "2")])
-    def test_ellipticity_certificate_fires_alike(self, elliptic_c, first_s):
+    def test_ellipticity_certificate_fires_alike(self, elliptic_c, first_s,
+                                                 monkeypatch):
+        monkeypatch.setattr(experiments, "ELLIPTIC_C", elliptic_c)
         configs = experiments.standard_ensemble(64, 2.5, 0.02, dt=0.002,
                                                 amplitudes=(1e-6,))
         traj = run(configs[ENSEMBLE_INDEX["bump"]])
         messages = []
-        for cell in (experiments._conjugation_cell,
-                     reference_conjugation_ratios):
-            with pytest.raises(InvariantBroken, match="ellipticity") as err:
-                cell(traj, 2.5, CUTOFF, self.S_PROBES, elliptic_c)
-            messages.append(str(err.value))
+        with pytest.raises(InvariantBroken, match="ellipticity") as err:
+            experiments._conjugation_cell(traj, 2.5, CUTOFF, self.S_PROBES)
+        messages.append(str(err.value))
+        with pytest.raises(InvariantBroken, match="ellipticity") as err:
+            reference_conjugation_ratios(traj, 2.5, CUTOFF, self.S_PROBES,
+                                         elliptic_c)
+        messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert messages[0].endswith(f"at s = {first_s}")
 
@@ -390,7 +394,35 @@ def cell(amplitude, outcome, family="cos1", alpha=1.5):
                                 lip_growth=1.0, sup_growth=1.0)
 
 
+class TestEstimateReport:
+    @pytest.mark.parametrize("top", [0.5, 1.0, 2.0, np.inf])
+    def test_verdicts_on_both_sides_of_the_envelope(self, top):
+        within = top <= 1.0
+        judged = "bounded" if within else "violated"
+        contradicted = "violated" if within else "bounded"
+        for verdict in (judged, "inconclusive"):
+            report = experiments.EstimateReport(1.0, top, 4, verdict)
+            assert report.verdict == verdict
+        with pytest.raises(ValueError, match="contradicts"):
+            experiments.EstimateReport(1.0, top, 4, contradicted)
+
+    def test_unknown_verdict(self):
+        with pytest.raises(ValueError, match="unknown verdict"):
+            experiments.EstimateReport(1.0, 0.5, 4, "fine")
+
+    def test_order_failure_report_is_violated(self):
+        # conjugation_study voids the envelope of a failed order fit
+        report = experiments.EstimateReport(0.0, np.finfo(float).tiny, 4,
+                                            "violated")
+        assert report.fitted_constant == 0.0
+
+
 class TestScans:
+    def test_nan_amplitude_is_rejected(self):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            experiments.blowup_scan("cos1", [1.5], [np.nan], n_pair=(32, 64),
+                                    t_end=0.01, dt=0.001)
+
     def test_one_cell_scan_and_its_csv(self):
         cells = experiments.blowup_scan("cos1", (1.5,), (1.0,),
                                         n_pair=(32, 64), t_end=0.05)

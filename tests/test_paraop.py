@@ -1,4 +1,7 @@
-"""Operator materialization, symbolic calculus, and order probes."""
+"""Operator materialization, the cone-band paraproduct, the adjoint
+symbol, and order probes."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,16 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from paraburgers.errors import DegenerateProbe, GridMismatch, InvariantBroken
 from paraburgers.solver import initial_field
-from paraburgers.spectral import Grid, Field, abs_d_pow, multiplier_values, \
-    sobolev_norm
+from paraburgers.spectral import Grid, Field, abs_d_pow, multiplier_values
 from paraburgers.symbols import Cutoff, Symbol, regularize, seminorm
 from paraburgers import paraop
 
 from helpers import random_real_field
 
-# Calibrated with seeds below on N in {64, 128, 256}; regression bounds.
+# Calibrated with seeds below on N in {64, 128, 256}; regression bound.
 CONTINUITY_K = 0.36
-BONY_K = 1.2
 
 
 def band_field(grid, band, rng, amplitude=0.3):
@@ -91,11 +92,14 @@ class TestMaterialize:
 
 
 class TestApply:
+    """T_a u for a field symbol a, which `paraop.paraproduct(a, u, c)`
+    computes on the cone band."""
+
     def test_mean_killed(self):
         grid = Grid(32)
         cutoff = Cutoff(8.0, 2.0)
         one = Field.from_physical(grid, np.ones(grid.n))
-        out = paraop.apply(Symbol.from_field(one), cutoff, one)
+        out = paraop.paraproduct(one, one, cutoff)
         assert np.max(np.abs(out.spectral)) == 0.0
 
     def test_cos_on_cos_all_modes_fail_cutoff(self):
@@ -105,7 +109,7 @@ class TestApply:
         coeffs[grid.index_of(1)] = 0.5
         coeffs[grid.index_of(-1)] = 0.5
         u = Field(grid, coeffs, is_real=True)
-        out = paraop.apply(Symbol.from_field(u), cutoff, u)
+        out = paraop.paraproduct(u, u, cutoff)
         assert np.max(np.abs(out.spectral)) == 0.0
 
     def test_real_in_real_out(self):
@@ -114,19 +118,20 @@ class TestApply:
         rng = np.random.default_rng(11)
         a = random_real_field(grid, rng)
         u = random_real_field(grid, rng)
-        out = paraop.apply(Symbol.from_field(a), cutoff, u)
+        out = paraop.paraproduct(a, u, cutoff)
         assert np.max(np.abs(out.physical().imag)) < 1e-12
 
     def test_grid_mismatch(self):
         cutoff = Cutoff(8.0, 2.0)
-        a = Symbol.from_field(Field.from_physical(Grid(32), np.ones(32)))
+        a = Field.from_physical(Grid(32), np.ones(32))
         u = Field.from_physical(Grid(64), np.ones(64))
         with pytest.raises(GridMismatch):
-            paraop.apply(a, cutoff, u)
+            paraop.paraproduct(a, u, cutoff)
 
     def test_unregularized_symbol_marked_regularized_raises(self):
-        # materialize refuses this symbol; apply must not silently use its
-        # unmasked coefficients instead
+        # materialize refuses this symbol instead of silently using its
+        # unmasked coefficients; the paraproduct takes the field and
+        # applies psi itself, matching the properly regularized symbol
         grid = Grid(64)
         cutoff = Cutoff(8.0, 2.0)
         u = initial_field(grid, "random", 1.0)
@@ -134,33 +139,34 @@ class TestApply:
         fake = sym.copy(cutoff=cutoff)
         with pytest.raises(InvariantBroken, match="pair mask"):
             paraop.materialize(fake, cutoff)
-        with pytest.raises(InvariantBroken, match="pair mask"):
-            paraop.apply(fake, cutoff, u)
-        np.testing.assert_array_equal(
-            paraop.apply(regularize(sym, cutoff), cutoff, u).spectral,
-            paraop.apply(sym, cutoff, u).spectral)
+        dense = paraop.materialize(regularize(sym, cutoff), cutoff).apply(u)
+        _assert_close(paraop.paraproduct(u, u, cutoff).spectral,
+                      _real_convention(grid, dense.spectral, True))
 
     @pytest.mark.parametrize("seed", range(50))
     def test_fast_path_agrees_with_dense(self, seed):
         grid = Grid(64)
         cutoff = Cutoff(8.0, 2.0)
         rng = np.random.default_rng(1000 + seed)
-        a = Symbol.from_field(random_real_field(grid, rng))
+        a = random_real_field(grid, rng)
         u = random_real_field(grid, rng)
-        dense = paraop.materialize(a, cutoff).apply(u).spectral
-        fast = paraop.apply(a, cutoff, u).spectral
+        dense = paraop.materialize(Symbol.from_field(a), cutoff).apply(u).spectral
+        fast = paraop.paraproduct(a, u, cutoff).spectral
         scale = max(np.max(np.abs(dense)), 1e-30)
         assert np.max(np.abs(dense - fast)) / scale < 1e-10
 
 
+def _fractional(b1, b2, s1, s2):
+    """Cutoff(B'', b'') with the fractional B'' = B B' / (B + B' + 1) and
+    b'' = min(b, b'), which is > 1 when B, B' >= 3."""
+    return Cutoff(b1 * b2 / (b1 + b2 + 1), min(s1, s2))
+
+
 def _cutoffs():
     integer = st.builds(Cutoff, st.integers(2, 10), st.integers(1, 4))
-    # B'' = B B' / (B + B' + 1) > 1 needs B, B' >= 3
-    composed = st.builds(
-        lambda b1, b2, s1, s2: Cutoff(b1, s1).compose(Cutoff(b2, s2)),
-        st.integers(3, 10), st.integers(3, 10),
-        st.integers(1, 4), st.integers(1, 4))
-    return st.one_of(integer, composed)
+    fractional = st.builds(_fractional, st.integers(3, 10), st.integers(3, 10),
+                           st.integers(1, 4), st.integers(1, 4))
+    return st.one_of(integer, fractional)
 
 
 def _field(grid, rng, real):
@@ -208,23 +214,6 @@ class TestConeBand:
         _assert_close(out.spectral,
                       _real_convention(grid, dense.spectral, real))
 
-    @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(["field", "profile", "regularized"]),
-           **CONE_CASES)
-    def test_apply_matches_dense(self, kind, n, cutoff, seed, real):
-        grid = Grid(n)
-        rng = np.random.default_rng(seed)
-        u, v = _field(grid, rng, real), _field(grid, rng, real)
-        if kind == "field":
-            sym = Symbol.from_field(u)
-        else:
-            sym = Symbol.from_field(u, xi_profile=lambda xi: np.cos(xi / 7.0)
-                                    + 1j * np.sin(xi / 5.0))
-        if kind == "regularized":
-            sym = regularize(sym, cutoff)
-        dense = paraop.materialize(sym, cutoff).apply(v)
-        _assert_close(paraop.apply(sym, cutoff, v).spectral, dense.spectral)
-
     @settings(max_examples=40, deadline=None)
     @given(**CONE_CASES)
     def test_exact_zeros(self, n, cutoff, seed, real):
@@ -238,27 +227,24 @@ class TestConeBand:
         # output modes satisfy |m| > b: the lowest ones are never reached
         low = np.abs(grid.freqs) <= np.floor(cutoff.little_b)
         assert not np.any(paraop.paraproduct(u, v, cutoff).spectral[low])
-        out = paraop.apply(Symbol.from_field(u), cutoff, v)
-        assert not np.any(out.spectral[low])
 
 
 # reach = floor((N/2 - b) / B) at its two ends: 0 on the smallest grid with
 # b = N/2, and 98 at the top of CONE_CASES (N = 256, B = 3*3/7, b = 1)
-WINDOW_CORNERS = [(8, Cutoff(2, 4), 0),
-                  (256, Cutoff(3, 1).compose(Cutoff(3, 1)), 98)]
+WINDOW_CORNERS = [(8, Cutoff(2, 4), 0), (256, _fractional(3, 3, 1, 1), 98)]
 
 
 class TestWindowTable:
-    """The cached window tables shared by paraproduct and apply."""
+    """The cached window table of the paraproduct."""
 
     @pytest.mark.parametrize("n, cutoff, reach", WINDOW_CORNERS)
     def test_tables_are_read_only(self, n, cutoff, reach):
         band = paraop._cone_band(Grid(n), cutoff)
-        slots = paraop._band_slots(Grid(n), band.reach)
         assert band.reach == reach
-        assert band.weights.shape == slots.shape == (n, 2 * reach + 1)
+        assert band.weights.shape == (n, 2 * reach + 1)
+        assert band.rows.shape == (2 * reach + 1,)
         assert band.weights.dtype == np.complex128
-        for table in (band.rows, band.weights, slots):
+        for table in (band.rows, band.weights):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
@@ -269,10 +255,8 @@ class TestWindowTable:
             grid, cutoff = Grid(8 + 2 * k), Cutoff(2 + k % 3, 1 + k % 2)
             u, v = random_real_field(grid, rng), random_real_field(grid, rng)
             paraop.paraproduct(u, v, cutoff)
-            paraop.apply(Symbol.from_field(u), cutoff, v)
-            for table in (paraop._cone_band, paraop._band_slots):
-                info = table.cache_info()
-                assert info.currsize <= info.maxsize
+            info = paraop._cone_band.cache_info()
+            assert info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("n, cutoff, reach", WINDOW_CORNERS)
@@ -281,15 +265,12 @@ class TestWindowTable:
         rng = np.random.default_rng(n + reach)
         u, v = _field(grid, rng, real), _field(grid, rng, real)
         low = np.abs(grid.freqs) <= np.floor(cutoff.little_b)
+        out = paraop.paraproduct(u, v, cutoff).spectral
+        assert not np.any(out[low])
         sym = Symbol.from_field(u)
-        dense = paraop.materialize(sym, cutoff).apply(v).spectral
-        outputs = ((paraop.paraproduct(u, v, cutoff).spectral,
-                    _real_convention(grid, dense, real)),
-                   (paraop.apply(sym, cutoff, v).spectral, dense),
-                   (paraop.apply(regularize(sym, cutoff), cutoff, v).spectral,
-                    dense))
-        for out, reference in outputs:
-            assert not np.any(out[low])
+        for symbol in (sym, regularize(sym, cutoff)):
+            dense = paraop.materialize(symbol, cutoff).apply(v).spectral
+            reference = _real_convention(grid, dense, real)
             assert np.max(np.abs(out - reference)) <= 1e-12 * max(
                 np.max(np.abs(reference)), 1e-300)
 
@@ -341,24 +322,21 @@ class TestHalfLattice:
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("n", [64, 256, 512])
     @pytest.mark.parametrize("cutoff", [Cutoff(8, 2), Cutoff(2.5, 1.3),
-                                        Cutoff(3, 1).compose(Cutoff(3, 1))])
-    def test_complex_table_gives_the_float_products(self, n, cutoff, real):
+                                        _fractional(3, 3, 1, 1)])
+    def test_complex_table_gives_the_float_products(self, n, cutoff, real,
+                                                     monkeypatch):
         # numpy casts a float table to complex inside the products, so
-        # storing it complex changes no bit of paraproduct or apply
+        # storing it complex changes no bit of the paraproduct
         grid = Grid(n)
         rng = np.random.default_rng(n + 2)
         u, v = _field(grid, rng, real), _field(grid, rng, real)
         band = paraop._cone_band(grid, cutoff)
-        floats = band.weights.real.copy()
-        column = u.spectral[band.rows]
-        assert (paraop._band_sum(band, band.weights, v.spectral, column,
-                                 real).tobytes()
-                == paraop._band_sum(band, floats, v.spectral, column,
-                                    real).tobytes())
-        sym = Symbol.from_field(u, xi_profile=lambda xi: np.cos(xi / 7.0)
-                                + 1j * np.sin(xi / 5.0))
-        terms = sym.coeffs.ravel()[paraop._band_slots(grid, band.reach)]
-        assert (terms * band.weights).tobytes() == (terms * floats).tobytes()
+        stored = paraop.paraproduct_coeffs(grid, u.spectral, v.spectral,
+                                           cutoff, real)
+        floats = dataclasses.replace(band, weights=band.weights.real.copy())
+        monkeypatch.setattr(paraop, "_cone_band", lambda *_: floats)
+        assert stored.tobytes() == paraop.paraproduct_coeffs(
+            grid, u.spectral, v.spectral, cutoff, real).tobytes()
 
 
 class TestSpectrumLocalisation:
@@ -386,73 +364,10 @@ class TestSpectrumLocalisation:
         inside = np.abs(grid.freqs) <= radius
         u = Field(grid, np.where(inside, rng.standard_normal(grid.n)
                                  + 1j * rng.standard_normal(grid.n), 0.0))
-        out = paraop.apply(sym, cutoff, u)
+        out = paraop.materialize(sym, cutoff).apply(u)
         bound = (1.0 + 1.0 / big_b) * radius - little_b / big_b
         bad = np.abs(grid.freqs) > bound
         assert np.max(np.abs(out.spectral[bad])) == 0.0
-
-
-class TestComposeSharp:
-    def test_rho_one_is_product(self):
-        grid = Grid(64)
-        rng = np.random.default_rng(8)
-        a = Symbol.from_field(random_real_field(grid, rng),
-                              xi_profile=lambda xi: 1.0 + 0.1 * np.abs(xi))
-        b = Symbol.from_field(random_real_field(grid, rng))
-        sharp = paraop.compose_sharp(a, b, 1)
-        np.testing.assert_allclose(sharp.coeffs, paraop.symbol_product(a, b).coeffs,
-                                   atol=1e-13)
-
-    def test_x_only_first_factor_collapses(self):
-        grid = Grid(64)
-        rng = np.random.default_rng(9)
-        a = Symbol.from_field(random_real_field(grid, rng))
-        b = Symbol.from_field(random_real_field(grid, rng),
-                              xi_profile=lambda xi: xi)
-        sharp = paraop.compose_sharp(a, b, 2)
-        np.testing.assert_allclose(sharp.coeffs, paraop.symbol_product(a, b).coeffs,
-                                   atol=1e-13)
-
-    def test_linear_symbol_two_term_closed_form(self):
-        grid = Grid(64)
-        a = Symbol.from_function(grid, lambda x, xi: np.ones_like(x) * xi)
-        b = Symbol.from_field(Field.from_physical(grid, np.cos(3 * grid.x)))
-        sharp = paraop.compose_sharp(a, b, 2)
-        ref = Symbol.from_function(
-            grid, lambda x, xi: np.cos(3 * x) * xi + 3j * np.sin(3 * x))
-        np.testing.assert_allclose(sharp.coeffs, ref.coeffs, atol=1e-13)
-
-    def test_linear_symbol_composition_exact(self):
-        # for a = xi the two-term expansion is exact: T_a T_b == T_{a#b}
-        grid = Grid(64)
-        cutoff = Cutoff(8.0, 2.0)
-        a = Symbol.from_function(grid, lambda x, xi: np.ones_like(x) * xi)
-        b = Symbol.from_field(Field.from_physical(grid, np.cos(3 * grid.x)))
-        product = paraop.materialize(a, cutoff).compose(paraop.materialize(b, cutoff))
-        sharp = paraop.materialize(paraop.compose_sharp(a, b, 2), cutoff)
-        assert (product - sharp).max_entry() < 1e-13
-
-    def test_remainder_order(self):
-        # a = u xi |xi|^{-1/2} (m = 1/2), b = v xi (m' = 1), rho = 2
-        grid = Grid(128)
-        cutoff = Cutoff(2.0, 1.0)
-        rng = np.random.default_rng(3)
-        u = band_field(grid, 3, rng)
-        v = band_field(grid, 3, rng)
-
-        def half_profile(xi):
-            out = np.zeros_like(xi)
-            nonzero = xi != 0
-            out[nonzero] = xi[nonzero] * np.abs(xi[nonzero]) ** -0.5
-            return out
-
-        a = Symbol.from_field(u, xi_profile=half_profile, order_m=0.5)
-        b = Symbol.from_field(v, xi_profile=lambda xi: xi, order_m=1.0)
-        sharp = paraop.compose_sharp(a, b, 2)
-        difference = (paraop.materialize(a, cutoff).compose(paraop.materialize(b, cutoff))
-                      - paraop.materialize(sharp, cutoff))
-        estimate = paraop.order_probe(difference)
-        assert estimate.slope <= 0.5 + 1.0 - 2.0 + 0.2
 
 
 class TestAdjointStar:
@@ -491,9 +406,9 @@ class TestAdjointStar:
         v = band_field(grid, 3, rng)
         sym = Symbol.from_field(v, xi_profile=lambda xi: xi, order_m=1.0)
         star = paraop.adjoint_star(sym, rho)
-        difference = (paraop.materialize(sym, cutoff).adjoint()
-                      - paraop.materialize(star, cutoff))
-        estimate = paraop.order_probe(difference)
+        difference = (paraop.materialize(sym, cutoff).entries.conj().T
+                      - paraop.materialize(star, cutoff).entries)
+        estimate = paraop.order_probe(paraop.OperatorMatrix(grid, difference))
         assert estimate.slope <= 1.0 - rho + 0.2
 
 
@@ -524,55 +439,13 @@ class TestOrderProbe:
         with pytest.raises(DegenerateProbe):
             paraop.order_probe(zero)
 
-    def test_callable_operator(self):
-        grid = Grid(128)
-        estimate = paraop.order_probe(lambda f: f, grid=grid)
-        assert abs(estimate.slope) < 0.05
-
-
-class TestBonyRemainder:
-    def test_zero_field(self):
-        grid = Grid(64)
-        zero = Field.from_physical(grid, np.zeros(grid.n))
-        rng = np.random.default_rng(13)
-        b = random_real_field(grid, rng)
-        remainder = paraop.bony_remainder(zero, b)
-        assert np.max(np.abs(remainder.spectral)) == 0.0
-
-    def test_cos_squared(self):
-        grid = Grid(64)
-        u = Field.from_physical(grid, np.cos(grid.x))
-        remainder = paraop.bony_remainder(u, u)
-        expected = 0.5 * (1.0 + np.cos(2 * grid.x))
-        np.testing.assert_allclose(remainder.physical(), expected, atol=1e-13)
-
-    def test_real_inputs_give_real_fields(self):
-        grid = Grid(64)
-        u = random_real_field(grid, np.random.default_rng(21))
-        assert paraop.paraproduct(u, u, Cutoff(8.0, 2.0)).is_real
-        remainder = paraop.bony_remainder(u, u)
-        assert remainder.is_real
-        assert remainder.physical().dtype == np.float64
-
-    def test_complex_input_rejected(self):
-        grid = Grid(64)
-        u = Field(grid, np.eye(grid.n)[grid.index_of(3)].astype(complex))
-        with pytest.raises(ValueError):
-            paraop.bony_remainder(u, u)
-
-    def test_smoothing_bound(self):
-        rng = np.random.default_rng(99)
-        worst = 0.0
-        for n in (128, 256):
-            grid = Grid(n)
-            for _ in range(6):
-                a = random_real_field(grid, rng, band=n // 8)
-                b = random_real_field(grid, rng, band=n // 8)
-                a = a * (1.0 / sobolev_norm(a, 2.0))
-                b = b * (1.0 / sobolev_norm(b, 2.0))
-                remainder = paraop.bony_remainder(a, b)
-                worst = max(worst, sobolev_norm(remainder, 3.5))
-        assert worst <= BONY_K
+def sobolev_operator_norm(grid, entries, s_out, s_in):
+    """L2 operator norm of a dense matrix between Sobolev spaces
+    H^{s_in} -> H^{s_out}."""
+    xi = grid.freqs.astype(np.float64)
+    w_out = (1.0 + xi ** 2) ** (s_out / 2.0)
+    w_in = (1.0 + xi ** 2) ** (-s_in / 2.0)
+    return float(np.linalg.norm(w_out[:, None] * entries * w_in[None, :], 2))
 
 
 class TestContinuity:
@@ -589,26 +462,11 @@ class TestContinuity:
                         u, xi_profile=lambda xi, m=m: (1.0 + xi ** 2) ** (m / 2.0),
                         order_m=m)
                     sym = sym * (1.0 / seminorm(sym, order_m=m, n=0, k=0))
-                    matrix = paraop.materialize(sym, cutoff)
+                    entries = paraop.materialize(sym, cutoff).entries
                     for s in (-1.0, 0.0, 2.0):
-                        worst = max(worst, matrix.operator_norm(s_out=s, s_in=s + m))
+                        worst = max(worst, sobolev_operator_norm(
+                            grid, entries, s_out=s, s_in=s + m))
         assert worst <= CONTINUITY_K
-
-
-class TestCutoffCompositionLaw:
-    def test_product_sparsity_contained(self):
-        grid = Grid(128)
-        rng = np.random.default_rng(21)
-        a = Symbol.from_field(random_real_field(grid, rng),
-                              xi_profile=lambda xi: 1.0 + 0.03 * xi ** 2)
-        b = Symbol.from_field(random_real_field(grid, rng),
-                              xi_profile=lambda xi: np.exp(1j * xi / 11.0))
-        for (b1, b2, little) in [(4.0, 4.0, 1.0), (8.0, 4.0, 2.0), (3.0, 8.0, 1.0)]:
-            product = paraop.materialize(a, Cutoff(b1, little)).compose(
-                paraop.materialize(b, Cutoff(b2, little)))
-            combined = Cutoff(b1 * b2 / (b1 + b2 + 1.0), little)
-            outside = paraop.pair_mask(grid, combined) == 0.0
-            assert np.max(np.abs(product.entries[outside])) == 0.0
 
 
 class TestDealias:

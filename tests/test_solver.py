@@ -68,6 +68,16 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="stride"):
             SimConfig(n_points=64, alpha=1.5, t_end=1.0, stride=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["amplitude", "t_end"])
+    def test_non_finite_inputs(self, name, value):
+        # a nan amplitude used to run to outcome 'none' with nan growth
+        # factors, and t_end = inf to an OverflowError in the stepping loop
+        for dt in (None, 0.01):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SimConfig(n_points=32, alpha=1.5, dt=dt,
+                          **{"t_end": 1.0, name: value})
+
     def test_defaults(self):
         cfg = SimConfig(n_points=64, alpha=1.5, t_end=1.0)
         assert cfg.equation == "full"

@@ -16,7 +16,6 @@ from paraburgers.spectral import (
     bessel_pow,
     block_profile,
     derivative,
-    dispersion_symbol,
     linf_norm,
     lp_profiles,
     multiplier_apply,
@@ -117,15 +116,6 @@ def test_derivative_multiplier():
     u = Field.from_physical(grid, np.cos(3 * grid.x))
     du = multiplier_apply(u, derivative())
     assert np.max(np.abs(du.physical() + 3 * np.sin(3 * grid.x))) <= 1e-13
-
-
-def test_dispersion_symbol_values():
-    m = dispersion_symbol(1.5)
-    xi = np.array([-4, -1, 0, 1, 4])
-    values = m(xi)
-    assert values[2] == 0
-    assert values[4] == pytest.approx(1j * 8.0)
-    assert values[0] == pytest.approx(-1j * 8.0)
 
 
 def test_negative_power_zero_mode():

@@ -17,10 +17,6 @@ class NonFiniteMultiplier(ParaburgersError):
     """A Fourier multiplier evaluated to NaN or infinity on a retained mode."""
 
 
-class DomainTooSmall(ParaburgersError):
-    """A finite-difference stencil does not fit on the frequency lattice."""
-
-
 class DegenerateProbe(ParaburgersError):
     """Order probe outputs all below the noise floor; no slope can be fit."""
 

@@ -25,8 +25,8 @@ from .gauge import (
 )
 from .normalform import normal_form_coeffs
 from .paraop import (
-    DEFAULT_CUTOFF_ARGS, OperatorMatrix, adjoint_star, dealias_product,
-    materialize, order_probe, pair_mask, product_coeffs, product_tables
+    OperatorMatrix, adjoint_star, dealias_product, materialize, order_probe,
+    pair_mask, product_coeffs, product_tables
 )
 from .solver import (
     BLOWUP_LIPSCHITZ, BLOWUP_SUP_FACTOR, SimConfig, Trajectory, _advance,
@@ -37,7 +37,7 @@ from .spectral import (
     homogeneous_sobolev_norm, l2_norm, linf_norm, multiplier_apply,
     multiplier_values, sobolev_norm, sobolev_norms
 )
-from .symbols import Cutoff, transport_symbol
+from .symbols import DEFAULT_CUTOFF, transport_symbol
 
 VERDICTS = ("bounded", "violated", "inconclusive")
 ENVELOPE_SIGMAS = 3.0
@@ -193,7 +193,7 @@ def diagnostics_csv(records, times=None):
 
 def standard_ensemble(n_points, alpha, t_end, dt=None, stride=1,
                       amplitudes=ENSEMBLE_AMPLITUDES,
-                      equation="paralinear", seed=0, cutoff=None):
+                      equation="paralinear", seed=0, cutoff=DEFAULT_CUTOFF):
     """The run grid: every initial family at every amplitude, so
     len(ENSEMBLE_FAMILIES) * len(amplitudes) members (12 by default).
 
@@ -204,7 +204,6 @@ def standard_ensemble(n_points, alpha, t_end, dt=None, stride=1,
     random member keeps min(N/6, 24) modes (`solver.initial_field`), so it
     is different data at every N below 144.
     """
-    cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if cutoff is None else cutoff
     return tuple(
         SimConfig(n_points=n_points, alpha=alpha, t_end=t_end,
                   equation=equation, cutoff=cutoff, dt=dt, init=family,
@@ -318,7 +317,7 @@ def _energy_cell(traj, s, alpha, cutoff):
     return ratios
 
 
-def energy_estimate_study(traj, s, alpha, c=None):
+def energy_estimate_study(traj, s, alpha, c=DEFAULT_CUTOFF):
     """Ratio study of the transformed unknown's energy growth.
 
     Per sample: v = <D>^s u, w = normal_form(u, v), and the ratio
@@ -332,9 +331,8 @@ def energy_estimate_study(traj, s, alpha, c=None):
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"energy study needs alpha in (1, 2), got {alpha:g}")
-    cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if c is None else c
     trajectories = _trajectories(traj)
-    per_cell = [_energy_cell(tr, float(s), float(alpha), cutoff)
+    per_cell = [_energy_cell(tr, float(s), float(alpha), c)
                 for tr in trajectories]
     ratios = [r for cell in per_cell for r in cell]
     envelope, top = _envelope_fit(ratios)
@@ -407,7 +405,7 @@ def _conjugation_cell(traj, alpha, cutoff, s_probes):
     return ratios, estimate
 
 
-def conjugation_study(traj, alpha, c=None, s_probes=(0.0, 1.0, 2.0)):
+def conjugation_study(traj, alpha, c=DEFAULT_CUTOFF, s_probes=(0.0, 1.0, 2.0)):
     """Residual study of the conjugating gauge along trajectories.
 
     Builds the gauge, forms w(t), and differences it in time against the
@@ -422,9 +420,8 @@ def conjugation_study(traj, alpha, c=None, s_probes=(0.0, 1.0, 2.0)):
         raise ValueError(
             f"conjugation study needs alpha in (2, 3), got {alpha:g}"
         )
-    cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if c is None else c
     trajectories = _trajectories(traj)
-    per_cell = [_conjugation_cell(tr, float(alpha), cutoff, tuple(s_probes))
+    per_cell = [_conjugation_cell(tr, float(alpha), c, tuple(s_probes))
                 for tr in trajectories]
     ratios = [r for cell, _ in per_cell for r in cell]
     orders = [est.slope for _, est in per_cell if est is not None]
@@ -513,8 +510,13 @@ def blowup_scan(family, alpha_list, amplitude_list, n_pair=(512, 1024),
     Every cell picks its own step on each grid (`default_dt` unless dt is
     given), and all cells of one grid advance together as the rows of
     one stacked integration, one RK4 loop per grid; a row leaves the
-    stack when its run ends or trips.
+    stack when its run ends or trips.  Growth is measured against the
+    initial field, so a zero amplitude, which leaves nothing to classify,
+    raises ValueError.
     """
+    if 0.0 in amplitude_list:
+        raise ValueError("amplitude 0 gives a zero field, whose growth "
+                         "cannot be classified")
     coarse_n, fine_n = n_pair
     cells = [(alpha, amplitude) for alpha in alpha_list
              for amplitude in amplitude_list]

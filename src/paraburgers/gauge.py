@@ -48,13 +48,14 @@ from .errors import (
     SmallnessViolated,
     TamenessViolated,
 )
-from .paraop import DEFAULT_CUTOFF_ARGS, gather_pairs, materialize, pair_mask, \
-    scatter_pairs
+from .paraop import gather_pairs, materialize, pair_mask, scatter_pairs
 from .spectral import dispersion_phase, dispersion_profile
-from .symbols import Cutoff, Symbol, column_wk_inf, cutoff_mask, regularize, \
-    seminorm, seminorm_table, transport_symbol, x_derivative, \
+from .symbols import DEFAULT_CUTOFF, Symbol, column_sup, cutoff_mask, \
+    regularize, seminorm, stack_seminorm, transport_symbol, x_derivative, \
     xi_forward_difference
 
+# Read when `_division_table` builds a (grid, alpha, cutoff) table; a
+# table already cached keeps the floor it was built under.
 SMALL_DIVISOR_FLOOR = 1e-8
 SYMBOL_EXTRACTION_FLOOR = 1e-3
 TAMENESS_C = 1.0
@@ -139,19 +140,17 @@ def _division_zone(grid, cutoff):
     return mask & eta_nonzero & _lattice_valid(grid)
 
 
-def ellipticity_bracket(grid, alpha, cutoff=None):
+def ellipticity_bracket(grid, alpha, cutoff=DEFAULT_CUTOFF):
     """(min, max) of |den| / (|eta| max(|xi|,|xi+eta|)^(alpha-1)) on support."""
-    cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if cutoff is None else cutoff
     zone = _division_zone(grid, cutoff)
     ratios = np.abs(_denominator_table(grid, alpha)[zone]) / _resonance_scale(grid, alpha)[zone]
     return float(np.min(ratios)), float(np.max(ratios))
 
 
-def commutator_rank(grid, alpha, cutoff=None):
+def commutator_rank(grid, alpha, cutoff=DEFAULT_CUTOFF):
     """Counts behind the uniqueness statement: on the support the discrete
     commutator map is diagonal with entries den(eta, xi), so its kernel is
     exactly the set of support slots where den vanishes."""
-    cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if cutoff is None else cutoff
     support = (cutoff_mask(grid, cutoff) > 0.0) & _lattice_valid(grid)
     den = _denominator_table(grid, alpha)
     eta_zero = grid.freqs[:, None] == 0
@@ -179,20 +178,17 @@ class GaugeSolution:
     extras: dict = dataclass_field(default_factory=dict)
 
 
-def _divide_stack(stack, grid, alpha, cutoff):
-    """a_hat / den on the division zone, zero elsewhere; leading axes of
-    stack are samples."""
+@functools.lru_cache(maxsize=16)
+def _division_table(grid, alpha, cutoff):
+    """(zone, den set to 1 off the zone) for `_divide`.
+
+    The small-divisor guard runs here: a zone slot with |den| below
+    SMALL_DIVISOR_FLOOR of its elliptic scale raises SmallDivisor, so no
+    table is cached and every later division raises again.
+    """
     zone = _division_zone(grid, cutoff)
     den = _denominator_table(grid, alpha)
-    return np.where(zone, stack / np.where(zone, den, 1.0), 0.0)
-
-
-def _divide(coeffs, grid, alpha, cutoff):
-    """_divide_stack behind the small-divisor guard."""
-    zone = _division_zone(grid, cutoff)
-    den = _denominator_table(grid, alpha)
-    scale = _resonance_scale(grid, alpha)
-    tiny = zone & (np.abs(den) < SMALL_DIVISOR_FLOOR * scale)
+    tiny = zone & (np.abs(den) < SMALL_DIVISOR_FLOOR * _resonance_scale(grid, alpha))
     if np.any(tiny):
         eta_idx, xi_idx = np.nonzero(tiny)
         eta = int(grid.freqs[eta_idx[0]])
@@ -201,7 +197,17 @@ def _divide(coeffs, grid, alpha, cutoff):
             f"|den({eta}, {xi})| below {SMALL_DIVISOR_FLOOR} of its elliptic "
             f"scale; the cutoff does not separate frequencies"
         )
-    return _divide_stack(coeffs, grid, alpha, cutoff)
+    den = np.where(zone, den, 1.0)
+    zone.setflags(write=False)
+    den.setflags(write=False)
+    return zone, den
+
+
+def _divide(stack, grid, alpha, cutoff):
+    """a_hat / den on the division zone, zero elsewhere; leading axes of
+    stack are samples."""
+    zone, den = _division_table(grid, alpha, cutoff)
+    return np.where(zone, stack / den, 0.0)
 
 
 def _support_residual(p_coeffs, a_coeffs, grid, alpha):
@@ -223,7 +229,7 @@ def _homogeneous_sup(symbol, weight_order, difference=False):
     else:
         coeffs, base = symbol.coeffs, symbol.grid.freqs
     keep = base != 0
-    norms = column_wk_inf(symbol.grid, coeffs[:, keep], 0)
+    norms = column_sup(symbol.grid, coeffs[:, keep])
     weights = np.abs(base[keep]).astype(np.float64) ** (-float(weight_order))
     return float(np.max(norms * weights))
 
@@ -270,7 +276,7 @@ def commutator_estimates(p, a_reg, alpha, cutoff):
     }
 
 
-def solve_commutator(a, alpha, cutoff=None):
+def solve_commutator(a, alpha, cutoff=DEFAULT_CUTOFF):
     """Solve Op(p) D - D Op(p) = Op(a) for p on the cutoff support.
 
     The eta = 0 rows of a cannot be matched (they are the kernel of the
@@ -279,7 +285,6 @@ def solve_commutator(a, alpha, cutoff=None):
     """
     if not alpha >= 1:
         raise ValueError(f"need alpha >= 1, got {alpha:g}")
-    cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if cutoff is None else cutoff
     grid = a.grid
     a_reg = regularize(a, cutoff)
     p_coeffs = _divide(a_reg.coeffs, grid, alpha, cutoff)
@@ -301,7 +306,7 @@ def solve_commutator(a, alpha, cutoff=None):
     )
 
 
-def cole_hopf_parametrix(a, alpha, cutoff=None):
+def cole_hopf_parametrix(a, alpha, cutoff=DEFAULT_CUTOFF):
     """E(a) = (|xi|^(1-alpha) / alpha) d_x^{-1} sigma_a.
 
     The x-antiderivative zeroes the eta = 0 row (P_0 of d_x^{-1} is zero by
@@ -309,17 +314,15 @@ def cole_hopf_parametrix(a, alpha, cutoff=None):
     """
     if not alpha > 1:
         raise ValueError(f"parametrix needs alpha > 1, got {alpha:g}")
-    cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if cutoff is None else cutoff
     grid = a.grid
     a_reg = regularize(a, cutoff)
     coeffs = _cole_hopf_weight(grid, alpha) * a_reg.coeffs
     return Symbol(grid, coeffs, order_m=a_reg.order_m + 1.0 - alpha, cutoff=cutoff)
 
 
-def parametrix_remainder(a, alpha, cutoff=None):
+def parametrix_remainder(a, alpha, cutoff=DEFAULT_CUTOFF):
     """r(a) = a + L(E(a)): the part of a that -E leaves unsolved, of size
     O(1/B) on the cutoff support."""
-    cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if cutoff is None else cutoff
     grid = a.grid
     a_reg = regularize(a, cutoff)
     e = cole_hopf_parametrix(a_reg, alpha, cutoff)
@@ -382,23 +385,23 @@ def _time_chain(a_stack, dt, grid, alpha, cutoff, order_p, j_max, tol):
     genuine plateau, and a second one in a row stops the chain too.  No
     stop raises: the sum so far is returned, and the Newton sweep that
     called us reads the residual it leaves.
+
+    Returns (total, increments): the summed (samples, N, N) stack, and
+    the M^{order_p} stack reading of each correction layer that joined it,
+    in order.  Layer zero is not among them.
     """
-    layer = _divide_stack(a_stack, grid, alpha, cutoff)
+    layer = _divide(a_stack, grid, alpha, cutoff)
     total = layer.copy()
     increments = []
-    ratios = []
     stall_run = 0
     for _ in range(j_max):
-        d_layer = _time_derivative_stack(layer, dt)
-        layer_size = _stack_seminorm(layer, grid, order_p)
-        ratio = 0.0
-        if layer_size > 0.0:
-            ratio = _stack_seminorm(d_layer, grid, order_p) / layer_size
-        candidate = _divide_stack(d_layer, grid, alpha, cutoff)
-        inc = _stack_seminorm(candidate, grid, order_p)
+        candidate = _divide(_time_derivative_stack(layer, dt), grid, alpha,
+                            cutoff)
+        inc = stack_seminorm(grid, candidate, order_p)
         if inc < tol:
             break
-        prev = increments[-1] if increments else layer_size
+        prev = increments[-1] if increments else \
+            stack_seminorm(grid, layer, order_p)
         if prev > 0.0 and inc >= _DIVERGENT_TAIL * prev:
             break
         if increments and inc >= 0.95 * increments[-1]:
@@ -412,13 +415,7 @@ def _time_chain(a_stack, dt, grid, alpha, cutoff, order_p, j_max, tol):
         total += candidate
         layer = candidate
         increments.append(inc)
-        ratios.append(ratio)
-    return total, increments, ratios
-
-
-def _stack_seminorm(stack, grid, order_m):
-    """max over samples of M^m(a_i; 0, 0), one batched iFFT for the stack."""
-    return seminorm_table(grid, stack, order_m)[(0, 0)]
+    return total, increments
 
 
 def _extract_pairs(entries, grid, psi_pair):
@@ -467,7 +464,7 @@ def _expm(a):
     return x
 
 
-def solve_nonlinear_exp(a, alpha, cutoff=None):
+def solve_nonlinear_exp(a, alpha, cutoff=DEFAULT_CUTOFF):
     """Newton solve of F(p) = sigma_a with F(p) = -i [expm(i T_p), D].
 
     The normalization makes D_0 F the linear commutator map, so each step
@@ -483,7 +480,6 @@ def solve_nonlinear_exp(a, alpha, cutoff=None):
     """
     if not alpha >= 1:
         raise ValueError(f"need alpha >= 1, got {alpha:g}")
-    cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if cutoff is None else cutoff
     return _newton_exp(a, alpha, cutoff)
 
 
@@ -558,7 +554,7 @@ def _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup):
     for j in (1, 2):
         stack = _time_derivative_stack(stack, dt)
         order_j = (j + 1) * alpha - 1.0
-        measured = _stack_seminorm(stack, grid, order_j)
+        measured = stack_seminorm(grid, stack, order_j)
         bound = TAMENESS_C * u_sup * (2.0 ** j + 1.0)
         report[j] = (measured, bound)
         if measured > bound:
@@ -569,7 +565,7 @@ def _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup):
     return report
 
 
-def solve_conjugating(u_fields, dt, alpha, cutoff=None):
+def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
     """Full gauge for the paralinear transport term along a trajectory.
 
     Finds p(t) with W = expm(i T_{p(t)}) satisfying
@@ -601,7 +597,6 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None):
     """
     if not alpha > 2:
         raise ValueError(f"conjugating gauge needs alpha > 2, got {alpha:g}")
-    cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS) if cutoff is None else cutoff
     fields = list(u_fields)
     if len(fields) < 5:
         raise ValueError(f"need >= 5 trajectory samples, got {len(fields)}")
@@ -649,7 +644,7 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=None):
             -1j * _extract_pairs(g_stack[i], grid, psi_pair)
             for i in range(len(fields))
         ])
-        correction, _, _ = _time_chain(
+        correction, _ = _time_chain(
             rhs, dt, grid, alpha, cutoff, order_p, CHAIN_MAX_LAYERS,
             CONJUGATING_TOL * 0.1
         )

@@ -344,5 +344,3 @@ def dealias_product(u, v):
     return Field(grid, product_coeffs(grid, u.spectral, v.spectral, real),
                  all(real), _validate=False)
 
-
-DEFAULT_CUTOFF_ARGS = (8.0, 2.0)

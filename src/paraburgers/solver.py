@@ -55,11 +55,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantBroken, NanDetected, SpectrumOverflow
-from .paraop import DEFAULT_CUTOFF_ARGS, paraproduct_coeffs, \
-    product_coeffs, product_tables
+from .paraop import paraproduct_coeffs, product_coeffs, product_tables
 from .spectral import Field, Grid, dispersion_profile, \
     homogeneous_sobolev_norm, linf_norm
-from .symbols import Cutoff
+from .symbols import DEFAULT_CUTOFF, Cutoff
 
 EQUATIONS = ("full", "paralinear")
 INITIAL_FAMILIES = ("cos1", "cos_mix", "bump", "random")
@@ -78,7 +77,7 @@ class SimConfig:
     alpha: float
     t_end: float
     equation: str = "full"
-    cutoff: Cutoff = Cutoff(*DEFAULT_CUTOFF_ARGS)
+    cutoff: Cutoff = DEFAULT_CUTOFF
     dt: float = None
     dealias: bool = True
     init: str = "cos1"
@@ -260,12 +259,17 @@ def step(state, cfg, dt=None, nonlinear=True):
 
 def default_dt(cfg, state):
     """Resolution default 0.5 (N/2)^-alpha 2 pi, halved until one step and
-    two half steps agree to the step-doubling tolerance."""
+    two half steps agree to the step-doubling tolerance.  A trial step that
+    leaves non-finite coefficients fails the test."""
     h = 0.5 * (state.grid.n / 2.0) ** (-cfg.alpha) * 2.0 * np.pi
     for _ in range(20):
-        coarse = step(state, cfg, dt=h)
-        fine = step(step(state, cfg, dt=0.5 * h), cfg, dt=0.5 * h)
-        gap = float(np.max(np.abs(coarse.spectral - fine.spectral)))
+        try:
+            coarse = step(state, cfg, dt=h)
+            fine = step(step(state, cfg, dt=0.5 * h), cfg, dt=0.5 * h)
+        except NanDetected:
+            gap = np.inf
+        else:
+            gap = float(np.max(np.abs(coarse.spectral - fine.spectral)))
         if gap <= STEP_DOUBLING_TOL:
             break
         h *= 0.5

@@ -1,4 +1,4 @@
-"""Symbols a(x, xi) on the grid, admissible cutoffs, and seminorms.
+"""Symbols a(x, xi) on the grid, admissible cutoffs, and the seminorm.
 
 A symbol is stored by its x-Fourier coefficients a_hat(eta, xi) on the
 (eta, xi) lattice, both axes in FFT order.  The cutoff
@@ -8,20 +8,23 @@ A symbol is stored by its x-Fourier coefficients a_hat(eta, xi) on the
 vanishes for |xi| < B|eta| + b and equals one for |xi| > B|eta| + b + 1.
 With integer B and b the transition band misses the integer lattice, so
 lattice masks are exactly 0/1 and regularization is an exact projection.
+`DEFAULT_CUTOFF`, Cutoff(8, 2), is the cutoff of every entry point that
+is not handed one.
 
-Seminorms follow the operator-norm convention
+The package reads one seminorm, in the operator-norm convention
 
-    M^m(a; k, n) = sup_{j<=k} sup_{xi != 0} (1+|xi|)^{-(m-j)}
-                   * || Delta_xi^j a(., xi) ||_{W^{n,inf}}
+    M^m(a) = sup_{xi != 0} (1+|xi|)^{-m} sup_x |a(x, xi)|,
 
-with forward differences Delta_xi on the integer lattice.
+which serves the gauge's smallness guard, its tameness check and the
+increments of its correction ladder.  The gauge's commutator estimates
+(`gauge.commutator_estimates`) weigh columns by |xi|^{-m} instead and
+take forward differences Delta_xi on the integer lattice.
 """
 
 import functools
 
 import numpy as np
 
-from .errors import DomainTooSmall
 from .spectral import smoothstep
 
 
@@ -53,6 +56,9 @@ class Cutoff:
 
     def __repr__(self):
         return f"Cutoff(B={self.big_b:g}, b={self.little_b:g})"
+
+
+DEFAULT_CUTOFF = Cutoff(8.0, 2.0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -149,86 +155,36 @@ def x_derivative(symbol, order=1):
     return symbol.copy(coeffs=factor * symbol.coeffs)
 
 
-def monotone_order(grid):
-    """Indices that sort FFT-ordered axes into increasing frequency."""
-    return np.argsort(grid.freqs, kind="stable")
-
-
 def xi_forward_difference(symbol, order=1):
     """Forward difference in xi; columns past the lattice edge are dropped.
 
     Returns (coeffs, base_freqs): coeffs has one column per base frequency
     xi with xi ... xi+order all on the lattice, in increasing order of xi.
     """
-    return _xi_difference(symbol.grid, symbol.coeffs, order)
-
-
-def _xi_difference(grid, coeffs, order):
-    """xi_forward_difference on coefficients; leading axes are samples."""
-    out = coeffs[..., monotone_order(grid)]
+    grid = symbol.grid
+    out = symbol.coeffs[..., np.argsort(grid.freqs, kind="stable")]
     for _ in range(order):
         out = out[..., 1:] - out[..., :-1]
-    base = np.sort(grid.freqs)[: grid.n - order]
-    return out, base
+    return out, np.sort(grid.freqs)[: grid.n - order]
 
 
-def _column_wk_ladder(grid, coeffs, n_max):
-    """W^{n,inf} norms of each column for n = 0 .. n_max, one iFFT per n.
-
-    The block's eta axis is the second to last; leading axes are samples.
-    """
-    totals = []
-    total = np.zeros(coeffs.shape[:-2] + coeffs.shape[-1:])
-    eta = 1j * grid.freqs.astype(np.float64)[:, None]
-    block = coeffs
-    for n in range(n_max + 1):
-        if n:
-            block = block * eta
-        values = np.fft.ifft(block, axis=-2)
-        values *= grid.n
-        total = total + np.max(np.abs(values), axis=-2)
-        totals.append(total)
-    return totals
+def column_sup(grid, coeffs):
+    """sup_x |a(x, xi)| of each column of (..., N, N) coefficient stacks;
+    the eta axis is the second to last, leading axes are samples."""
+    values = np.fft.ifft(coeffs, axis=-2)
+    values *= grid.n
+    return np.max(np.abs(values), axis=-2)
 
 
-def column_wk_inf(grid, coeffs, n):
-    """W^{n,inf} norm of each column of an (eta, column) coefficient block."""
-    return _column_wk_ladder(grid, coeffs, n)[-1]
+def stack_seminorm(grid, coeffs, order_m):
+    """M^m over (..., N, N) coefficient stacks: the max over the samples
+    of M^m(a_i), from one batched inverse FFT."""
+    keep = grid.freqs != 0
+    weights = (1.0 + np.abs(grid.freqs[keep])) ** (-float(order_m))
+    return float(np.max(column_sup(grid, coeffs)[..., keep] * weights))
 
 
-def seminorm_table(grid, coeffs, order_m, k_max=0, n_max=0):
-    """Every entry M^m(a; k, n) with k <= k_max, n <= n_max, as a dict.
-
-    Entry (k, n) is the running max over j <= k of the weighted W^{n,inf}
-    norms of Delta_xi^j a, so one iFFT per distinct (Delta_xi^j, eta^l)
-    block serves the whole table.  Leading axes of coeffs are samples;
-    the sup then runs over them too.
-    """
-    if k_max > grid.n // 4:
-        raise DomainTooSmall(
-            f"{k_max} xi-differences need more lattice than n={grid.n} offers"
-        )
-    m = float(order_m)
-    best = [0.0] * (n_max + 1)
-    table = {}
-    for j in range(k_max + 1):
-        # the sup ignores column order, so j = 0 reads the columns in place;
-        # columns are independent, so xi = 0 is dropped from the norms
-        if j == 0:
-            diffs, base = coeffs, grid.freqs
-        else:
-            diffs, base = _xi_difference(grid, coeffs, j)
-        keep = base != 0
-        if np.any(keep):
-            weights = (1.0 + np.abs(base[keep])) ** (-(m - j))
-            for n, norms in enumerate(_column_wk_ladder(grid, diffs, n_max)):
-                best[n] = max(best[n], float(np.max(norms[..., keep] * weights)))
-        for n in range(n_max + 1):
-            table[(j, n)] = best[n]
-    return table
-
-
-def seminorm(symbol, order_m=None, n=0, k=0):
-    """Single seminorm entry M^m(a; k, n); see the module docstring."""
-    m = symbol.order_m if order_m is None else float(order_m)
-    return seminorm_table(symbol.grid, symbol.coeffs, m, k_max=k, n_max=n)[(k, n)]
+def seminorm(symbol, order_m=None):
+    """M^m(a), see the module docstring; m defaults to the symbol's order."""
+    m = symbol.order_m if order_m is None else order_m
+    return stack_seminorm(symbol.grid, symbol.coeffs, m)

@@ -15,16 +15,16 @@ from paraburgers.gauge import (
     _expm, _time_derivative_stack, solve_conjugating, solve_nonlinear_exp
 )
 from paraburgers.normalform import build_chi1
-from paraburgers.paraop import DEFAULT_CUTOFF_ARGS, OperatorMatrix, \
-    dealias_product, gather_pairs, materialize, order_probe
+from paraburgers.paraop import OperatorMatrix, dealias_product, \
+    gather_pairs, materialize, order_probe
 from paraburgers.solver import SimConfig, initial_field, run
 from paraburgers.spectral import Field, Grid, abs_d_pow, bessel_pow, \
     derivative, dispersion_profile, linf_norm, multiplier_apply, sobolev_norm
-from paraburgers.symbols import Cutoff, transport_symbol
+from paraburgers.symbols import DEFAULT_CUTOFF, transport_symbol
 
 from helpers import dense_multilinear, gauss_nodes
 
-CUTOFF = Cutoff(*DEFAULT_CUTOFF_ARGS)
+CUTOFF = DEFAULT_CUTOFF
 
 # energy_estimate_study(ensemble at amplitude 1e-5, s = 2, alpha), with the
 # ensemble run at N = 32, alpha = 1.5, t_end = 0.02, dt = 0.002
@@ -422,6 +422,20 @@ class TestScans:
         with pytest.raises(ValueError, match="amplitude must be finite"):
             experiments.blowup_scan("cos1", [1.5], [np.nan], n_pair=(32, 64),
                                     t_end=0.01, dt=0.001)
+
+    def test_zero_amplitude_is_rejected(self):
+        with pytest.raises(ValueError, match="amplitude 0"):
+            experiments.blowup_scan("cos1", [1.5], [1.0, 0.0], n_pair=(32, 64),
+                                    t_end=0.01, dt=0.001)
+
+    @pytest.mark.parametrize("dt", [None, 0.001])
+    def test_overflowing_amplitude_reads_sup_norm(self, dt):
+        # the default step's trials overflow too; they halve the step
+        # instead of raising NanDetected out of the scan
+        with np.errstate(all="ignore"):
+            cells = experiments.blowup_scan("cos1", [1.5], [1e160],
+                                            n_pair=(32, 64), t_end=0.01, dt=dt)
+        assert [cell.outcome for cell in cells] == ["sup_norm"]
 
     def test_one_cell_scan_and_its_csv(self):
         cells = experiments.blowup_scan("cos1", (1.5,), (1.0,),

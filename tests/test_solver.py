@@ -213,6 +213,20 @@ class TestDefaultDt:
         fine = step(step(state, cfg, dt=0.5 * h), cfg, dt=0.5 * h)
         assert np.max(np.abs(coarse.spectral - fine.spectral)) <= 1e-8
 
+    def test_non_finite_trial_step_halves_the_step(self):
+        # every trial overflows at amplitude 1e160, so all 20 halvings run
+        cfg = SimConfig(n_points=32, alpha=1.5, t_end=0.01, amplitude=1e160)
+        state = initial_field(Grid(32), "cos1", 1e160)
+        with np.errstate(all="ignore"):
+            h = default_dt(cfg, state)
+        assert h == 0.5 * 16.0 ** -1.5 * 2.0 * np.pi * 0.5 ** 20
+
+    def test_run_with_default_step_reports_non_finite_blowup(self):
+        with np.errstate(all="ignore"):
+            traj = run(SimConfig(32, 1.5, t_end=0.01, amplitude=1e160))
+        assert traj.blowup == "nan"
+        assert len(traj.states) == 1
+
 
 class TestRun:
     def test_recording_and_stride(self):

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paraburgers.errors import DomainTooSmall
 from paraburgers.spectral import Field, Grid
 from paraburgers.symbols import (
     Cutoff,
     Symbol,
     cutoff_mask,
     regularize,
+    column_sup,
     seminorm,
-    seminorm_table,
     transport_symbol,
     x_derivative,
     xi_forward_difference,
@@ -141,79 +140,57 @@ def test_seminorm_multiplier_xi():
     a = Symbol.from_function(grid, lambda x, xi: xi + 0.0 * x, order_m=1.0)
     lattice = np.abs(np.sort(grid.freqs))
     expected = np.max(lattice / (1.0 + lattice))
-    assert seminorm(a, 1.0, n=0, k=0) == pytest.approx(expected, rel=1e-12)
-    # first forward difference of xi is exactly one
-    assert seminorm(a, 1.0, n=0, k=1) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_seminorm_transport_cosine():
-    grid = Grid(64)
-    u = Field.from_physical(grid, np.cos(grid.x))
-    a = transport_symbol(u)
-    expected = 2.0 * (32.0 / 33.0)
-    assert seminorm(a, 1.0, n=1, k=0) == pytest.approx(expected, rel=1e-12)
+    assert seminorm(a, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_seminorm_homogeneity():
     grid = Grid(32)
     rng = np.random.default_rng(8)
     a = transport_symbol(random_real_field(grid, rng))
-    base = seminorm(a, 1.0, n=0, k=1)
-    scaled = seminorm(a * 3.0, 1.0, n=0, k=1)
+    base = seminorm(a, 1.0)
+    scaled = seminorm(a * 3.0, 1.0)
     assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
 
-def test_seminorm_monotone_in_indices():
-    grid = Grid(32)
-    rng = np.random.default_rng(9)
-    a = transport_symbol(random_real_field(grid, rng))
-    table = seminorm_table(grid, a.coeffs, 1.0, k_max=2, n_max=2)
-    for k in range(2):
-        for n in range(3):
-            assert table[(k, n)] <= table[(k + 1, n)] + 1e-14
-    for k in range(3):
-        for n in range(2):
-            assert table[(k, n)] <= table[(k, n + 1)] + 1e-14
+def loop_column_sups(grid, coeffs):
+    """sup_x |a(x, xi)| column by column, one 1-D inverse FFT each."""
+    return np.array([np.max(np.abs(np.fft.ifft(coeffs[:, col]) * grid.n))
+                     for col in range(grid.n)])
 
 
-def loop_seminorm(symbol, m, n, k):
-    """M^m(a; k, n) as a plain loop: one iFFT per difference and derivative."""
+def loop_seminorm(symbol, m):
+    """M^m(a) as a plain loop over the columns xi != 0."""
     grid = symbol.grid
-    eta = 1j * grid.freqs.astype(np.float64)[:, None]
+    sups = loop_column_sups(grid, symbol.coeffs)
     best = 0.0
-    for j in range(k + 1):
-        coeffs, base = xi_forward_difference(symbol, j)
-        keep = base != 0
-        block = coeffs[:, keep]
-        total = np.zeros(block.shape[1])
-        for _ in range(n + 1):
-            total += np.max(np.abs(np.fft.ifft(block, axis=0) * grid.n), axis=0)
-            block = block * eta
-        weights = (1.0 + np.abs(base[keep])) ** (-(m - j))
-        best = max(best, float(np.max(total * weights)))
+    for col, xi in enumerate(grid.freqs):
+        if xi != 0:
+            best = max(best, float(sups[col] * (1.0 + abs(float(xi))) ** (-m)))
     return best
 
 
-@pytest.mark.parametrize("k_max, n_max", [(1, 1), (2, 2), (0, 2), (2, 0)])
 @pytest.mark.parametrize("n", [16, 32, 64])
-def test_seminorm_report_is_each_seminorm_exactly(n, k_max, n_max):
+def test_column_sup_is_each_columns_sup_exactly(n):
     grid = Grid(n)
-    rng = np.random.default_rng(n + 10 * k_max + n_max)
+    rng = np.random.default_rng(n)
+    stack = (rng.standard_normal((3, 2, n, n))
+             + 1j * rng.standard_normal((3, 2, n, n)))
+    sups = column_sup(grid, stack)
+    assert sups.shape == (3, 2, n)
+    for idx in np.ndindex(3, 2):
+        np.testing.assert_array_equal(sups[idx],
+                                      loop_column_sups(grid, stack[idx]))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_seminorm_is_the_loop_seminorm_exactly(n):
+    grid = Grid(n)
+    rng = np.random.default_rng(n + 1)
     a = Symbol(grid, rng.standard_normal((n, n))
                + 1j * rng.standard_normal((n, n)), order_m=0.7)
-    table = seminorm_table(grid, a.coeffs, 0.7, k_max=k_max, n_max=n_max)
-    assert set(table) == {(k, m) for k in range(k_max + 1)
-                          for m in range(n_max + 1)}
-    for (k, m), value in table.items():
-        assert value == seminorm(a, n=m, k=k)
-        assert value == loop_seminorm(a, 0.7, m, k)
-
-
-def test_seminorm_domain_too_small():
-    grid = Grid(16)
-    a = Symbol.from_function(grid, lambda x, xi: xi)
-    with pytest.raises(DomainTooSmall):
-        seminorm(a, 1.0, n=0, k=5)
+    assert seminorm(a) == loop_seminorm(a, 0.7)
+    for m in (-0.5, 0.0, 2.5):
+        assert seminorm(a, m) == loop_seminorm(a, m)
 
 
 def test_xi_forward_difference_bases():

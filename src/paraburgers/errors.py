@@ -46,4 +46,5 @@ class InvariantBroken(ParaburgersError, RuntimeError):
 
 
 class NanDetected(ParaburgersError):
-    """A time step produced a non-finite coefficient."""
+    """A non-finite value: a time step's coefficients, or the input of a
+    matrix exponential."""

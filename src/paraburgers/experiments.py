@@ -41,6 +41,7 @@ from .symbols import DEFAULT_CUTOFF, transport_symbol
 
 VERDICTS = ("bounded", "violated", "inconclusive")
 ENVELOPE_SIGMAS = 3.0
+S_PROBES = (0.0, 1.0, 2.0)
 HERMITIAN_TOL = 1e-9
 SKEW_TOL = 1e-8
 EQUIVALENCE_BOUND = 2.0
@@ -134,12 +135,13 @@ def _sample_spacing(times):
 
 
 def _trajectories(traj):
-    if isinstance(traj, Trajectory):
-        return [traj]
-    return list(traj)
+    trajectories = [traj] if isinstance(traj, Trajectory) else list(traj)
+    if not trajectories:
+        raise ValueError("a study needs at least one trajectory")
+    return trajectories
 
 
-def _envelope_fit(ratios, sigmas=ENVELOPE_SIGMAS):
+def _envelope_fit(ratios):
     """(envelope, max) of a ratio sample; zeros stay out of the log fit."""
     ratios = np.asarray(list(ratios), dtype=np.float64)
     top = float(np.max(ratios)) if ratios.size else 0.0
@@ -147,7 +149,7 @@ def _envelope_fit(ratios, sigmas=ENVELOPE_SIGMAS):
     if positive.size == 0:
         return 0.0, top
     logs = np.log(positive)
-    envelope = float(np.exp(np.mean(logs) + sigmas * np.std(logs)))
+    envelope = float(np.exp(np.mean(logs) + ENVELOPE_SIGMAS * np.std(logs)))
     return envelope, top
 
 
@@ -277,13 +279,12 @@ def _energy_cell(traj, s, alpha, cutoff):
     one (T, N) coefficient stack.
 
     Each row gets the arithmetic of a lone sample: v = <D>^s u, w, their
-    norms, and the weight ||d_x |D|^(1-alpha) (u^2)||_inf ||v||.  The
-    stack is read as real when every state is marked real.
+    norms, and the weight ||d_x |D|^(1-alpha) (u^2)||_inf ||v||, read
+    from the real part of the inverse transform, as the states are real.
     """
     h = _sample_spacing(traj.times)
     states = traj.states
     grid = states[0].grid
-    real = all(u.is_real for u in states)
     u_stack = np.stack([u.spectral for u in states])
     v_stack = multiplier_values(grid, bessel_pow(s)) * u_stack
     w_stack = normal_form_coeffs(grid, u_stack, v_stack, s, alpha, cutoff)
@@ -303,10 +304,10 @@ def _energy_cell(traj, s, alpha, cutoff):
                 )
 
     rates = _time_derivative_stack(w_norms, h)
-    square = product_coeffs(grid, u_stack, u_stack, (real, real))
+    square = product_coeffs(grid, u_stack, u_stack)
     smoothed = multiplier_values(grid, abs_d_pow(1.0 - alpha)) * square
     slopes = np.fft.ifft(product_tables(grid)[0] * smoothed, axis=-1) * grid.n
-    peaks = np.max(np.abs(slopes.real if real else slopes), axis=-1)
+    peaks = np.max(np.abs(slopes.real), axis=-1)
     weights = peaks * v_norms
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.abs(rates) / weights
@@ -327,7 +328,8 @@ def energy_estimate_study(traj, s, alpha, c=DEFAULT_CUTOFF):
     with every sample's arithmetic that of a lone state.  Each trajectory
     also passes the structural certificates: the gauge
     generator is hermitian on the deep pairs, the conjugated bracket is
-    skew-hermitian, and w stays norm-equivalent to v on small data.
+    skew-hermitian, and w stays norm-equivalent to v on small data.  An
+    empty ensemble raises ValueError.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"energy study needs alpha in (1, 2), got {alpha:g}")
@@ -342,15 +344,14 @@ def energy_estimate_study(traj, s, alpha, c=DEFAULT_CUTOFF):
 
 # -- conjugation ------------------------------------------------------------
 
-def residual_order(residual_matrix, cutoff=None):
+def residual_order(residual_matrix, cutoff):
     """Order fit of the residual operator on wave packets.
 
-    With a cutoff given, the probe bands are pushed above its activation
-    threshold for unit frequency shifts; a packet below that threshold
-    only sees the probe's noise floor and poisons the slope.
+    The probe bands are pushed above the cutoff's activation threshold
+    for unit frequency shifts; a packet below that threshold only sees
+    the probe's noise floor and poisons the slope.  A grid too small for
+    two such bands takes the default probe.
     """
-    if cutoff is None:
-        return order_probe(residual_matrix)
     n = residual_matrix.grid.n
     low = int(math.ceil(cutoff.big_b + cutoff.little_b)) + 6
     high = min(2 * low, n // 2 - 16)
@@ -359,7 +360,7 @@ def residual_order(residual_matrix, cutoff=None):
     return order_probe(residual_matrix, centers=[low, high])
 
 
-def _conjugation_cell(traj, alpha, cutoff, s_probes):
+def _conjugation_cell(traj, alpha, cutoff):
     h = _sample_spacing(traj.times)
     states = traj.states
     grid = states[0].grid
@@ -375,12 +376,12 @@ def _conjugation_cell(traj, alpha, cutoff, s_probes):
     # one stacked reduction per s and stack; each row reduces as
     # `sobolev_norm` reduces a lone sample
     norms = [[sobolev_norms(grid, stack, s).tolist()
-              for stack in (u_stack, w_stack, r_stack)] for s in s_probes]
+              for stack in (u_stack, w_stack, r_stack)] for s in S_PROBES]
 
     ratios = []
     for i, u in enumerate(states):
         mean_mass = math.sqrt(2.0 * math.pi) * abs(u.coefficient(0))
-        for s, (u_sizes, w_sizes, r_sizes) in zip(s_probes, norms):
+        for s, (u_sizes, w_sizes, r_sizes) in zip(S_PROBES, norms):
             w_size, r_size = w_sizes[i], r_sizes[i]
             if w_size == 0.0:
                 if r_size > 0.0:
@@ -399,29 +400,27 @@ def _conjugation_cell(traj, alpha, cutoff, s_probes):
     residual_entries = extras["g_stack"][len(states) // 2]
     if not np.any(np.abs(residual_entries) > 0.0):
         return ratios, None
-    estimate = residual_order(
-        OperatorMatrix(grid, residual_entries, "conjugation residual"), cutoff
-    )
-    return ratios, estimate
+    return ratios, residual_order(OperatorMatrix(grid, residual_entries),
+                                  cutoff)
 
 
-def conjugation_study(traj, alpha, c=DEFAULT_CUTOFF, s_probes=(0.0, 1.0, 2.0)):
+def conjugation_study(traj, alpha, c=DEFAULT_CUTOFF):
     """Residual study of the conjugating gauge along trajectories.
 
     Builds the gauge, forms w(t), and differences it in time against the
     dispersive flow: what remains should act like an operator of order
     at most `ORDER_BOUND` on w, with Sobolev ratios ||r||_s / ||w||_s
-    under a uniform envelope across `s_probes`, and the transform must
+    under a uniform envelope across `S_PROBES`, and the transform must
     stay invertible: ||u||_s <= ELLIPTIC_C (||w||_s + sqrt(2 pi) |u_hat(0)|)
     at every sample.  A failed order fit voids the envelope: no constant
-    is certified then.
+    is certified then.  An empty ensemble raises ValueError.
     """
     if not 2.0 < alpha < 3.0:
         raise ValueError(
             f"conjugation study needs alpha in (2, 3), got {alpha:g}"
         )
     trajectories = _trajectories(traj)
-    per_cell = [_conjugation_cell(tr, float(alpha), c, tuple(s_probes))
+    per_cell = [_conjugation_cell(tr, float(alpha), c)
                 for tr in trajectories]
     ratios = [r for cell, _ in per_cell for r in cell]
     orders = [est.slope for _, est in per_cell if est is not None]

@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import (
     InvariantBroken,
+    NanDetected,
     NewtonDiverged,
     SmallDivisor,
     SmallnessViolated,
@@ -440,10 +441,13 @@ def _expm(a):
     s times.  Both work on X = P(B) - I, squared as (I + X)^2 = I + (2X +
     X^2): adding the identity early would round X to the identity's
     precision, and each squaring doubles that error.  The identity is added
-    once, at the end.  The zero matrix gives exactly the identity.
+    once, at the end.  The zero matrix gives exactly the identity; a
+    matrix with a non-finite entry raises NanDetected.
     """
     n = a.shape[0]
     norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    if not math.isfinite(norm):
+        raise NanDetected(f"exponential of a matrix with 1-norm {norm}")
     squarings = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.5 else 0
     b = a / 2.0 ** squarings
     size = norm / 2.0 ** squarings

@@ -11,23 +11,24 @@ below N/2 anyway).  Dense matrices (`materialize`) are the reference
 semantics and serve the gauge and study layers, which need the operator
 itself.
 
-The paraproduct T_u v never needs the matrix.  psi vanishes unless
-|xi| > B|eta| + b, so only the modes |eta| <= reach = floor((N/2 - b)/B)
-of u can contribute, and output mode xi_m reads only the 2 reach + 1
-inputs xi_m - eta.  Those are one sliding window over the xi-sorted v,
-zero-padded by reach on each side so that inputs off the lattice read as
-zero, and a cached complex table holds psi on the windows.
-`paraproduct_coeffs` multiplies the windows by that table and contracts
-them with the band of u_hat in one matrix-vector product.  When u and v
-are both real (`Field.is_real`), T_u v is Hermitian, because psi(eta, xi)
-= psi(-eta, -xi): only the N/2 + 1 output modes xi <= 0 are summed, an
-((N/2 + 1) x (2 reach + 1)) multiply, and xi in [1, N/2 - 1] takes the
-conjugates of -xi.  Other inputs take the full (N x (2 reach + 1)) sum.
-Neither sum forms an N x N array, and both agree with the dense matrix of
-the symbol u(x) to rounding error for every cutoff, except that the
-output of real inputs is a real field and zeroes its unpaired Nyquist
-mode, as every real field does.  No other symbol has a fast path: a
-general symbol is applied through `materialize`.
+The paraproduct T_u v of two real fields (`Field.is_real`) never needs
+the matrix.  psi vanishes unless |xi| > B|eta| + b, so only the modes
+|eta| <= reach = floor((N/2 - b)/B) of u can contribute, and output mode
+xi_m reads only the 2 reach + 1 inputs xi_m - eta.  Those are one sliding
+window over the xi-sorted v, zero-padded by reach on each side so that
+inputs off the lattice read as zero, and a cached complex table holds psi
+on the windows.  `paraproduct_coeffs` multiplies the windows by that
+table and contracts them with the band of u_hat in one matrix-vector
+product.  T_u v is Hermitian, because psi(eta, xi) = psi(-eta, -xi): only
+the N/2 + 1 output modes xi <= 0 are summed, an ((N/2 + 1) x (2 reach +
+1)) multiply with no N x N array, and xi in [1, N/2 - 1] takes the
+conjugates of -xi.  The result agrees with the dense matrix of the
+symbol u(x) to rounding error for every cutoff, except that it is a real
+field and zeroes its unpaired Nyquist mode, as every real field does.
+The pointwise product of two real fields is always 2/3-dealiased
+(`product_coeffs`).  `paraproduct` and `dealias_product` raise
+ValueError for a field that is not real.  No other symbol has a fast
+path: a general symbol is applied through `materialize`.
 """
 
 import functools
@@ -102,15 +103,14 @@ class OrderEstimate:
 
 
 class OperatorMatrix:
-    """Dense spectral-space operator with provenance string."""
+    """Dense spectral-space operator."""
 
-    def __init__(self, grid, entries, descriptor=""):
+    def __init__(self, grid, entries):
         entries = np.asarray(entries, dtype=np.complex128)
         if entries.shape != (grid.n, grid.n):
             raise ValueError(f"expected {(grid.n, grid.n)} entries")
         self.grid = grid
         self.entries = entries
-        self.descriptor = descriptor
 
     def apply(self, field):
         if field.grid != self.grid:
@@ -140,7 +140,7 @@ def materialize(symbol, cutoff):
     grid = symbol.grid
     entries = _regularized_entries(regularize(symbol, cutoff).coeffs, grid,
                                    cutoff)
-    return OperatorMatrix(grid, entries, f"T[{cutoff!r}]")
+    return OperatorMatrix(grid, entries)
 
 
 @dataclass(frozen=True)
@@ -180,16 +180,16 @@ def _cone_band(grid, cutoff):
     return band
 
 
-def paraproduct_coeffs(grid, u, v, cutoff, real):
-    """Coefficients of T_u v from the (N,) coefficient arrays u and v.
+def paraproduct_coeffs(grid, u, v, cutoff):
+    """Coefficients of T_u v from the (N,) coefficient arrays u and v of
+    real fields, whose Nyquist mode is zero.
 
     Output mode xi_m gets sum_j psi(eta_j, xi_m - eta_j) v(xi_m - eta_j)
     u(eta_j); inputs off the lattice read as zero.  The windows are a
     strided view of the zero-padded, xi-sorted v, so the only temporary
     is their product with the cutoff table, contracted with the band of
-    u by one matrix-vector product.  real says both are coefficients of
-    real fields, whose Nyquist mode is zero; psi is even under (eta, xi)
-    -> (-eta, -xi), so the output is Hermitian: only the rows xi_m in
+    u by one matrix-vector product.  psi is even under (eta, xi) ->
+    (-eta, -xi), so the output is Hermitian: only the rows xi_m in
     [-N/2, 0] are summed, xi in [1, N/2 - 1] takes the conjugate of the
     sum at -xi, and the unpaired Nyquist mode -N/2 is zero, as for every
     real field.
@@ -200,30 +200,31 @@ def paraproduct_coeffs(grid, u, v, cutoff, real):
     padded = np.zeros(n + 2 * reach, dtype=np.complex128)
     padded[reach: reach + half] = v[half:]
     padded[reach + half: reach + n] = v[:half]
-    rows = half + 1 if real else n
     # windows[m, j] = padded[m + j]; built directly, as
     # sliding_window_view would, without its per-call Python overhead
     step = padded.itemsize
-    windows = np.ndarray((rows, 2 * reach + 1), np.complex128, padded,
+    windows = np.ndarray((half + 1, 2 * reach + 1), np.complex128, padded,
                          strides=(step, step))
-    total = (windows * band.weights[:rows]) @ u[band.rows]
-    if not real:
-        return np.concatenate((total[half:], total[:half]))
+    total = (windows * band.weights[:half + 1]) @ u[band.rows]
     out = np.concatenate((total[half:], total[half - 1: 0: -1].conj(),
                           total[:half]))
     out[grid.index_of(grid.nyquist)] = 0.0
     return out
 
 
+def _check_real(*fields):
+    if not all(field.is_real for field in fields):
+        raise ValueError("products are taken of real fields only")
+
+
 def paraproduct(u, v, cutoff):
-    """T_u v for a field u: materialize(Symbol.from_field(u), cutoff)
-    applied to v, as one matrix-vector product on the cone band.  The output of
-    real u and v is marked real."""
+    """T_u v for real fields u and v: materialize(Symbol.from_field(u),
+    cutoff) applied to v, as one matrix-vector product on the cone band,
+    marked real."""
     grid = check_same_grid(u, v)
-    real = u.is_real and v.is_real
+    _check_real(u, v)
     return Field(grid, paraproduct_coeffs(grid, u.spectral, v.spectral,
-                                          cutoff, real),
-                 real, _validate=False)
+                                          cutoff), True, _validate=False)
 
 
 def _xi_difference_symbol(symbol, j):
@@ -314,33 +315,28 @@ def product_tables(grid):
     return ixi, keep
 
 
-def product_coeffs(grid, a, b, real, dealias=True):
-    """Coefficients of the physical-space product of the fields with
-    coefficient arrays a and b; real = (a_real, b_real).
+def product_coeffs(grid, a, b):
+    """Coefficients of the 2/3-dealiased physical-space product of the
+    real fields with coefficient arrays a and b.
 
     a and b may carry leading sample axes, (..., N), and are multiplied
     sample by sample.  Every inverse FFT runs in one batch over the
     (..., 2, N) stack and every forward FFT in another, one transform per
-    row.  With dealias the 2/3 rule is applied to both inputs and to the
-    output.
+    row; the product is taken of the real parts.  The 2/3 rule is applied
+    to both inputs and to the output, whose Nyquist mode it zeroes.
     """
-    pair = np.stack((a, b), axis=-2)
-    if dealias:
-        keep = product_tables(grid)[1]
-        pair = np.where(keep, pair, 0.0)
-    rows = np.fft.ifft(pair, axis=-1) * grid.n
-    x, y = (rows[..., i, :].real if row_real else rows[..., i, :]
-            for i, row_real in enumerate(real))
-    out = np.fft.fft(x * y, axis=-1) / grid.n
-    if all(real):
-        out[..., grid.index_of(grid.nyquist)] = 0.0
-    return np.where(keep, out, 0.0) if dealias else out
+    keep = product_tables(grid)[1]
+    pair = np.where(keep, np.stack((a, b), axis=-2), 0.0)
+    rows = (np.fft.ifft(pair, axis=-1) * grid.n).real
+    out = np.fft.fft(rows[..., 0, :] * rows[..., 1, :], axis=-1) / grid.n
+    return np.where(keep, out, 0.0)
 
 
 def dealias_product(u, v):
-    """Physical-space product with the 2/3 rule on both inputs and output."""
+    """Physical-space product of real fields with the 2/3 rule on both
+    inputs and output."""
     grid = check_same_grid(u, v)
-    real = (u.is_real, v.is_real)
-    return Field(grid, product_coeffs(grid, u.spectral, v.spectral, real),
-                 all(real), _validate=False)
+    _check_real(u, v)
+    return Field(grid, product_coeffs(grid, u.spectral, v.spectral), True,
+                 _validate=False)
 

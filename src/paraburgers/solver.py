@@ -5,34 +5,30 @@ Both forms of the equation,
     full:        d_t u + u d_x u + d_x |D|^(alpha-1) u = 0,
     paralinear:  d_t u + T_u d_x u + d_x |D|^(alpha-1) u = 0,
 
-are integrated with an integrating-factor RK4 scheme: the stiff linear
-part is folded into the exact propagator exp(-i dt xi |xi|^(alpha-1)),
-which is unimodular, and the classical Runge-Kutta stages see only the
-nonlinearity in the rotated frame.  Free evolution is therefore exact to
-round-off and conservation tests are sharp: every drift they measure
-comes from the nonlinear stages.
+are integrated for real u with an integrating-factor RK4 scheme: the
+stiff linear part is folded into the exact propagator
+exp(-i dt xi |xi|^(alpha-1)), which is unimodular, and the classical
+Runge-Kutta stages see only the nonlinearity in the rotated frame.  Free
+evolution is therefore exact to round-off and conservation tests are
+sharp: every drift they measure comes from the nonlinear stages.
 
-There is one stepping loop.  It advances an (R x N) stack of coefficient
-arrays on one grid, one run per row, and `run` is its one-row case;
-`blowup_scan` puts all cells of a grid in one stack.  Each row has its
-own step, its own propagators, its own record stride and its own
-detector, and leaves the stack when it reaches its t_end or trips.  The
-four stages of the RK4 kernel, shared with `step`, pass coefficient
-arrays; only recorded states are wrapped in `Field`s.  The half and full
-propagators of each (grid, alpha, dt) and the grid's i xi and 2/3 mask
-are read-only cached tables.  The paralinear right-hand side -T_u d_x u
-of a row is `paraop.paraproduct_coeffs(grid, u, d_x u, cutoff, real)`, a
-windowed sum over the cone band of the row's cutoff: the input's sliding
-windows times a cached complex cutoff table, contracted in one
-matrix-vector product, with no N x N operator.  For a real state
-(`Field.is_real`) both inputs are real and the output Hermitian, so
-only the N/2 + 1 output modes xi <= 0 are summed, the others are
-their conjugates and the Nyquist mode stays zero; a complex state takes
-the sum over all N modes.  The full one is the (by default
-2/3-dealiased) pointwise product -u d_x u of `paraop.product_coeffs`,
-whose inverse FFTs for all rows run as one batch and whose forward FFTs
-as another, one complex transform per row, so every row gets the
-arithmetic of a run of its own.
+Every state is a real field (`Field.is_real`): `step`, `run`, the stacked
+loop and `Trajectory` raise ValueError for any other.  There is one
+stepping loop.  It advances an (R x N) stack of coefficient arrays on one
+grid, one run per row, and `run` is its one-row case; `blowup_scan` puts
+all cells of a grid in one stack.  Each row has its own step, its own
+propagators, its own record stride and its own detector, and leaves the
+stack when it reaches its t_end or trips.  The four stages of the RK4
+kernel, shared with `step`, pass coefficient arrays; only recorded states
+are wrapped in `Field`s.  The half and full propagators of each (grid,
+alpha, dt) and the grid's i xi and 2/3 mask are read-only cached tables.
+The paralinear right-hand side -T_u d_x u of a row is the cone-band sum
+`paraop.paraproduct_coeffs` under the row's cutoff, with no N x N
+operator, over the N/2 + 1 output modes xi <= 0 of its Hermitian output.
+The full one is the 2/3-dealiased (Orszag) product -u d_x u of
+`paraop.product_coeffs`, whose inverse FFTs for all rows run as one batch
+and whose forward FFTs as another, one complex transform per row, so
+every row gets the arithmetic of a run of its own.
 
 Blow-up handling is detection, not continuation: a NaN, a sup-norm
 pile-up, or a Lipschitz spike truncates the run and flags the
@@ -50,6 +46,7 @@ since relabeling on a fixed torus has no measure to stretch).
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +68,9 @@ LOW_MODE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One run of either equation; dt = None means the resolution default."""
+    """One run of either equation from a real initial field, its product
+    2/3-dealiased; dt = None means the resolution default, and every
+    stride-th step is recorded."""
 
     n_points: int
     alpha: float
@@ -79,7 +78,6 @@ class SimConfig:
     equation: str = "full"
     cutoff: Cutoff = DEFAULT_CUTOFF
     dt: float = None
-    dealias: bool = True
     init: str = "cos1"
     amplitude: float = 0.01
     seed: int = 0
@@ -105,13 +103,14 @@ class SimConfig:
                 )
         elif not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if not isinstance(self.stride, numbers.Integral) or self.stride < 1:
+            raise ValueError(f"stride must be an integer >= 1, got "
+                             f"{self.stride!r}")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded samples of a run; truncated early iff blowup is set.
+    """Recorded real samples of a run; truncated early iff blowup is set.
 
     peaks holds the blow-up detector's (lipschitz, sup) readings,
     ||d_x u||_inf and ||u||_inf, of each recorded state; a trajectory
@@ -143,6 +142,8 @@ class Trajectory:
         for state in self.states:
             if state.grid != grid:
                 raise ValueError("trajectory states live on mixed grids")
+            if not state.is_real:
+                raise ValueError("trajectory states must be real fields")
             if not np.all(np.isfinite(state.spectral)):
                 raise ValueError("trajectory retains only finite states")
 
@@ -185,25 +186,21 @@ def initial_field(grid, name, amplitude, seed=0):
     return field * (float(amplitude) / peak)
 
 
-def _nonlinearity(cfgs, grid, real):
-    """-u d_x u (full, dealiased on request) or -T_u d_x u (paralinear),
-    from and to coefficients of real or complex states: an (N,) state for
-    one config, an (R, N) stack with row r under cfgs[r] for several.  The
-    rows share the equation and its dealiasing; a paralinear row uses its
-    own cutoff."""
+def _nonlinearity(cfgs, grid):
+    """-u d_x u (full, dealiased) or -T_u d_x u (paralinear), from and to
+    coefficients of real states: an (N,) state for one config, an (R, N)
+    stack with row r under cfgs[r] for several.  The rows share the
+    equation; a paralinear row uses its own cutoff."""
     ixi = product_tables(grid)[0]
     if cfgs[0].equation == "full":
-        dealias = cfgs[0].dealias
-
         def rhs(v):
-            return product_coeffs(grid, v, ixi * v, (real, real),
-                                  dealias) * -1.0
+            return product_coeffs(grid, v, ixi * v) * -1.0
         return rhs
 
     cutoffs = [cfg.cutoff for cfg in cfgs]
 
     def transport(v, cutoff):
-        return paraproduct_coeffs(grid, v, ixi * v, cutoff, real)
+        return paraproduct_coeffs(grid, v, ixi * v, cutoff)
 
     if len(cutoffs) == 1:
         def rhs(v):
@@ -238,23 +235,19 @@ def _rk4(v, h, half, full, rhs):
     return full * v + (h / 6.0) * (full * n1 + 2.0 * half * (n2 + n3) + n4)
 
 
-def step(state, cfg, dt=None, nonlinear=True):
-    """One integrating-factor RK4 step; nonlinear=False is the free flow."""
+def step(state, cfg, dt=None):
+    """One integrating-factor RK4 step of a real state."""
     grid = state.grid
+    if not state.is_real:
+        raise ValueError("the solver steps real fields only")
     h = cfg.dt if dt is None else dt
     if h is None or not h > 0:
         raise ValueError(f"need a positive step size, got {h}")
     half, full = propagators(grid, cfg.alpha, h)
-
-    v = state.spectral
-    if not nonlinear:
-        out = full * v
-    else:
-        out = _rk4(v, h, half, full,
-                   _nonlinearity((cfg,), grid, state.is_real))
+    out = _rk4(state.spectral, h, half, full, _nonlinearity((cfg,), grid))
     if not np.all(np.isfinite(out)):
         raise NanDetected(f"non-finite coefficients after a step of {h:g}")
-    return Field(grid, out, state.is_real, _validate=False)
+    return Field(grid, out, True, _validate=False)
 
 
 def default_dt(cfg, state):
@@ -281,15 +274,13 @@ def _free_band(cutoff):
     return int(np.floor(cutoff.little_b))
 
 
-def _peaks(grid, v, real):
+def _peaks(grid, v):
     """The detector's (lipschitz, sup) = (||d_x u||_inf, ||u||_inf) of
-    each row of v, as an (..., 2) array, from one batched inverse FFT of
-    [i xi v, v]."""
+    each real row of v, as an (..., 2) array, from the real part of one
+    batched inverse FFT of [i xi v, v]."""
     rows = np.fft.ifft(np.stack((product_tables(grid)[0] * v, v), axis=-2),
                        axis=-1) * grid.n
-    if real:
-        rows = rows.real
-    return np.max(np.abs(rows), axis=-1)
+    return np.max(np.abs(rows.real), axis=-1)
 
 
 class _Row:
@@ -344,27 +335,28 @@ def _advance(cfgs, states, hs, sample):
     """Integrate a stack of runs on one grid, row r from states[r] with
     step hs[r] under cfgs[r] to its own t_end.
 
-    The rows share the grid, the equation and its dealiasing, and the
-    realness of their states; alpha, cutoff, step, t_end and stride are
-    per row.  Each iteration advances every live row by one step of the
-    shared RK4 kernel, with its own propagators and its last step cut
-    short to land on t_end, and reads every row's detector from one
-    batched inverse FFT.  sample(r, t, coeffs, (lipschitz, sup)) is
-    called at t = 0 and at every stride-th step and the last of row r;
-    coeffs is a view to be copied or wrapped, not written.  A row leaves
-    the stack when it reaches t_end or trips the detector.
+    The rows share the grid and the equation, and every state is real;
+    alpha, cutoff, step, t_end and stride are per row.  Each iteration
+    advances every live row by one step of the shared RK4 kernel, with
+    its own propagators and its last step cut short to land on t_end,
+    and reads every row's detector from one batched inverse FFT.
+    sample(r, t, coeffs, (lipschitz, sup)) is called at t = 0 and at
+    every stride-th step and the last of row r; coeffs is a view to be
+    copied or wrapped, not written.  A row leaves the stack when it
+    reaches t_end or trips the detector.
 
     Returns (blowup reason, low-mode residual) per row.
     """
     if not states:
         return []
-    grid, real, first = states[0].grid, states[0].is_real, cfgs[0]
+    grid, equation = states[0].grid, cfgs[0].equation
     for cfg, state, h in zip(cfgs, states, hs):
+        if not state.is_real:
+            raise ValueError("the solver steps real fields only")
         if (state.grid != grid or cfg.n_points != grid.n
-                or state.is_real != real or cfg.equation != first.equation
-                or cfg.dealias != first.dealias):
-            raise ValueError("stacked runs must share the grid, the "
-                             "equation, dealiasing and realness")
+                or cfg.equation != equation):
+            raise ValueError("stacked runs must share the grid and the "
+                             "equation")
         if cfg.t_end < h:
             raise ValueError(
                 f"t_end = {cfg.t_end} shorter than one step {h:g}"
@@ -372,7 +364,7 @@ def _advance(cfgs, states, hs, sample):
 
     v = np.stack([state.spectral for state in states])
     rows = []
-    for r, reading in enumerate(_peaks(grid, v, real).tolist()):
+    for r, reading in enumerate(_peaks(grid, v).tolist()):
         rows.append(_Row(r, cfgs[r], hs[r], grid, v[r], reading))
         sample(r, 0.0, v[r], tuple(reading))
 
@@ -383,7 +375,7 @@ def _advance(cfgs, states, hs, sample):
             dts = now
             tables = [propagators(grid, row.cfg.alpha, dt)
                       for row, dt in zip(live, dts)]
-            rhs = _nonlinearity([row.cfg for row in live], grid, real)
+            rhs = _nonlinearity([row.cfg for row in live], grid)
             if len(live) == 1:
                 # a lone row steps as one (N,) state, which costs less
                 # per array operation than a one-row stack
@@ -394,7 +386,7 @@ def _advance(cfgs, states, hs, sample):
                 full = np.stack([pair[1] for pair in tables])
         v = _rk4(v.reshape(shape), h, half, full, rhs).reshape(len(live), -1)
         finite = np.isfinite(v).all(axis=-1)
-        readings = _peaks(grid, v, real).tolist()
+        readings = _peaks(grid, v).tolist()
         stay = [j for j, row in enumerate(live)
                 if row.advance(v[j], dts[j], finite[j], readings[j], sample)]
         if len(stay) < len(live):
@@ -414,7 +406,8 @@ def run(cfg, diagnose=None, initial=None):
     trigger truncates the trajectory and sets its blowup reason.  For
     paralinear runs the modes below the cutoff floor never see the
     transport term; their deviation from the free flow is tracked and
-    must stay at round-off.
+    must stay at round-off.  An initial field that is not real raises
+    ValueError, as in `step` and the stacked loop.
     """
     grid = Grid(cfg.n_points)
     if initial is None:
@@ -429,7 +422,7 @@ def run(cfg, diagnose=None, initial=None):
 
     def keep(row, t, coeffs, reading):
         # the first sample is the initial field itself
-        u = Field(grid, coeffs, state.is_real, _validate=False) \
+        u = Field(grid, coeffs, True, _validate=False) \
             if times else state
         times.append(t)
         states.append(u)

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from paraburgers.errors import (
     InvariantBroken,
+    NanDetected,
     NewtonDiverged,
     SmallDivisor,
     SmallnessViolated,
@@ -556,6 +557,15 @@ class TestTaylorExponential:
     def test_zero_gives_the_identity_exactly(self):
         zero = np.zeros((self.N, self.N), dtype=np.complex128)
         assert np.array_equal(gauge._expm(zero), np.eye(self.N))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        # a nan norm used to skip the scaling and the degree loop and
+        # return the identity; an infinite one raised OverflowError
+        a = self.generator("nonnormal", 1.0)
+        a[3, 5] = bad
+        with pytest.raises(NanDetected, match="1-norm"):
+            gauge._expm(a)
 
 
 class TestNonlinearExp:

@@ -121,6 +121,14 @@ class TestApply:
         out = paraop.paraproduct(a, u, cutoff)
         assert np.max(np.abs(out.physical().imag)) < 1e-12
 
+    def test_complex_field_rejected(self):
+        grid = Grid(32)
+        real = Field.from_physical(grid, np.cos(grid.x))
+        wave = Field.from_physical(grid, np.exp(1j * grid.x))
+        for u, v in ((wave, real), (real, wave)):
+            with pytest.raises(ValueError, match="real fields only"):
+                paraop.paraproduct(u, v, Cutoff(2.0, 1.0))
+
     def test_grid_mismatch(self):
         cutoff = Cutoff(8.0, 2.0)
         a = Field.from_physical(Grid(32), np.ones(32))
@@ -141,7 +149,7 @@ class TestApply:
             paraop.materialize(fake, cutoff)
         dense = paraop.materialize(regularize(sym, cutoff), cutoff).apply(u)
         _assert_close(paraop.paraproduct(u, u, cutoff).spectral,
-                      _real_convention(grid, dense.spectral, True))
+                      _real_convention(grid, dense.spectral))
 
     @pytest.mark.parametrize("seed", range(50))
     def test_fast_path_agrees_with_dense(self, seed):
@@ -169,23 +177,14 @@ def _cutoffs():
     return st.one_of(integer, fractional)
 
 
-def _field(grid, rng, real):
-    if real:
-        return random_real_field(grid, rng)
-    return Field(grid, rng.standard_normal(grid.n)
-                 + 1j * rng.standard_normal(grid.n))
-
-
 def _assert_close(out, reference):
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(out - reference)) <= 1e-12 * scale
 
 
-def _real_convention(grid, coeffs, real):
-    """The coefficients with the Nyquist mode zeroed when real: the
-    convention every real field keeps, and so T_u v of real u and v."""
-    if not real:
-        return coeffs
+def _real_convention(grid, coeffs):
+    """The coefficients with the Nyquist mode zeroed: the convention every
+    real field keeps, and so T_u v of real u and v."""
     out = coeffs.copy()
     out[grid.index_of(grid.nyquist)] = 0.0
     return out
@@ -195,7 +194,6 @@ CONE_CASES = dict(
     n=st.integers(4, 128).map(lambda half: 2 * half),
     cutoff=_cutoffs(),
     seed=st.integers(0, 2 ** 32 - 1),
-    real=st.booleans(),
 )
 
 
@@ -204,23 +202,23 @@ class TestConeBand:
 
     @settings(max_examples=60, deadline=None)
     @given(**CONE_CASES)
-    def test_paraproduct_matches_dense(self, n, cutoff, seed, real):
+    def test_paraproduct_matches_dense(self, n, cutoff, seed):
         grid = Grid(n)
         rng = np.random.default_rng(seed)
-        u, v = _field(grid, rng, real), _field(grid, rng, real)
+        u, v = random_real_field(grid, rng), random_real_field(grid, rng)
         dense = paraop.materialize(Symbol.from_field(u), cutoff).apply(v)
         out = paraop.paraproduct(u, v, cutoff)
-        assert out.is_real == real
-        _assert_close(out.spectral,
-                      _real_convention(grid, dense.spectral, real))
+        assert out.is_real
+        _assert_close(out.spectral, _real_convention(grid, dense.spectral))
 
     @settings(max_examples=40, deadline=None)
     @given(**CONE_CASES)
-    def test_exact_zeros(self, n, cutoff, seed, real):
+    def test_exact_zeros(self, n, cutoff, seed):
         grid = Grid(n)
         rng = np.random.default_rng(seed)
-        u, v = _field(grid, rng, real), _field(grid, rng, real)
-        constant = Field(grid, np.eye(grid.n)[0] * rng.standard_normal())
+        u, v = random_real_field(grid, rng), random_real_field(grid, rng)
+        constant = Field(grid, np.eye(grid.n)[0] * rng.standard_normal(),
+                         is_real=True)
         assert not np.any(paraop.paraproduct(u, constant, cutoff).spectral)
         assert not np.any(paraop.paraproduct(constant, constant,
                                              cutoff).spectral)
@@ -258,19 +256,18 @@ class TestWindowTable:
             info = paraop._cone_band.cache_info()
             assert info.currsize <= info.maxsize
 
-    @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("n, cutoff, reach", WINDOW_CORNERS)
-    def test_corners_keep_exact_zeros(self, n, cutoff, reach, real):
+    def test_corners_keep_exact_zeros(self, n, cutoff, reach):
         grid = Grid(n)
         rng = np.random.default_rng(n + reach)
-        u, v = _field(grid, rng, real), _field(grid, rng, real)
+        u, v = random_real_field(grid, rng), random_real_field(grid, rng)
         low = np.abs(grid.freqs) <= np.floor(cutoff.little_b)
         out = paraop.paraproduct(u, v, cutoff).spectral
         assert not np.any(out[low])
         sym = Symbol.from_field(u)
         for symbol in (sym, regularize(sym, cutoff)):
             dense = paraop.materialize(symbol, cutoff).apply(v).spectral
-            reference = _real_convention(grid, dense, real)
+            reference = _real_convention(grid, dense)
             assert np.max(np.abs(out - reference)) <= 1e-12 * max(
                 np.max(np.abs(reference)), 1e-300)
 
@@ -281,28 +278,27 @@ HALF_LATTICE_CASES = [(512, Cutoff(8, 2))] + [(n, c) for n, c, _ in
 
 
 class TestHalfLattice:
-    """Real inputs sum only the output modes xi <= 0 and conjugate the
-    rest; complex inputs take the full sum."""
+    """The paraproduct sums only the output modes xi <= 0 and conjugates
+    the rest."""
 
     @pytest.mark.parametrize("n, cutoff", HALF_LATTICE_CASES)
     def test_real_output_is_exactly_hermitian(self, n, cutoff):
         grid = Grid(n)
         rng = np.random.default_rng(n)
-        u, v = _field(grid, rng, True), _field(grid, rng, True)
+        u, v = random_real_field(grid, rng), random_real_field(grid, rng)
         out = paraop.paraproduct(u, v, cutoff).spectral
         half = n // 2
         assert (out[1:half].tobytes()
                 == np.conj(out[:half:-1]).tobytes())
         assert out[0].imag == 0.0
 
-    @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("n, cutoff", HALF_LATTICE_CASES)
-    def test_coeffs_are_the_field_wrapper(self, n, cutoff, real):
+    def test_coeffs_are_the_field_wrapper(self, n, cutoff):
         grid = Grid(n)
         rng = np.random.default_rng(n + 1)
-        u, v = _field(grid, rng, real), _field(grid, rng, real)
+        u, v = random_real_field(grid, rng), random_real_field(grid, rng)
         coeffs = paraop.paraproduct_coeffs(grid, u.spectral, v.spectral,
-                                           cutoff, real)
+                                           cutoff)
         assert coeffs.tobytes() == paraop.paraproduct(
             u, v, cutoff).spectral.tobytes()
 
@@ -310,33 +306,32 @@ class TestHalfLattice:
     @given(n=CONE_CASES["n"], cutoff=CONE_CASES["cutoff"],
            seed=CONE_CASES["seed"])
     def test_half_sum_matches_full_sum(self, n, cutoff, seed):
+        # the full sum is the dense matrix's product over every output mode
         grid = Grid(n)
         rng = np.random.default_rng(seed)
-        u, v = _field(grid, rng, True), _field(grid, rng, True)
-        half, full = (paraop.paraproduct_coeffs(grid, u.spectral, v.spectral,
-                                                cutoff, real)
-                      for real in (True, False))
+        u, v = random_real_field(grid, rng), random_real_field(grid, rng)
+        half = paraop.paraproduct_coeffs(grid, u.spectral, v.spectral, cutoff)
+        full = paraop.materialize(Symbol.from_field(u), cutoff).apply(v)
         assert half[grid.index_of(grid.nyquist)] == 0.0
-        _assert_close(half, _real_convention(grid, full, True))
+        _assert_close(half, _real_convention(grid, full.spectral))
 
-    @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("n", [64, 256, 512])
     @pytest.mark.parametrize("cutoff", [Cutoff(8, 2), Cutoff(2.5, 1.3),
                                         _fractional(3, 3, 1, 1)])
-    def test_complex_table_gives_the_float_products(self, n, cutoff, real,
+    def test_complex_table_gives_the_float_products(self, n, cutoff,
                                                      monkeypatch):
         # numpy casts a float table to complex inside the products, so
         # storing it complex changes no bit of the paraproduct
         grid = Grid(n)
         rng = np.random.default_rng(n + 2)
-        u, v = _field(grid, rng, real), _field(grid, rng, real)
+        u, v = random_real_field(grid, rng), random_real_field(grid, rng)
         band = paraop._cone_band(grid, cutoff)
         stored = paraop.paraproduct_coeffs(grid, u.spectral, v.spectral,
-                                           cutoff, real)
+                                           cutoff)
         floats = dataclasses.replace(band, weights=band.weights.real.copy())
         monkeypatch.setattr(paraop, "_cone_band", lambda *_: floats)
         assert stored.tobytes() == paraop.paraproduct_coeffs(
-            grid, u.spectral, v.spectral, cutoff, real).tobytes()
+            grid, u.spectral, v.spectral, cutoff).tobytes()
 
 
 class TestSpectrumLocalisation:
@@ -478,6 +473,14 @@ class TestDealias:
         product = paraop.dealias_product(u, v)
         assert np.max(np.abs(product.spectral[np.abs(grid.freqs) > 21])) == 0.0
         assert abs(product.coefficient(2) - 0.25) < 1e-14
+
+    def test_complex_field_rejected(self):
+        grid = Grid(32)
+        real = Field.from_physical(grid, np.cos(grid.x))
+        wave = Field.from_physical(grid, np.exp(1j * grid.x))
+        for u, v in ((wave, real), (real, wave)):
+            with pytest.raises(ValueError, match="real fields only"):
+                paraop.dealias_product(u, v)
 
     def test_exact_on_low_band(self):
         grid = Grid(64)

@@ -1,5 +1,7 @@
 """Integrating-factor RK4 stepping, blow-up detection, and the scaling map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from paraburgers import solver
 from paraburgers.errors import InvariantBroken, NanDetected, SpectrumOverflow
 from paraburgers.paraop import materialize
 from paraburgers.solver import SimConfig, Trajectory, default_dt, \
-    initial_field, rescale, run, step
+    initial_field, propagators, rescale, run, step
 from paraburgers.spectral import Field, Grid, derivative, dispersion_profile, \
     homogeneous_sobolev_norm, l2_norm, linf_norm, multiplier_apply
 from paraburgers.symbols import Cutoff, Symbol
@@ -40,9 +42,16 @@ def relative_drift(series):
     return float(np.max(np.abs(series - series[0])) / np.abs(series[0]))
 
 
-def dense_paraproduct(grid, u, v, cutoff, real):
+def dense_paraproduct(grid, u, v, cutoff):
     """T_u v through the dense reference matrix, for coefficient arrays."""
     return materialize(Symbol.from_field(Field(grid, u)), cutoff).entries @ v
+
+
+def free_flow(u, alpha, t):
+    """The exact linear flow of u for time t: each mode turns by its
+    phase exp(-i t f(xi))."""
+    phase = np.exp(-1j * t * dispersion_profile(u.grid, alpha))
+    return Field(u.grid, phase * u.spectral, True, _validate=False)
 
 
 class TestSimConfig:
@@ -68,6 +77,18 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="stride"):
             SimConfig(n_points=64, alpha=1.5, t_end=1.0, stride=0)
 
+    @pytest.mark.parametrize("stride", [2.5, 2.0, "2", None])
+    def test_stride_must_be_an_integer(self, stride):
+        # stride 2.5 used to record every 5th step: a run of N = 32, dt =
+        # 0.01, t_end = 0.1 sampled t = 0, 0.05, 0.1
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            SimConfig(n_points=32, alpha=1.5, t_end=0.1, dt=0.01,
+                      stride=stride)
+        cfg = SimConfig(n_points=32, alpha=1.5, t_end=0.1, dt=0.01,
+                        stride=np.int64(2))
+        np.testing.assert_allclose(run(cfg).times, np.arange(6) * 0.02,
+                                   atol=1e-12)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["amplitude", "t_end"])
     def test_non_finite_inputs(self, name, value):
@@ -81,7 +102,6 @@ class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig(n_points=64, alpha=1.5, t_end=1.0)
         assert cfg.equation == "full"
-        assert cfg.dealias
         assert cfg.dt is None
 
 
@@ -111,9 +131,15 @@ class TestTrajectory:
     def test_states_finite(self):
         grid = Grid(16)
         bad = Field(grid, np.full(16, np.nan, dtype=np.complex128),
-                    is_real=False, _validate=False)
+                    is_real=True, _validate=False)
         with pytest.raises(ValueError, match="finite"):
             Trajectory(np.array([0.0]), (bad,))
+
+    def test_states_real(self):
+        grid = Grid(16)
+        wave = Field.from_physical(grid, np.exp(1j * grid.x))
+        with pytest.raises(ValueError, match="real"):
+            Trajectory(np.array([0.0, 0.1]), self._states(1) + (wave,))
 
 
 class TestInitialField:
@@ -164,12 +190,12 @@ class TestStep:
         # measured gap after four steps: 1.6e-16
         grid = Grid(64)
         cfg = SimConfig(n_points=64, alpha=1.75, t_end=1.0, dt=0.25)
-        state = initial_field(grid, "cos_mix", 0.4)
+        state = initial_field(grid, "cos_mix", 0.4).spectral
         for _ in range(4):
-            state = step(state, cfg, nonlinear=False)
+            state = propagators(grid, cfg.alpha, cfg.dt)[1] * state
         expected = np.exp(-1j * 1.0 * dispersion_profile(grid, 1.75)) \
             * initial_field(grid, "cos_mix", 0.4).spectral
-        assert np.max(np.abs(state.spectral - expected)) <= 1e-12
+        assert np.max(np.abs(state - expected)) <= 1e-12
 
     def test_one_step_l2(self):
         # the propagator is unimodular and the nonlinearity is a transport
@@ -182,6 +208,13 @@ class TestStep:
         assert u1.is_real
         assert abs(l2_norm(u1) / l2_norm(u0) - 1.0) <= 1e-10
 
+    def test_complex_state_rejected(self):
+        grid = Grid(32)
+        cfg = SimConfig(n_points=32, alpha=1.5, t_end=1.0, dt=0.01)
+        wave = Field.from_physical(grid, 0.1 * np.exp(1j * grid.x))
+        with pytest.raises(ValueError, match="real fields only"):
+            step(wave, cfg)
+
     def test_needs_positive_dt(self):
         grid = Grid(32)
         cfg = SimConfig(n_points=32, alpha=1.5, t_end=1.0)
@@ -191,7 +224,7 @@ class TestStep:
     def test_nan_detected(self):
         grid = Grid(64)
         cfg = SimConfig(n_points=64, alpha=1.5, t_end=1.0, dt=0.1,
-                        amplitude=1e160, dealias=False)
+                        amplitude=1e160)
         huge = initial_field(grid, "cos1", 1e160)
         with np.errstate(all="ignore"):
             with pytest.raises(NanDetected):
@@ -253,6 +286,10 @@ class TestRun:
         assert traj.states[0] is u0
         with pytest.raises(ValueError, match="n_points"):
             run(cfg, initial=initial_field(Grid(32), "bump", 0.05))
+        wave = Field.from_physical(grid, 0.05 * np.exp(1j * grid.x))
+        for dt in (0.01, None):
+            with pytest.raises(ValueError, match="real fields only"):
+                run(dataclasses.replace(cfg, dt=dt), initial=wave)
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0])
     def test_conservation(self, alpha):
@@ -290,7 +327,7 @@ class TestRun:
 
     def test_nan_truncates(self):
         cfg = SimConfig(n_points=64, alpha=1.5, t_end=1.0, dt=0.1,
-                        amplitude=1e160, dealias=False)
+                        amplitude=1e160)
         with np.errstate(all="ignore"):
             traj = run(cfg)
         assert traj.blowup == "nan"
@@ -298,7 +335,7 @@ class TestRun:
 
     def test_sup_norm_truncates(self):
         cfg = SimConfig(n_points=64, alpha=1.1, t_end=2.0, dt=0.05,
-                        amplitude=10.0, dealias=False)
+                        amplitude=10.0)
         with np.errstate(all="ignore"):
             traj = run(cfg)
         assert traj.blowup == "sup_norm"
@@ -352,9 +389,7 @@ class TestRun:
         assert band.low_mode_residual <= 1e-12
         assert dense.low_mode_residual <= 1e-12
         # the transport term moved the state far beyond the agreement bound
-        free = band.states[0]
-        for _ in range(50):
-            free = step(free, cfg, nonlinear=False)
+        free = free_flow(band.states[0], cfg.alpha, cfg.t_end)
         assert linf_norm(band.final() - free) > 1e-4 * linf_norm(free)
 
     def test_windowed_paraproduct_matches_dense_under_default_cutoff(
@@ -371,9 +406,7 @@ class TestRun:
         assert len(windowed.states) == len(dense.states) == 3
         for a, b in zip(windowed.states, dense.states):
             assert linf_norm(a - b) <= 1e-12 * linf_norm(b)
-        free = windowed.states[0]
-        for _ in range(10):
-            free = step(free, cfg, nonlinear=False)
+        free = free_flow(windowed.states[0], cfg.alpha, cfg.t_end)
         assert linf_norm(windowed.final() - free) > 1e-5 * linf_norm(free)
 
     def test_paralinear_real_run_keeps_the_nyquist_mode_zero(self):
@@ -387,14 +420,6 @@ class TestRun:
         assert final.coefficient(-32) == 0.0
         assert np.max(np.abs(final.spectral)) > 0.01
 
-    def test_dealias_changes_solution(self):
-        # strongly nonlinear coarse-grid run where the aliased tail matters
-        # (measured gap 1.9e-2)
-        kwargs = dict(n_points=32, alpha=1.25, t_end=1.0, dt=0.005,
-                      amplitude=1.0)
-        on = run(SimConfig(dealias=True, **kwargs)).final()
-        off = run(SimConfig(dealias=False, **kwargs)).final()
-        assert np.max(np.abs(on.spectral - off.spectral)) > 1e-4
 
 
 class TestRescale:

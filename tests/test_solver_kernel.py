@@ -22,25 +22,19 @@ from paraburgers.symbols import Cutoff
 def reference_dealias_product(u, v):
     grid = check_same_grid(u, v)
     keep = np.abs(grid.freqs) <= grid.n // 3
-    a = Field(grid, np.where(keep, u.spectral, 0.0), u.is_real, _validate=False)
-    b = Field(grid, np.where(keep, v.spectral, 0.0), v.is_real, _validate=False)
+    a = Field(grid, np.where(keep, u.spectral, 0.0), True, _validate=False)
+    b = Field(grid, np.where(keep, v.spectral, 0.0), True, _validate=False)
     product = Field.from_physical(grid, a.physical() * b.physical())
-    return Field(grid, np.where(keep, product.spectral, 0.0),
-                 u.is_real and v.is_real, _validate=False)
+    return Field(grid, np.where(keep, product.spectral, 0.0), True,
+                 _validate=False)
 
 
-def reference_nonlinearity(cfg, grid):
+def reference_nonlinearity(cfg):
     dx = derivative()
     if cfg.equation == "full":
-        if cfg.dealias:
-            def rhs(u):
-                return reference_dealias_product(
-                    u, multiplier_apply(u, dx)) * (-1.0)
-        else:
-            def rhs(u):
-                ux = multiplier_apply(u, dx)
-                return Field.from_physical(
-                    grid, u.physical() * ux.physical()) * (-1.0)
+        def rhs(u):
+            return reference_dealias_product(
+                u, multiplier_apply(u, dx)) * (-1.0)
     else:
         cutoff = cfg.cutoff
 
@@ -49,86 +43,69 @@ def reference_nonlinearity(cfg, grid):
     return rhs
 
 
-def reference_step(state, cfg, dt=None, nonlinear=True):
+def reference_propagators(grid, alpha, h):
+    phase = dispersion_profile(grid, alpha)
+    return np.exp(-0.5j * h * phase), np.exp(-1.0j * h * phase)
+
+
+def reference_step(state, cfg, dt=None):
     grid = state.grid
     h = cfg.dt if dt is None else dt
-    phase = dispersion_profile(grid, cfg.alpha)
-    half = np.exp(-0.5j * h * phase)
-    full = np.exp(-1.0j * h * phase)
+    half, full = reference_propagators(grid, cfg.alpha, h)
+    rhs = reference_nonlinearity(cfg)
+
+    def lift(coeffs):
+        return Field(grid, coeffs, True, _validate=False)
 
     v = state.spectral
-    if not nonlinear:
-        out = full * v
-    else:
-        rhs = reference_nonlinearity(cfg, grid)
+    n1 = rhs(state).spectral
+    n2 = rhs(lift(half * (v + 0.5 * h * n1))).spectral
+    n3 = rhs(lift(half * v + 0.5 * h * n2)).spectral
+    n4 = rhs(lift(full * v + h * half * n3)).spectral
+    out = full * v + (h / 6.0) * (full * n1 + 2.0 * half * (n2 + n3) + n4)
+    return Field(grid, out, True, _validate=False)
 
-        def lift(coeffs):
-            return Field(grid, coeffs, state.is_real, _validate=False)
-
-        n1 = rhs(state).spectral
-        n2 = rhs(lift(half * (v + 0.5 * h * n1))).spectral
-        n3 = rhs(lift(half * v + 0.5 * h * n2)).spectral
-        n4 = rhs(lift(full * v + h * half * n3)).spectral
-        out = full * v + (h / 6.0) * (full * n1 + 2.0 * half * (n2 + n3) + n4)
-    return Field(grid, out, state.is_real, _validate=False)
-
-
-# -- states ------------------------------------------------------------------
 
 def real_state(grid):
     return initial_field(grid, "bump", 2.0)
 
 
-def complex_state(grid):
-    """A bump times a complex constant plus one unpaired mode."""
-    coeffs = real_state(grid).spectral * (1.0 + 0.5j)
-    coeffs[grid.index_of(3)] += 0.2 - 0.1j
-    return Field(grid, coeffs, is_real=False)
-
-
-STATES = {"real": real_state, "complex": complex_state}
 FORMS = {
-    "full_dealiased": dict(equation="full", dealias=True),
-    "full_aliased": dict(equation="full", dealias=False),
+    "full_dealiased": dict(equation="full"),
     "paralinear": dict(equation="paralinear", cutoff=Cutoff(2.5, 1.3)),
 }
 
 
 class TestBitIdenticalKernel:
     @pytest.mark.parametrize("n", [32, 64])
-    @pytest.mark.parametrize("kind", sorted(STATES))
     @pytest.mark.parametrize("form", sorted(FORMS))
-    def test_steps_match_the_field_level_kernel(self, n, kind, form):
+    def test_steps_match_the_field_level_kernel(self, n, form):
         cfg = SimConfig(n_points=n, alpha=1.3, t_end=1.0, dt=3e-3,
                         **FORMS[form])
-        new = ref = STATES[kind](Grid(n))
+        new = ref = real_state(Grid(n))
         for dt in (3e-3, 3e-3, 1.7e-3):
             new = step(new, cfg, dt=dt)
             ref = reference_step(ref, cfg, dt=dt)
-            assert new.is_real == ref.is_real
+            assert new.is_real
             assert new.spectral.tobytes() == ref.spectral.tobytes()
 
     @pytest.mark.parametrize("n", [32, 64])
-    @pytest.mark.parametrize("kind", sorted(STATES))
-    def test_free_step_matches(self, n, kind):
-        cfg = SimConfig(n_points=n, alpha=1.7, t_end=1.0, dt=0.01)
-        state = STATES[kind](Grid(n))
-        new = step(state, cfg, nonlinear=False)
-        ref = reference_step(state, cfg, nonlinear=False)
-        assert new.spectral.tobytes() == ref.spectral.tobytes()
+    def test_free_step_matches(self, n):
+        # the free flow of a step is its full propagator times the state
+        grid = Grid(n)
+        v = real_state(grid).spectral
+        new = propagators(grid, 1.7, 0.01)[1] * v
+        ref = reference_propagators(grid, 1.7, 0.01)[1] * v
+        assert new.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [32, 64])
-    @pytest.mark.parametrize("left, right", [("real", "real"),
-                                             ("real", "complex"),
-                                             ("complex", "real"),
-                                             ("complex", "complex")])
-    def test_dealias_product_matches(self, n, left, right):
+    def test_dealias_product_matches(self, n):
         grid = Grid(n)
-        u = STATES[left](grid)
-        v = multiplier_apply(STATES[right](grid), derivative())
+        u = real_state(grid)
+        v = multiplier_apply(u, derivative())
         new = dealias_product(u, v)
         ref = reference_dealias_product(u, v)
-        assert new.is_real == ref.is_real
+        assert new.is_real
         assert new.spectral.tobytes() == ref.spectral.tobytes()
 
 
@@ -275,12 +252,6 @@ class TestStackEqualsRows:
         for row, cfg in zip(rows, cfgs):
             assert_row_is_run(row, cfg)
 
-    def test_complex_rows_match_their_runs(self):
-        states = [complex_state(Grid(64)) for _ in FULL_ROWS]
-        rows = stacked_runs(FULL_ROWS, states)
-        for row, cfg, state in zip(rows, FULL_ROWS, states):
-            assert_row_is_run(row, cfg, state)
-
     def test_row_order_does_not_matter(self):
         forward = stacked_runs(FULL_ROWS)
         backward = stacked_runs(FULL_ROWS[::-1])[::-1]
@@ -298,9 +269,9 @@ class TestStackEqualsRows:
         with pytest.raises(ValueError, match="share"):
             stacked_runs((FULL_ROWS[0], PARALINEAR_ROWS[0]))
         grid = Grid(64)
-        with pytest.raises(ValueError, match="share"):
-            stacked_runs(FULL_ROWS[:2], [real_state(grid),
-                                         complex_state(grid)])
+        wave = Field.from_physical(grid, np.exp(1j * grid.x))
+        with pytest.raises(ValueError, match="real fields only"):
+            stacked_runs(FULL_ROWS[:2], [real_state(grid), wave])
 
     @pytest.mark.parametrize("dt, fine_labels", [
         (None, {"none"}),

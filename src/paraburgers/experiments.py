@@ -25,8 +25,8 @@ from .gauge import (
 )
 from .normalform import normal_form_coeffs
 from .paraop import (
-    OperatorMatrix, adjoint_star, dealias_product, materialize, order_probe,
-    pair_mask, product_coeffs, product_tables
+    OperatorMatrix, dealias_product, materialize, order_probe, pair_mask,
+    product_coeffs, product_tables
 )
 from .solver import (
     BLOWUP_LIPSCHITZ, BLOWUP_SUP_FACTOR, SimConfig, Trajectory, _advance,
@@ -45,6 +45,10 @@ S_PROBES = (0.0, 1.0, 2.0)
 HERMITIAN_TOL = 1e-9
 SKEW_TOL = 1e-8
 EQUIVALENCE_BOUND = 2.0
+# The bound on ||u||_{H^{(1.5 - alpha)_+ + 0.01}} below which the energy
+# cell checks that w stays EQUIVALENCE_BOUND-equivalent to v.  It is not
+# gauge.SMALLNESS, the bound on M^m_0(a) of the symbol a that
+# `solve_nonlinear_exp` takes, although the two share a name and a value.
 SMALLNESS = 0.05
 ELLIPTIC_C = 2.0
 ORDER_BOUND = 0.2
@@ -141,16 +145,21 @@ def _trajectories(traj):
     return trajectories
 
 
-def _envelope_fit(ratios):
-    """(envelope, max) of a ratio sample; zeros stay out of the log fit."""
+def _envelope_report(ratios, ensemble_size):
+    """The envelope report of a ratio sample; zeros stay out of the log fit.
+
+    A sample without a positive ratio measured nothing, so its verdict is
+    `inconclusive`, not a `bounded` read off a zero envelope.
+    """
     ratios = np.asarray(list(ratios), dtype=np.float64)
     top = float(np.max(ratios)) if ratios.size else 0.0
     positive = ratios[ratios > 0.0]
     if positive.size == 0:
-        return 0.0, top
+        return EstimateReport(0.0, top, ensemble_size, "inconclusive")
     logs = np.log(positive)
     envelope = float(np.exp(np.mean(logs) + ENVELOPE_SIGMAS * np.std(logs)))
-    return envelope, top
+    verdict = "bounded" if top <= envelope else "violated"
+    return EstimateReport(envelope, top, ensemble_size, verdict)
 
 
 def diagnostics(u, alpha, s_list=(2.0,), t=0.0):
@@ -217,14 +226,20 @@ def standard_ensemble(n_points, alpha, t_end, dt=None, stride=1,
 # -- energy estimate --------------------------------------------------------
 
 def _gauge_generator(u, alpha, cutoff):
-    """The hermitian gauge generator for one state.
+    """The hermitian gauge generator for one real state.
 
     The dispersive multiplier in the commutator equation already carries
     the factor i, so the right-hand side producing a hermitian generator
-    is -(sigma + sigma*), without a further -i.
+    is -(sigma + sigma*), without a further -i.  The adjoint symbol is
+    the expansion sum_j (1/(i^j j!)) Delta_xi^j d_x^j conj(sigma), and for
+    sigma = u(x) xi, linear in xi, every term from j = 2 on vanishes, so
+    the expansion truncated below order 2 is exact.  With u real, the
+    j = 0 term has coefficients xi u_hat(eta) and the j = 1 term
+    eta u_hat(eta), so the right-hand side is -(2 xi + eta) u_hat(eta).
     """
     sigma = transport_symbol(u)
-    rhs = (sigma + adjoint_star(sigma, 2)) * (-1.0)
+    eta = u.grid.freqs.astype(np.float64)[:, None]
+    rhs = sigma.copy(coeffs=-(2.0 * sigma.coeffs + eta * u.spectral[:, None]))
     solution = solve_commutator(rhs, alpha, cutoff)
     return materialize(solution.p, cutoff).entries, sigma
 
@@ -329,17 +344,16 @@ def energy_estimate_study(traj, s, alpha, c=DEFAULT_CUTOFF):
     also passes the structural certificates: the gauge
     generator is hermitian on the deep pairs, the conjugated bracket is
     skew-hermitian, and w stays norm-equivalent to v on small data.  An
-    empty ensemble raises ValueError.
+    ensemble without a positive ratio reads `inconclusive`, and an empty
+    one raises ValueError.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"energy study needs alpha in (1, 2), got {alpha:g}")
     trajectories = _trajectories(traj)
     per_cell = [_energy_cell(tr, float(s), float(alpha), c)
                 for tr in trajectories]
-    ratios = [r for cell in per_cell for r in cell]
-    envelope, top = _envelope_fit(ratios)
-    verdict = "bounded" if top <= envelope else "violated"
-    return EstimateReport(envelope, top, len(trajectories), verdict)
+    return _envelope_report([r for cell in per_cell for r in cell],
+                            len(trajectories))
 
 
 # -- conjugation ------------------------------------------------------------
@@ -413,7 +427,8 @@ def conjugation_study(traj, alpha, c=DEFAULT_CUTOFF):
     under a uniform envelope across `S_PROBES`, and the transform must
     stay invertible: ||u||_s <= ELLIPTIC_C (||w||_s + sqrt(2 pi) |u_hat(0)|)
     at every sample.  A failed order fit voids the envelope: no constant
-    is certified then.  An empty ensemble raises ValueError.
+    is certified then.  Otherwise an ensemble without a positive ratio
+    reads `inconclusive`, and an empty one raises ValueError.
     """
     if not 2.0 < alpha < 3.0:
         raise ValueError(
@@ -425,12 +440,12 @@ def conjugation_study(traj, alpha, c=DEFAULT_CUTOFF):
     ratios = [r for cell, _ in per_cell for r in cell]
     orders = [est.slope for _, est in per_cell if est is not None]
     worst_order = max(orders) if orders else 0.0
-    envelope, top = _envelope_fit(ratios)
+    report = _envelope_report(ratios, len(trajectories))
     if worst_order > ORDER_BOUND:
-        return EstimateReport(0.0, max(top, np.finfo(float).tiny),
+        return EstimateReport(0.0, max(report.max_ratio,
+                                       np.finfo(float).tiny),
                               len(trajectories), "violated")
-    verdict = "bounded" if top <= envelope else "violated"
-    return EstimateReport(envelope, top, len(trajectories), verdict)
+    return report
 
 
 # -- wave-breaking scans ----------------------------------------------------

@@ -226,7 +226,7 @@ def _homogeneous_sup(symbol, weight_order, difference=False):
     sup ranges over the bases where one is defined.
     """
     if difference:
-        coeffs, base = xi_forward_difference(symbol, 1)
+        coeffs, base = xi_forward_difference(symbol)
     else:
         coeffs, base = symbol.coeffs, symbol.grid.freqs
     keep = base != 0
@@ -551,7 +551,7 @@ def _newton_exp(a, alpha, cutoff, initial=None, transform=None):
     )
 
 
-def _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup):
+def _check_tameness(a_stack, dt, grid, alpha, u_sup):
     """Time derivatives of the transport symbol must cost alpha orders each."""
     report = {}
     stack = a_stack
@@ -610,7 +610,7 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
     transport = [regularize(transport_symbol(u) * 1j, cutoff) for u in fields]
     a_stack = np.stack([s.coeffs for s in transport])
     u_sup = max(float(np.max(np.abs(u.physical()))) for u in fields)
-    tameness = _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup)
+    tameness = _check_tameness(a_stack, dt, grid, alpha, u_sup)
     transport_mats = [materialize(s, cutoff).entries for s in transport]
     psi_pair = pair_mask(grid, cutoff)
     support_pairs = psi_pair > SYMBOL_EXTRACTION_FLOOR

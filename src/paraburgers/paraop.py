@@ -32,7 +32,6 @@ path: a general symbol is applied through `materialize`.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +39,7 @@ import numpy as np
 from .errors import DegenerateProbe, GridMismatch, InvariantBroken
 from .spectral import Field, check_same_grid, derivative, multiplier_values, \
     sobolev_norm
-from .symbols import Symbol, cutoff_mask, regularize, x_derivative, \
-    xi_forward_difference
+from .symbols import cutoff_mask, regularize
 
 
 @functools.lru_cache(maxsize=16)
@@ -225,47 +223,6 @@ def paraproduct(u, v, cutoff):
     _check_real(u, v)
     return Field(grid, paraproduct_coeffs(grid, u.spectral, v.spectral,
                                           cutoff), True, _validate=False)
-
-
-def _xi_difference_symbol(symbol, j):
-    """Delta_xi^j as a same-shape symbol, FFT column order.
-
-    At the top of the lattice, where the forward stencil would leave the
-    retained modes, the last available difference is repeated (a one-sided
-    stencil of the same order), so symbols polynomial in xi of degree <= j
-    difference exactly.
-    """
-    grid = symbol.grid
-    if j == 0:
-        return symbol
-    diff, _ = xi_forward_difference(symbol, j)
-    block = np.empty((grid.n, grid.n), dtype=np.complex128)
-    block[:, : grid.n - j] = diff
-    block[:, grid.n - j:] = diff[:, -1:]
-    inverse_order = np.argsort(np.argsort(grid.freqs, kind="stable"), kind="stable")
-    return Symbol(grid, block[:, inverse_order], order_m=symbol.order_m - j)
-
-
-def _term_count(rho):
-    terms = int(rho) if rho == int(rho) else int(np.ceil(rho))
-    return max(terms, 1)
-
-
-def adjoint_star(a, rho):
-    """Adjoint symbol expansion truncated below rho.
-
-    Sum over j < rho of (1/(i^j j!)) Delta_xi^j d_x^j conj(a); conj acts on
-    symbol values at fixed (x, xi).
-    """
-    grid = a.grid
-    conj_values = np.conj(a.x_values())
-    conj_sym = Symbol(grid, np.fft.fft(conj_values, axis=0) / grid.n,
-                      order_m=a.order_m)
-    total = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    for j in range(_term_count(rho)):
-        term = x_derivative(conj_sym, j) if j else conj_sym
-        total += _xi_difference_symbol(term, j).coeffs / ((1j ** j) * math.factorial(j))
-    return Symbol(grid, total, order_m=a.order_m)
 
 
 def wave_packet(grid, center):

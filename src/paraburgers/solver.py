@@ -106,6 +106,9 @@ class SimConfig:
         if not isinstance(self.stride, numbers.Integral) or self.stride < 1:
             raise ValueError(f"stride must be an integer >= 1, got "
                              f"{self.stride!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got "
+                             f"{self.seed!r}")
 
 
 @dataclass(frozen=True)

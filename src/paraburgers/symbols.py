@@ -105,10 +105,6 @@ class Symbol:
         coeffs = field.spectral[:, None] * profile[None, :]
         return cls(grid, coeffs, order_m=0.0 if order_m is None else order_m)
 
-    def x_values(self):
-        """Physical tabulation a(x_j, xi), columns indexed by FFT order."""
-        return np.fft.ifft(self.coeffs, axis=0) * self.grid.n
-
     def copy(self, coeffs=None, **overrides):
         return Symbol(
             self.grid,
@@ -116,16 +112,6 @@ class Symbol:
             order_m=overrides.get("order_m", self.order_m),
             cutoff=overrides.get("cutoff", self.cutoff),
         )
-
-    def __add__(self, other):
-        if self.grid != other.grid:
-            raise ValueError("symbols on different grids")
-        cut = self.cutoff if self.cutoff == other.cutoff else None
-        return Symbol(self.grid, self.coeffs + other.coeffs,
-                      order_m=max(self.order_m, other.order_m), cutoff=cut)
-
-    def __sub__(self, other):
-        return self + (other * (-1.0))
 
     def __mul__(self, scalar):
         return Symbol(self.grid, self.coeffs * complex(scalar),
@@ -149,23 +135,22 @@ def regularize(symbol, cutoff):
     return symbol.copy(coeffs=mask * symbol.coeffs, cutoff=cutoff)
 
 
-def x_derivative(symbol, order=1):
+def x_derivative(symbol):
+    """d_x a: coefficients times i eta."""
     eta = 1j * symbol.grid.freqs.astype(np.float64)
-    factor = eta[:, None] ** order
-    return symbol.copy(coeffs=factor * symbol.coeffs)
+    return symbol.copy(coeffs=eta[:, None] * symbol.coeffs)
 
 
-def xi_forward_difference(symbol, order=1):
-    """Forward difference in xi; columns past the lattice edge are dropped.
+def xi_forward_difference(symbol):
+    """Forward difference Delta_xi a(x, xi) = a(x, xi + 1) - a(x, xi).
 
     Returns (coeffs, base_freqs): coeffs has one column per base frequency
-    xi with xi ... xi+order all on the lattice, in increasing order of xi.
+    xi with xi and xi + 1 both on the lattice, in increasing order of xi;
+    the column past the top of the lattice is dropped.
     """
     grid = symbol.grid
     out = symbol.coeffs[..., np.argsort(grid.freqs, kind="stable")]
-    for _ in range(order):
-        out = out[..., 1:] - out[..., :-1]
-    return out, np.sort(grid.freqs)[: grid.n - order]
+    return out[..., 1:] - out[..., :-1], np.sort(grid.freqs)[: grid.n - 1]
 
 
 def column_sup(grid, coeffs):

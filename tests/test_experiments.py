@@ -16,13 +16,13 @@ from paraburgers.gauge import (
 )
 from paraburgers.normalform import build_chi1
 from paraburgers.paraop import OperatorMatrix, dealias_product, \
-    gather_pairs, materialize, order_probe
+    gather_pairs, materialize, order_probe, pair_mask
 from paraburgers.solver import initial_field, run
 from paraburgers.spectral import Field, Grid, abs_d_pow, bessel_pow, \
     derivative, dispersion_profile, linf_norm, multiplier_apply, sobolev_norm
-from paraburgers.symbols import DEFAULT_CUTOFF, transport_symbol
+from paraburgers.symbols import DEFAULT_CUTOFF, Cutoff, transport_symbol
 
-from helpers import dense_multilinear, gauss_nodes
+from helpers import dense_multilinear, gauss_nodes, random_real_field
 
 CUTOFF = DEFAULT_CUTOFF
 
@@ -76,6 +76,57 @@ def quadrature_skew_gap(gauge, transported):
     return float(np.max(np.abs(conjugated + conjugated.conj().T)))
 
 
+# 64 ulp of float64, relative to the largest entry compared
+ROUNDING_TOL = 64 * np.finfo(np.float64).eps
+
+GENERATOR_CASES = [pytest.param(n, Cutoff(big_b, little_b),
+                                id=f"{n}-B{big_b:g}-b{little_b:g}")
+                   for n in (32, 64, 128)
+                   for big_b, little_b in ((8, 2), (2, 1), (3.5, 1.5))]
+
+
+def generator_parts(n, cutoff, monkeypatch):
+    """(u, right-hand side, generator, deep pairs) of `_gauge_generator` on
+    a random real state at alpha = 1.5; the right-hand side is the symbol
+    it hands to `solve_commutator`."""
+    grid = Grid(n)
+    u = random_real_field(grid, np.random.default_rng(n))
+    handed, solve = [], experiments.solve_commutator
+
+    def spy(rhs, alpha, c):
+        handed.append(rhs)
+        return solve(rhs, alpha, c)
+
+    monkeypatch.setattr(experiments, "solve_commutator", spy)
+    gauge, _ = experiments._gauge_generator(u, 1.5, cutoff)
+    psi = pair_mask(grid, cutoff)
+    return u, handed[0], gauge, (psi == 1.0) & (psi.T == 1.0)
+
+
+class TestGaugeGenerator:
+    """The generator's right-hand side is -(sigma + sigma*), sigma = u xi,
+    written in closed form; on the deep pairs, where the cutoff weighs
+    both orderings of a pair at one, it must be minus the hermitian part
+    of the dense transport matrix, for integer and non-integer cutoffs."""
+
+    @pytest.mark.parametrize("n,cutoff", GENERATOR_CASES)
+    def test_right_hand_side_is_the_dense_symmetrisation(self, n, cutoff,
+                                                         monkeypatch):
+        u, rhs, _, deep = generator_parts(n, cutoff, monkeypatch)
+        half = materialize(transport_symbol(u), cutoff).entries
+        closed = materialize(rhs, cutoff).entries
+        gap = np.max(np.abs((closed + half + half.conj().T)[deep]))
+        assert np.count_nonzero(deep) > 0
+        assert gap <= ROUNDING_TOL * np.max(np.abs(half))
+
+    @pytest.mark.parametrize("n,cutoff", GENERATOR_CASES)
+    def test_generator_is_hermitian_on_the_deep_pairs(self, n, cutoff,
+                                                      monkeypatch):
+        _, _, gauge, deep = generator_parts(n, cutoff, monkeypatch)
+        gap = np.max(np.abs((gauge - gauge.conj().T)[deep]))
+        assert gap <= ROUNDING_TOL * np.max(np.abs(gauge))
+
+
 class TestSkewGap:
     @pytest.mark.parametrize("amplitude", [1e-6, 1e-2])
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.75])
@@ -119,6 +170,13 @@ class TestEnergyStudy:
         # it used to read EstimateReport(0.0, 0.0, 0, 'bounded')
         with pytest.raises(ValueError, match="at least one trajectory"):
             experiments.energy_estimate_study([], 2.0, 1.5)
+
+    def test_zero_ensemble_is_inconclusive(self):
+        # every ratio of a zero state is 0/0 read as 0; it used to read
+        # EstimateReport(0.0, 0.0, 4, 'bounded')
+        report = experiments.energy_estimate_study(ensemble(0.0), 2.0, 1.5)
+        assert report == experiments.EstimateReport(0.0, 0.0, 4,
+                                                    "inconclusive")
 
 
 # -- the per-sample energy cell, kept as the reference ----------------------
@@ -300,6 +358,13 @@ class TestConjugationStudy:
         # it used to read EstimateReport(0.0, 0.0, 0, 'bounded')
         with pytest.raises(ValueError, match="at least one trajectory"):
             experiments.conjugation_study([], 2.5)
+
+    def test_zero_ensemble_is_inconclusive(self):
+        # a zero state has a zero transform and takes no ratio; it used to
+        # read EstimateReport(0.0, 0.0, 4, 'bounded')
+        report = experiments.conjugation_study(ensemble(0.0, alpha=2.5), 2.5)
+        assert report == experiments.EstimateReport(0.0, 0.0, 4,
+                                                    "inconclusive")
 
     def test_newton_hands_on_its_exponential(self, conjugation_ensemble):
         u = conjugation_ensemble[0].states[-1]

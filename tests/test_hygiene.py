@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with the standard library's `ast`:
-no import goes unused, and no module-level private function is left
-without a reference in the package."""
+no import goes unused, no module-level private function is left without
+a reference in the package, and no function or method takes a parameter
+it never reads."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,37 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     ]
     assert unreferenced == []
+
+
+def top_level_functions(tree):
+    """Module-level functions and the methods of module-level classes.
+
+    Functions nested in a function are left out: they are callbacks whose
+    signatures their callers fix, such as the `keep` callbacks that the
+    solver's stacked loop calls with every reading.
+    """
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for member in body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield member
+
+
+def parameter_names(function):
+    args = function.args
+    named = args.posonlyargs + args.args + args.kwonlyargs
+    starred = [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+    return [arg.arg for arg in named + starred]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    unread = []
+    for function in top_level_functions(parse(path)):
+        loaded = {node.id for node in ast.walk(function)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{function.lineno} {function.name}({name})"
+                   for name in parameter_names(function)
+                   if name not in loaded]
+    assert unread == []

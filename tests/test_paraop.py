@@ -1,5 +1,5 @@
-"""Operator materialization, the cone-band paraproduct, the adjoint
-symbol, and order probes."""
+"""Operator materialization, the cone-band paraproduct, and order
+probes."""
 
 import dataclasses
 
@@ -17,15 +17,6 @@ from helpers import random_real_field
 
 # Calibrated with seeds below on N in {64, 128, 256}; regression bound.
 CONTINUITY_K = 0.36
-
-
-def band_field(grid, band, rng, amplitude=0.3):
-    coeffs = np.zeros(grid.n, dtype=np.complex128)
-    for k in range(1, band + 1):
-        z = rng.standard_normal() + 1j * rng.standard_normal()
-        coeffs[grid.index_of(k)] = amplitude * z
-        coeffs[grid.index_of(-k)] = amplitude * np.conj(z)
-    return Field(grid, coeffs)
 
 
 class TestMaterialize:
@@ -363,48 +354,6 @@ class TestSpectrumLocalisation:
         bound = (1.0 + 1.0 / big_b) * radius - little_b / big_b
         bad = np.abs(grid.freqs) > bound
         assert np.max(np.abs(out.spectral[bad])) == 0.0
-
-
-class TestAdjointStar:
-    def test_real_multiplier_fixed(self):
-        grid = Grid(64)
-        sym = Symbol.from_function(grid, lambda x, xi: np.ones_like(x) * np.abs(xi))
-        for rho in (1, 2):
-            star = paraop.adjoint_star(sym, rho)
-            np.testing.assert_allclose(star.coeffs, sym.coeffs, atol=1e-13)
-
-    def test_transport_closed_form(self):
-        grid = Grid(64)
-        rng = np.random.default_rng(12)
-        u = random_real_field(grid, rng)
-        sym = Symbol.from_field(u, xi_profile=lambda xi: xi, order_m=1.0)
-        star = paraop.adjoint_star(sym, 2)
-        du = u.copy()
-        du_spec = du.spectral * (1j * grid.freqs)
-        ref_coeffs = (u.spectral[:, None] * grid.freqs[None, :]
-                      + du_spec[:, None] / 1j * np.ones(grid.n)[None, :])
-        np.testing.assert_allclose(star.coeffs, ref_coeffs, atol=1e-12)
-
-    def test_rho_one_is_conjugate(self):
-        grid = Grid(64)
-        sym = Symbol.from_function(
-            grid, lambda x, xi: (np.cos(x) + 1j * np.sin(2 * x)) * np.exp(1j * xi / 9.0))
-        star = paraop.adjoint_star(sym, 1)
-        ref = np.fft.fft(np.conj(sym.x_values()), axis=0) / grid.n
-        np.testing.assert_allclose(star.coeffs, ref, atol=1e-13)
-
-    @pytest.mark.parametrize("rho", [1, 2])
-    def test_adjoint_remainder_order(self, rho):
-        grid = Grid(128)
-        cutoff = Cutoff(2.0, 1.0)
-        rng = np.random.default_rng(3)
-        v = band_field(grid, 3, rng)
-        sym = Symbol.from_field(v, xi_profile=lambda xi: xi, order_m=1.0)
-        star = paraop.adjoint_star(sym, rho)
-        difference = (paraop.materialize(sym, cutoff).entries.conj().T
-                      - paraop.materialize(star, cutoff).entries)
-        estimate = paraop.order_probe(paraop.OperatorMatrix(grid, difference))
-        assert estimate.slope <= 1.0 - rho + 0.2
 
 
 class TestOrderProbe:

@@ -89,6 +89,21 @@ class TestSimConfig:
         np.testing.assert_allclose(run(cfg).times, np.arange(6) * 0.02,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("init", ["random", "cos1"])
+    @pytest.mark.parametrize("seed", [1.5, -1, "0", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed, init):
+        # seed 1.5 used to reach numpy's SeedSequence as a TypeError, and
+        # -1 as a ValueError, once a random run started; cos1, which draws
+        # nothing, accepted both
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimConfig(n_points=32, alpha=1.5, t_end=0.01, dt=0.005,
+                      seed=seed, init=init)
+        cfg = SimConfig(n_points=32, alpha=1.5, t_end=0.01, dt=0.005,
+                        seed=np.int64(3), init=init)
+        np.testing.assert_array_equal(
+            run(cfg).states[0].spectral,
+            initial_field(Grid(32), init, 0.01, 3).spectral)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["amplitude", "t_end"])
     def test_non_finite_inputs(self, name, value):

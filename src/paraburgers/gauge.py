@@ -21,6 +21,22 @@ F(p) = -i [expm(i T_p), D] so that its differential at p = 0 is exactly
 the linear map above; with that normalization the tiny-data Newton
 solution coincides with the linear solve to second order.
 
+Layouts.  A symbol regularized with the cutoff vanishes off the rows
+|eta| <= reach = floor((N/2 - b)/B), so the symbol-layout work runs on
+(..., 2 reach + 1, N) bands (`paraop.to_band`; row j holds eta = reach -
+j): `_divide` and its `_division_table`, the `_time_chain` layers, the
+`_check_tameness` stacks, the transport symbols and p stacks of
+`solve_conjugating`, and the Newton iterate of `_newton_exp`.  The
+Newton solves read the pair matrix only on the sound pairs of
+`_pair_sets`, where psi exceeds SYMBOL_EXTRACTION_FLOOR, and
+`_extract_pairs` writes those straight into a band.  Dense (N x N, or
+(T, N, N) stacks of them) are the operators: W = e^{i T_p}, the residual
+g, the transport matrices, `_expm` and the products with W, placed from
+bands by `paraop.gather_band`.  The seminorm readings zero-pad a band
+along eta to N (`_band_seminorm`), so they read the same FFT as the
+N x N layout.  Every public result is N x N: a returned p is its band
+padded with +0.0.
+
 The exponentials of the gauge, e^{i T_p} here and e^{-+iG} in the energy
 study's skew check, are small: on the N=64 study inputs ||i T_p||_1 is
 about 3.6e-6, and over the test suite the gauge's generators stay below
@@ -38,6 +54,7 @@ of the two, but no study sends such a generator.
 import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,14 +66,15 @@ from .errors import (
     SmallnessViolated,
     TamenessViolated,
 )
-from .paraop import gather_pairs, materialize, pair_mask, scatter_pairs
+from .paraop import _band_pairs, _cone_band, from_band, gather_band, \
+    materialize, pair_mask, to_band
 from .spectral import dispersion_phase, dispersion_profile
 from .symbols import DEFAULT_CUTOFF, Symbol, column_sup, cutoff_mask, \
-    regularize, seminorm, stack_seminorm, transport_symbol, x_derivative, \
-    xi_forward_difference
+    regularize, stack_seminorm, x_derivative, xi_forward_difference
 
-# Read when `_division_table` builds a (grid, alpha, cutoff) table; a
-# table already cached keeps the floor it was built under.
+# Read when `_division_table` builds a (grid, alpha, cutoff) table and
+# `_pair_sets` a (grid, cutoff) table; a table already cached keeps the
+# floor it was built under.
 SMALL_DIVISOR_FLOOR = 1e-8
 SYMBOL_EXTRACTION_FLOOR = 1e-3
 TAMENESS_C = 1.0
@@ -181,11 +199,13 @@ class GaugeSolution:
 
 @functools.lru_cache(maxsize=16)
 def _division_table(grid, alpha, cutoff):
-    """(zone, den set to 1 off the zone) for `_divide`.
+    """(zone, den set to 1 off the zone) for `_divide`, as the band rows
+    of the lattice tables.
 
-    The small-divisor guard runs here: a zone slot with |den| below
-    SMALL_DIVISOR_FLOOR of its elliptic scale raises SmallDivisor, so no
-    table is cached and every later division raises again.
+    The small-divisor guard runs here, on the whole lattice: a zone slot
+    with |den| below SMALL_DIVISOR_FLOOR of its elliptic scale raises
+    SmallDivisor, so no table is cached and every later division raises
+    again.
     """
     zone = _division_zone(grid, cutoff)
     den = _denominator_table(grid, alpha)
@@ -198,17 +218,45 @@ def _division_table(grid, alpha, cutoff):
             f"|den({eta}, {xi})| below {SMALL_DIVISOR_FLOOR} of its elliptic "
             f"scale; the cutoff does not separate frequencies"
         )
-    den = np.where(zone, den, 1.0)
+    zone = to_band(zone, grid, cutoff)
+    den = np.where(zone, to_band(den, grid, cutoff), 1.0)
     zone.setflags(write=False)
     den.setflags(write=False)
     return zone, den
 
 
 def _divide(stack, grid, alpha, cutoff):
-    """a_hat / den on the division zone, zero elsewhere; leading axes of
-    stack are samples."""
+    """a_hat / den on the division zone, zero elsewhere, for a
+    (..., 2 reach + 1, N) band stack whose leading axes are samples."""
     zone, den = _division_table(grid, alpha, cutoff)
     return np.where(zone, stack / den, 0.0)
+
+
+class _PairSets(NamedTuple):
+    """Where the Newton solves read the pair matrix.
+
+    pairs, slots and psi are the sound pairs, where psi exceeds
+    SYMBOL_EXTRACTION_FLOOR (the pairs a residual is read on and a symbol
+    extracted from), as flat positions in the pair matrix and in the band
+    and psi on them; off holds the flat matrix positions where psi is
+    zero.
+    """
+
+    pairs: np.ndarray
+    slots: np.ndarray
+    psi: np.ndarray
+    off: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_sets(grid, cutoff):
+    band = _band_pairs(grid, cutoff)
+    sound = band.psi > SYMBOL_EXTRACTION_FLOOR
+    sets = _PairSets(band.pairs[sound], band.slots[sound], band.psi[sound],
+                     np.flatnonzero(pair_mask(grid, cutoff) == 0.0))
+    for array in sets:
+        array.setflags(write=False)
+    return sets
 
 
 def _support_residual(p_coeffs, a_coeffs, grid, alpha):
@@ -288,7 +336,9 @@ def solve_commutator(a, alpha, cutoff=DEFAULT_CUTOFF):
         raise ValueError(f"need alpha >= 1, got {alpha:g}")
     grid = a.grid
     a_reg = regularize(a, cutoff)
-    p_coeffs = _divide(a_reg.coeffs, grid, alpha, cutoff)
+    p_coeffs = from_band(
+        _divide(to_band(a_reg.coeffs, grid, cutoff), grid, alpha, cutoff),
+        grid, cutoff)
     order_p = a_reg.order_m + 1.0 - alpha
     p = Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff)
     residual = _support_residual(p_coeffs, a_reg.coeffs, grid, alpha)
@@ -387,9 +437,10 @@ def _time_chain(a_stack, dt, grid, alpha, cutoff, order_p, j_max, tol):
     stop raises: the sum so far is returned, and the Newton sweep that
     called us reads the residual it leaves.
 
-    Returns (total, increments): the summed (samples, N, N) stack, and
-    the M^{order_p} stack reading of each correction layer that joined it,
-    in order.  Layer zero is not among them.
+    a_stack and the returned total are (samples, 2 reach + 1, N) band
+    stacks.  Returns (total, increments): the summed stack, and the
+    M^{order_p} stack reading of each correction layer that joined it, in
+    order.  Layer zero is not among them.
     """
     layer = _divide(a_stack, grid, alpha, cutoff)
     total = layer.copy()
@@ -398,11 +449,11 @@ def _time_chain(a_stack, dt, grid, alpha, cutoff, order_p, j_max, tol):
     for _ in range(j_max):
         candidate = _divide(_time_derivative_stack(layer, dt), grid, alpha,
                             cutoff)
-        inc = stack_seminorm(grid, candidate, order_p)
+        inc = _band_seminorm(candidate, grid, cutoff, order_p)
         if inc < tol:
             break
         prev = increments[-1] if increments else \
-            stack_seminorm(grid, layer, order_p)
+            _band_seminorm(layer, grid, cutoff, order_p)
         if prev > 0.0 and inc >= _DIVERGENT_TAIL * prev:
             break
         if increments and inc >= 0.95 * increments[-1]:
@@ -419,16 +470,25 @@ def _time_chain(a_stack, dt, grid, alpha, cutoff, order_p, j_max, tol):
     return total, increments
 
 
-def _extract_pairs(entries, grid, psi_pair):
-    """Matrix entries back to symbol layout, divided by psi where it is sound.
+def _band_seminorm(band, grid, cutoff, order_m):
+    """`stack_seminorm` of a band stack, read on its zero-padded N x N
+    layout."""
+    return stack_seminorm(grid, from_band(band, grid, cutoff), order_m)
 
-    Entries under the extraction floor belong to the residual report, not
-    to the symbol.
+
+def _extract_pairs(sound, grid, cutoff):
+    """Band-layout symbol of matrix entries given on the sound pairs of
+    `_pair_sets` (leading axes are samples): each divided by psi, zero on
+    every other slot.
+
+    Entries on the other pairs belong to the residual report, not to the
+    symbol.
     """
-    sound = psi_pair > SYMBOL_EXTRACTION_FLOOR
-    divided = np.divide(entries, psi_pair, out=np.zeros_like(entries),
-                        where=sound)
-    return scatter_pairs(divided, grid)
+    rows = 2 * _cone_band(grid, cutoff).reach + 1
+    out = np.zeros((*sound.shape[:-1], rows * grid.n), dtype=np.complex128)
+    sets = _pair_sets(grid, cutoff)
+    out[..., sets.slots] = sound / sets.psi
+    return out.reshape(*sound.shape[:-1], rows, grid.n)
 
 
 def _expm(a):
@@ -475,8 +535,8 @@ def solve_nonlinear_exp(a, alpha, cutoff=DEFAULT_CUTOFF):
     is one explicit solve_commutator division and tiny data reproduces the
     linear solution to second order.  The off-support part of the
     commutator is reported, never driven to zero.  M^m_0(a) must not
-    exceed SMALLNESS; Newton stops below NEWTON_TOL and gives up after
-    NEWTON_MAX_ITERATIONS steps.
+    exceed SMALLNESS; Newton stops below NEWTON_TOL, and gives up at the
+    first non-finite residual or after NEWTON_MAX_ITERATIONS steps.
 
     extras["transform"] is expm(i T_p) for the returned p: the very matrix
     the converged Newton step exponentiated, handed on so that callers do
@@ -484,58 +544,18 @@ def solve_nonlinear_exp(a, alpha, cutoff=DEFAULT_CUTOFF):
     """
     if not alpha >= 1:
         raise ValueError(f"need alpha >= 1, got {alpha:g}")
-    return _newton_exp(a, alpha, cutoff)
-
-
-def _newton_exp(a, alpha, cutoff, initial=None, transform=None):
-    """The Newton loop of `solve_nonlinear_exp`, started from the symbol
-    initial (zero when None).
-
-    transform, when given, is expm(i T_p) of the initial placement, which
-    a warm-starting caller already holds; step 0 uses it instead of
-    exponentiating the same matrix again.
-    """
     grid = a.grid
     a_reg = regularize(a, cutoff)
-    measured = seminorm(a_reg, order_m=a_reg.order_m)
-    if measured > SMALLNESS:
-        raise SmallnessViolated(
-            f"M^{a_reg.order_m:g}_0(a) = {measured:.3e} exceeds the smallness "
-            f"threshold {SMALLNESS:g}"
-        )
-    psi_pair = pair_mask(grid, cutoff)
-    support_pairs = psi_pair > SYMBOL_EXTRACTION_FLOOR
-    den_pair = _pair_denominator(grid, alpha)
-    a_pair = materialize(a_reg, cutoff).entries
-    p_coeffs = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    if initial is not None:
-        p_coeffs = regularize(initial, cutoff).coeffs.copy()
-    order_p = a_reg.order_m + 1.0 - alpha
-    iterations = 0
-    residual = np.inf
-    for step in range(NEWTON_MAX_ITERATIONS + 1):
-        if step or transform is None:
-            p_matrix = materialize(
-                Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff), cutoff
-            )
-            transform = _expm(1j * p_matrix.entries)
-        commutator = transform * den_pair
-        r_pair = -1j * commutator - a_pair
-        residual = float(np.max(np.abs(r_pair[support_pairs])))
-        if residual < NEWTON_TOL:
-            iterations = step
-            break
-        if step == NEWTON_MAX_ITERATIONS:
-            raise NewtonDiverged(
-                f"residual {residual:.3e} after {NEWTON_MAX_ITERATIONS} "
-                f"Newton steps"
-            )
-        r_coeffs = _extract_pairs(r_pair, grid, psi_pair)
-        p_coeffs = p_coeffs - _divide(r_coeffs, grid, alpha, cutoff)
-    p = Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff)
-    off_support = np.where(psi_pair == 0.0, commutator, 0.0)
+    measured = _smallness(a_reg.coeffs, grid, a_reg.order_m)
+    sets = _pair_sets(grid, cutoff)
+    a_sound = materialize(a_reg, cutoff).entries.reshape(-1)[sets.pairs]
+    p_band, transform, residual, iterations = _newton_exp(
+        a_sound, grid, alpha, cutoff
+    )
+    off = (transform.reshape(-1)[sets.off]
+           * _pair_denominator(grid, alpha).reshape(-1)[sets.off])
     extras = {
-        "off_support_norm": float(np.max(np.abs(off_support))),
+        "off_support_norm": float(np.max(np.abs(off), initial=0.0)),
         "smallness": {
             "threshold": SMALLNESS,
             "measured": measured,
@@ -544,21 +564,70 @@ def _newton_exp(a, alpha, cutoff, initial=None, transform=None):
         "transform": transform,
     }
     return GaugeSolution(
-        p=p,
+        p=Symbol(grid, from_band(p_band, grid, cutoff),
+                 order_m=a_reg.order_m + 1.0 - alpha, cutoff=cutoff),
         residual_norm=residual,
         iterations=iterations,
         extras=extras,
     )
 
 
-def _check_tameness(a_stack, dt, grid, alpha, u_sup):
-    """Time derivatives of the transport symbol must cost alpha orders each."""
+def _smallness(coeffs, grid, order_m):
+    """M^m_0 of symbol-layout coefficients; SmallnessViolated past
+    SMALLNESS."""
+    measured = stack_seminorm(grid, coeffs, order_m)
+    if measured > SMALLNESS:
+        raise SmallnessViolated(
+            f"M^{order_m:g}_0(a) = {measured:.3e} exceeds the smallness "
+            f"threshold {SMALLNESS:g}"
+        )
+    return measured
+
+
+def _newton_exp(a_sound, grid, alpha, cutoff, initial=None, transform=None):
+    """The Newton loop of `solve_nonlinear_exp`, on the band.
+
+    a_sound is the regularized data's matrix on the sound pairs of
+    `_pair_sets`, the only pairs the loop reads it on.  The loop starts
+    from the band p initial (zero when None); transform, when given, is
+    expm(i T_p) of that placement, which a warm-starting caller already
+    holds, and step 0 uses it instead of exponentiating the same matrix
+    again.  Returns (p band, expm(i T_p), residual, Newton steps).
+    """
+    sets = _pair_sets(grid, cutoff)
+    den_sound = _pair_denominator(grid, alpha).reshape(-1)[sets.pairs]
+    if initial is None:
+        initial = np.zeros((2 * _cone_band(grid, cutoff).reach + 1, grid.n),
+                           dtype=np.complex128)
+    p_band = initial
+    for step in range(NEWTON_MAX_ITERATIONS + 1):
+        if step or transform is None:
+            transform = _expm(1j * gather_band(p_band, grid, cutoff))
+        r_sound = -1j * (transform.reshape(-1)[sets.pairs] * den_sound) \
+            - a_sound
+        residual = float(np.max(np.abs(r_sound)))
+        if not math.isfinite(residual):
+            raise NewtonDiverged(f"residual {residual} at Newton step {step}")
+        if residual < NEWTON_TOL:
+            return p_band, transform, residual, step
+        if step == NEWTON_MAX_ITERATIONS:
+            raise NewtonDiverged(
+                f"residual {residual:.3e} after {NEWTON_MAX_ITERATIONS} "
+                f"Newton steps"
+            )
+        p_band = p_band - _divide(_extract_pairs(r_sound, grid, cutoff),
+                                  grid, alpha, cutoff)
+
+
+def _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup):
+    """Time derivatives of the transport symbol must cost alpha orders
+    each; a_stack is a band stack."""
     report = {}
     stack = a_stack
     for j in (1, 2):
         stack = _time_derivative_stack(stack, dt)
         order_j = (j + 1) * alpha - 1.0
-        measured = stack_seminorm(grid, stack, order_j)
+        measured = _band_seminorm(stack, grid, cutoff, order_j)
         bound = TAMENESS_C * u_sup * (2.0 ** j + 1.0)
         report[j] = (measured, bound)
         if measured > bound:
@@ -567,6 +636,15 @@ def _check_tameness(a_stack, dt, grid, alpha, u_sup):
                 f"{bound:.3e} (ratio {measured / bound:.2f})"
             )
     return report
+
+
+def _transport_band(u, cutoff):
+    """The band of regularize(transport_symbol(u) * 1j, cutoff), each slot
+    computed as the dense symbol computes it."""
+    grid = u.grid
+    rows = _cone_band(grid, cutoff).rows
+    coeffs = u.spectral[rows][:, None] * grid.freqs.astype(np.float64)[None, :]
+    return to_band(cutoff_mask(grid, cutoff), grid, cutoff) * (coeffs * 1j)
 
 
 def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
@@ -592,8 +670,9 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
     pair for each time derivative j = 1, 2.
 
     The numerical settings are module constants, not options: the sweeps
-    stop once every sample's residual is below CONJUGATING_TOL and give up
-    after NEWTON_MAX_ITERATIONS sweeps, each correction ladder
+    stop once every sample's residual is below CONJUGATING_TOL, and give
+    up at the first non-finite residual or after NEWTON_MAX_ITERATIONS
+    sweeps, each correction ladder
     (`_time_chain`) has at most CHAIN_MAX_LAYERS layers and drops layers
     below CONJUGATING_TOL / 10, the per-sample Newton solves keep the
     SMALLNESS, NEWTON_TOL and NEWTON_MAX_ITERATIONS of
@@ -607,25 +686,29 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
     if not dt > 0:
         raise ValueError(f"need dt > 0, got {dt:g}")
     grid = fields[0].grid
-    transport = [regularize(transport_symbol(u) * 1j, cutoff) for u in fields]
-    a_stack = np.stack([s.coeffs for s in transport])
+    a_stack = np.stack([_transport_band(u, cutoff) for u in fields])
     u_sup = max(float(np.max(np.abs(u.physical()))) for u in fields)
-    tameness = _check_tameness(a_stack, dt, grid, alpha, u_sup)
-    transport_mats = [materialize(s, cutoff).entries for s in transport]
-    psi_pair = pair_mask(grid, cutoff)
-    support_pairs = psi_pair > SYMBOL_EXTRACTION_FLOOR
+    tameness = _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup)
+    transport_mats = gather_band(a_stack, grid, cutoff)
+    sets = _pair_sets(grid, cutoff)
     den_pair = _pair_denominator(grid, alpha)
     order_p = 2.0 - alpha
+    reach = _cone_band(grid, cutoff).reach
 
     guess = guess_transform = None
-    p_stack = np.zeros((len(fields), grid.n, grid.n), dtype=np.complex128)
-    w_stack = np.empty_like(p_stack)
-    for i, sym in enumerate(transport):
+    p_stack = np.empty_like(a_stack)
+    w_stack = np.empty((len(fields), grid.n, grid.n), dtype=np.complex128)
+    for i, a in enumerate(a_stack):
         # sample i starts from p_{i-1}, whose exponential is already known
-        sol = _newton_exp(1j * sym, alpha, cutoff, guess, guess_transform)
-        guess, guess_transform = sol.p, sol.extras["transform"]
-        p_stack[i] = sol.p.coeffs
-        w_stack[i] = sol.extras["transform"]
+        data = a * 1j
+        # the smallness of `solve_nonlinear_exp`, at the transport's order 1
+        _smallness(from_band(data, grid, cutoff), grid, 1.0)
+        guess, guess_transform, _, _ = _newton_exp(
+            data.reshape(-1)[sets.slots], grid, alpha, cutoff, guess,
+            guess_transform
+        )
+        p_stack[i] = guess
+        w_stack[i] = guess_transform
 
     iterations = 0
     residuals = None
@@ -635,19 +718,22 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
         for i, w in enumerate(w_stack):
             g_stack[i] -= w * den_pair
             g_stack[i] -= w @ transport_mats[i]
-        residuals = np.max(np.abs(g_stack[:, support_pairs]), axis=1).tolist()
-        if max(residuals) < CONJUGATING_TOL:
+        g_sound = g_stack.reshape(len(fields), -1)[:, sets.pairs]
+        residuals = np.max(np.abs(g_sound), axis=1)
+        worst = float(np.max(residuals))
+        if not math.isfinite(worst):
+            raise NewtonDiverged(
+                f"conjugating residual {worst} at Newton sweep {step}"
+            )
+        if worst < CONJUGATING_TOL:
             iterations = step
             break
         if step == NEWTON_MAX_ITERATIONS:
             raise NewtonDiverged(
-                f"conjugating residual {max(residuals):.3e} after "
+                f"conjugating residual {worst:.3e} after "
                 f"{NEWTON_MAX_ITERATIONS} Newton sweeps"
             )
-        rhs = np.stack([
-            -1j * _extract_pairs(g_stack[i], grid, psi_pair)
-            for i in range(len(fields))
-        ])
+        rhs = -1j * _extract_pairs(g_sound, grid, cutoff)
         correction, _ = _time_chain(
             rhs, dt, grid, alpha, cutoff, order_p, CHAIN_MAX_LAYERS,
             CONJUGATING_TOL * 0.1
@@ -656,17 +742,21 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
         # vanishes and the linearization is the ODE -d_t h = rhs.  Integrate
         # it by the cumulative trapezoid sum of `_trapezoid_integral`, with
         # h = 0 at the first sample (the x-mean gauge choice there);
-        # repeated sweeps tighten the integral to stencil consistency.
-        correction[:, 0, :] -= _trapezoid_integral(rhs[:, 0, :], dt)
+        # repeated sweeps tighten the integral to stencil consistency.  The
+        # eta = 0 row is row `reach` of the band.
+        correction[:, reach, :] -= _trapezoid_integral(rhs[:, reach, :], dt)
         p_stack = p_stack + correction
-        for i, p_coeffs in enumerate(p_stack):
-            w_stack[i] = _expm(1j * gather_pairs(p_coeffs, grid))
+        for i, placed in enumerate(gather_band(p_stack, grid, cutoff)):
+            w_stack[i] = _expm(1j * placed)
 
-    off_support = np.max(np.abs(g_stack[:, psi_pair == 0.0]), axis=1,
-                         initial=0.0).tolist()
+    off_support = np.max(
+        np.abs(g_stack.reshape(len(fields), -1)[:, sets.off]), axis=1,
+        initial=0.0
+    ).tolist()
     solutions = []
     for i in range(len(fields)):
-        p = Symbol(grid, p_stack[i], order_m=order_p, cutoff=cutoff)
+        p = Symbol(grid, from_band(p_stack[i], grid, cutoff), order_m=order_p,
+                   cutoff=cutoff)
         extras = {
             "off_support_norm": off_support[i],
             "tameness": tameness,
@@ -676,7 +766,7 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
         solutions.append(
             GaugeSolution(
                 p=p,
-                residual_norm=residuals[i],
+                residual_norm=float(residuals[i]),
                 iterations=iterations,
                 extras=extras,
             )

@@ -29,10 +29,21 @@ The pointwise product of two real fields is always 2/3-dealiased
 (`product_coeffs`).  `paraproduct` and `dealias_product` raise
 ValueError for a field that is not real.  No other symbol has a fast
 path: a general symbol is applied through `materialize`.
+
+Band layout.  A symbol regularized with the cutoff lives on the same rows
+|eta| <= reach, so the gauge keeps its symbol stacks as (..., 2 reach + 1,
+N) bands: row j holds eta = reach - j (FFT row reach - j mod N), the
+columns are the N modes xi in FFT order.  `to_band` and `from_band` convert
+to and from the (..., N, N) symbol layout, which is +0.0 off the band.
+`gather_band` places a band in the dense matrix through one cached index
+table per (grid, cutoff) and raises InvariantBroken, as `materialize`
+does, for a nonzero band slot where psi vanishes.  The public API stays
+N x N: `Symbol`, `materialize`, `gather_pairs` and `pair_mask` are dense.
 """
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,15 +76,6 @@ def gather_pairs(coeffs, grid):
     lattice."""
     valid, rows, cols = _pair_slots(grid)
     return np.where(valid, coeffs[rows, cols], 0.0)
-
-
-def scatter_pairs(entries, grid):
-    """Matrix entries back to symbol layout, the inverse of gather_pairs;
-    entries at pairs whose eta is off the lattice are dropped."""
-    valid, rows, cols = _pair_slots(grid)
-    coeffs = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    coeffs[rows[valid], cols[valid]] = entries[valid]
-    return coeffs
 
 
 @functools.lru_cache(maxsize=16)
@@ -176,6 +178,73 @@ def _cone_band(grid, cutoff):
     band.rows.setflags(write=False)
     band.weights.setflags(write=False)
     return band
+
+
+def to_band(coeffs, grid, cutoff):
+    """The rows |eta| <= reach of (..., N, N) symbol-layout coefficients,
+    as a (..., 2 reach + 1, N) band: row j holds eta = reach - j."""
+    return coeffs[..., _cone_band(grid, cutoff).rows, :]
+
+
+def from_band(band, grid, cutoff):
+    """A (..., 2 reach + 1, N) band back in (..., N, N) symbol layout,
+    +0.0 off the band."""
+    out = np.zeros((*band.shape[:-2], grid.n, grid.n), dtype=np.complex128)
+    out[..., _cone_band(grid, cutoff).rows, :] = band
+    return out
+
+
+class _BandPairs(NamedTuple):
+    """The band slots whose pair stays on the lattice, in band order.
+
+    slots are their flat positions j N + c in the band, pairs the flat
+    positions (xi + eta) N + c of their pairs in the matrix, in FFT order,
+    psi the cutoff on them, and vanish the flat band positions of the
+    on-lattice slots where psi is zero.
+    """
+
+    slots: np.ndarray
+    pairs: np.ndarray
+    psi: np.ndarray
+    vanish: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _band_pairs(grid, cutoff):
+    band = _cone_band(grid, cutoff)
+    eta = grid.freqs[band.rows][:, None]
+    out = eta + grid.freqs[None, :]
+    valid = (out >= -grid.n // 2) & (out <= grid.n // 2 - 1)
+    psi = cutoff_mask(grid, cutoff)[band.rows]
+    flat = valid.ravel()
+    slots = np.flatnonzero(flat)
+    pairs = (np.mod(out, grid.n) * grid.n
+             + np.arange(grid.n)[None, :]).ravel()[slots]
+    table = _BandPairs(slots, pairs, psi.ravel()[slots],
+                       np.flatnonzero(flat & (psi.ravel() == 0.0)))
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
+def gather_band(band, grid, cutoff):
+    """Matrix entries of band-layout coefficients regularized with cutoff,
+    (..., 2 reach + 1, N) to (..., N, N): entries[xi + eta, xi] =
+    band[reach - eta, xi], +0.0 off the band and where xi + eta leaves the
+    lattice.  Like `materialize`, raises InvariantBroken if a slot where
+    psi vanishes holds a nonzero entry."""
+    table = _band_pairs(grid, cutoff)
+    lead = band.shape[:-2]
+    flat = band.reshape(*lead, -1)
+    outside = flat[..., table.vanish]
+    if np.any(outside):
+        raise InvariantBroken(
+            f"{np.count_nonzero(outside)} band entries outside the "
+            f"{cutoff!r} pair mask; a symbol marked regularized was not"
+        )
+    out = np.zeros((*lead, grid.n * grid.n), dtype=np.complex128)
+    out[..., table.pairs] = flat[..., table.slots]
+    return out.reshape(*lead, grid.n, grid.n)
 
 
 def paraproduct_coeffs(grid, u, v, cutoff):

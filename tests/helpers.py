@@ -77,3 +77,11 @@ def dense_multilinear(chi, a, b):
     out = np.zeros(grid.n, dtype=np.complex128)
     np.add.at(out, total[keep] % grid.n, terms[keep])
     return out
+
+
+def band_rows(grid, cutoff):
+    """FFT rows of the cone band, written out from its definition: row j
+    holds eta = reach - j, reach = floor((N/2 - b) / B), clipped at 0."""
+    reach = max(int(np.floor((grid.n / 2 - cutoff.little_b) / cutoff.big_b)),
+                0)
+    return np.mod(reach - np.arange(2 * reach + 1), grid.n)

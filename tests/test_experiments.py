@@ -22,7 +22,8 @@ from paraburgers.spectral import Field, Grid, abs_d_pow, bessel_pow, \
     derivative, dispersion_profile, linf_norm, multiplier_apply, sobolev_norm
 from paraburgers.symbols import DEFAULT_CUTOFF, Cutoff, transport_symbol
 
-from helpers import dense_multilinear, gauss_nodes, random_real_field
+from helpers import band_rows, dense_multilinear, gauss_nodes, \
+    random_real_field
 
 CUTOFF = DEFAULT_CUTOFF
 
@@ -371,6 +372,17 @@ class TestConjugationStudy:
         sol = solve_nonlinear_exp(transport_symbol(u) * -1.0, 2.5, CUTOFF)
         placed = gather_pairs(sol.p.coeffs, u.grid)
         assert np.array_equal(sol.extras["transform"], _expm(1j * placed))
+
+    def test_every_p_vanishes_off_the_band(self, conjugation_ensemble):
+        grid = conjugation_ensemble[0].states[0].grid
+        off = np.setdiff1d(np.arange(grid.n), band_rows(grid, CUTOFF))
+        for traj in conjugation_ensemble:
+            h = float(traj.times[1] - traj.times[0])
+            for sol in solve_conjugating(traj.states, h, 2.5, CUTOFF):
+                zeros = sol.p.coeffs[off]
+                assert np.all(zeros == 0.0)
+                assert not np.any(np.signbit(zeros.real)
+                                  | np.signbit(zeros.imag))
 
     def test_conjugating_stacks_are_the_defining_equation(
             self, conjugation_ensemble):

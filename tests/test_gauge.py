@@ -22,7 +22,7 @@ from paraburgers.symbols import Cutoff, Symbol, regularize, seminorm, \
     transport_symbol, x_derivative
 from paraburgers import gauge, normalform, paraop, symbols
 
-from helpers import band_symbol
+from helpers import band_rows, band_symbol
 
 # Measured at B = 8 over N in {64, 128, 256, 512}; frozen ~3% wide.
 ELLIPTICITY_BRACKETS = {
@@ -252,7 +252,8 @@ class TestResonanceEllipticity:
         grid, cutoff = Grid(16), Cutoff(2.0, 1.0)
         monkeypatch.setattr(gauge, "SMALL_DIVISOR_FLOOR", 1e9)
         gauge._division_table.cache_clear()
-        stack = np.ones((grid.n, grid.n), dtype=np.complex128)
+        stack = np.ones((len(band_rows(grid, cutoff)), grid.n),
+                        dtype=np.complex128)
         for _ in range(2):
             with pytest.raises(SmallDivisor, match="below 1000000000.0"):
                 gauge._divide(stack, grid, 1.5, cutoff)
@@ -287,7 +288,9 @@ class TestResonanceEllipticity:
             paraop.materialize(a, cutoff)
             paraop.pair_mask(grid, cutoff)
             gauge._pair_denominator(grid, alpha)
-            gauge._divide(a.coeffs, grid, alpha, cutoff)
+            gauge._divide(a.coeffs[band_rows(grid, cutoff)], grid, alpha,
+                          cutoff)
+            gauge._pair_sets(grid, cutoff)
             zygmund_norm(u, 1.0)
             normalform.normal_form(u, u, 1.0, alpha, cutoff)
         grid, cutoff = Grid(16), Cutoff(2.0, 1.0)
@@ -301,6 +304,8 @@ class TestResonanceEllipticity:
             symbols.cutoff_mask: (grid, cutoff),
             paraop.pair_mask: (grid, cutoff),
             paraop._pair_slots: (grid,),
+            paraop._band_pairs: (grid, cutoff),
+            gauge._pair_sets: (grid, cutoff),
             lp_profiles: (grid,),
             normalform.build_chi: (1.0, 1.5, cutoff, grid),
             normalform.build_chi1: (1.0, 1.5, cutoff, grid),
@@ -312,6 +317,57 @@ class TestResonanceEllipticity:
             for array in arrays:
                 array = getattr(array, "values", array)
                 assert not array.flags.writeable, table.__name__
+
+
+BAND_CUTOFFS = [Cutoff(8.0, 2.0), Cutoff(2.0, 1.0), Cutoff(3.5, 1.5)]
+
+
+class TestBandTables:
+    """The division and the pair extraction on the band equal the rows of
+    their full-lattice definitions, bit for bit."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("cutoff", BAND_CUTOFFS, ids=repr)
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_divide_is_the_rows_of_the_full_lattice_division(self, n, cutoff,
+                                                              alpha):
+        grid = Grid(n)
+        rows = band_rows(grid, cutoff)
+        rng = np.random.default_rng(n)
+        stack = (rng.standard_normal((3, n, n))
+                 + 1j * rng.standard_normal((3, n, n)))
+        zone = gauge._division_zone(grid, cutoff)
+        den = np.where(zone, gauge._denominator_table(grid, alpha), 1.0)
+        full = np.where(zone, stack / den, 0.0)
+        assert not np.any(np.delete(full, rows, axis=1))
+        got = gauge._divide(stack[:, rows], grid, alpha, cutoff)
+        assert got.tobytes() == full[:, rows].tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("cutoff", BAND_CUTOFFS, ids=repr)
+    def test_extraction_is_the_divide_and_scatter(self, n, cutoff):
+        grid = Grid(n)
+        rows = band_rows(grid, cutoff)
+        rng = np.random.default_rng(n + 1)
+        entries = (rng.standard_normal((2, n, n))
+                   + 1j * rng.standard_normal((2, n, n)))
+        psi = paraop.pair_mask(grid, cutoff)
+        sound = psi > gauge.SYMBOL_EXTRACTION_FLOOR
+        divided = np.divide(entries, psi, out=np.zeros_like(entries),
+                            where=sound)
+        # pair (out, in) holds the slot (eta, xi) = (out - in, in)
+        out_idx, in_idx = np.nonzero(sound)
+        eta = grid.freqs[out_idx] - grid.freqs[in_idx]
+        expected = np.zeros_like(entries)
+        expected[:, np.mod(eta, n), in_idx] = divided[:, out_idx, in_idx]
+        assert not np.any(np.delete(expected, rows, axis=1))
+        sets = gauge._pair_sets(grid, cutoff)
+        np.testing.assert_array_equal(np.sort(sets.pairs),
+                                      np.flatnonzero(sound))
+        np.testing.assert_array_equal(sets.off, np.flatnonzero(psi == 0.0))
+        got = gauge._extract_pairs(entries.reshape(2, -1)[:, sets.pairs],
+                                   grid, cutoff)
+        assert got.tobytes() == expected[:, rows].tobytes()
 
 
 class TestColeHopfParametrix:
@@ -375,13 +431,22 @@ class TestTimeDependent:
 
     def chain(self, samples, alpha, j_max=J_MAX):
         """(p stack, increments, largest residual of
-        L(p) - sigma_{d_t p} - sigma_a over the samples)."""
+        L(p) - sigma_{d_t p} - sigma_a over the samples).
+
+        The ladder runs on band stacks cut with the test's own row formula;
+        p is put back in N x N layout and the residual read on the whole
+        lattice.
+        """
         grid = samples[0].grid
+        rows = band_rows(grid, self.cutoff)
         a_stack = np.stack([regularize(s, self.cutoff).coeffs for s in samples])
         order_p = samples[0].order_m + 1.0 - alpha
-        p_stack, increments = gauge._time_chain(
-            a_stack, self.dt, grid, alpha, self.cutoff, order_p, j_max, 1e-8
+        band, increments = gauge._time_chain(
+            a_stack[:, rows], self.dt, grid, alpha, self.cutoff, order_p,
+            j_max, 1e-8
         )
+        p_stack = np.zeros_like(a_stack)
+        p_stack[:, rows] = band
         dp_stack = gauge._time_derivative_stack(p_stack, self.dt)
         den = gauge._denominator_table(grid, alpha)
         valid = gauge._lattice_valid(grid)
@@ -616,6 +681,22 @@ class TestNonlinearExp:
         with pytest.raises(NewtonDiverged):
             gauge.solve_nonlinear_exp(a, 1.5, self.cutoff)
 
+    def test_non_finite_residual_stops_at_once(self, monkeypatch):
+        # a nan residual never passes NEWTON_TOL; the loop used to run all
+        # NEWTON_MAX_ITERATIONS steps on it before it gave up
+        calls = []
+
+        def nan_expm(a):
+            calls.append(None)
+            return np.full_like(a, np.nan)
+
+        monkeypatch.setattr(gauge, "_expm", nan_expm)
+        rng = np.random.default_rng(59)
+        a = band_symbol(self.grid, self.cutoff, rng, amplitude=1e-2)
+        with pytest.raises(NewtonDiverged, match="nan at Newton step 0"):
+            gauge.solve_nonlinear_exp(a, 1.5, self.cutoff)
+        assert len(calls) == 1
+
     def test_off_support_reported(self):
         rng = np.random.default_rng(59)
         a = band_symbol(self.grid, self.cutoff, rng, amplitude=1e-2)
@@ -692,6 +773,53 @@ class TestConjugating:
             assert sol.residual_norm == float(np.max(np.abs(g[support])))
             off = np.where(psi == 0.0, g, 0.0)
             assert sol.extras["off_support_norm"] == float(np.max(np.abs(off)))
+
+    def test_nan_in_a_later_sample_is_not_converged(self, monkeypatch):
+        # the sweep read its worst residual with Python's max, which skips
+        # a nan after the first sample: a sweep whose later samples read nan
+        # passed as converged
+        fields = self.cosine_fields(1e-3)
+        expm = gauge._expm
+        calls = []
+
+        def counted(a):
+            calls.append(None)
+            return expm(a)
+
+        monkeypatch.setattr(gauge, "_expm", counted)
+        sols = gauge.solve_conjugating(fields, self.dt, self.alpha,
+                                       self.cutoff)
+        assert sols[0].iterations >= 1
+        # the last three calls exponentiate samples 6, 7 and 8 in the final
+        # sweep; a nan W_6 reaches g_4 .. g_8 through the time stencil and
+        # leaves g_0 .. g_3 converged
+        poisoned = len(calls) - 3
+        calls.clear()
+
+        def poisoning(a):
+            calls.append(None)
+            out = expm(a)
+            if len(calls) == poisoned:
+                out[:] = np.nan
+            return out
+
+        monkeypatch.setattr(gauge, "_expm", poisoning)
+        with pytest.raises(NewtonDiverged,
+                           match=f"nan at Newton sweep {sols[0].iterations}"):
+            gauge.solve_conjugating(fields, self.dt, self.alpha, self.cutoff)
+
+    def test_p_vanishes_off_the_band(self):
+        for grid in (Grid(64), Grid(128)):
+            off = np.setdiff1d(np.arange(grid.n), band_rows(grid, self.cutoff))
+            sols = gauge.solve_conjugating(
+                self.cosine_fields(1e-3, grid=grid), self.dt, self.alpha,
+                self.cutoff)
+            assert sols[0].iterations >= 1
+            for sol in sols:
+                zeros = sol.p.coeffs[off]
+                assert np.all(zeros == 0.0)
+                assert not np.any(np.signbit(zeros.real)
+                                  | np.signbit(zeros.imag))
 
     def test_tighter_tolerance_drives_deeper(self, monkeypatch):
         monkeypatch.setattr(gauge, "CONJUGATING_TOL", 1e-10)

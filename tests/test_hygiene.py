@@ -1,7 +1,7 @@
 """Source hygiene of the package, read with the standard library's `ast`:
 no import goes unused, no module-level private function is left without
-a reference in the package, and no function or method takes a parameter
-it never reads."""
+a reference in the package, no function or method takes a parameter it
+never reads, and no cache is unbounded."""
 
 import ast
 from pathlib import Path
@@ -94,3 +94,34 @@ def test_every_parameter_is_read(path):
                    for name in parameter_names(function)
                    if name not in loaded]
     assert unread == []
+
+
+def unbounded_caches(tree):
+    """Lines that use functools.cache or an lru_cache with maxsize None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                yield node.lineno
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"):
+            yield node.lineno
+        elif isinstance(node, ast.Call):
+            callee = node.func
+            name = getattr(callee, "attr", getattr(callee, "id", None))
+            if name != "lru_cache":
+                continue
+            sizes = node.args[:1] + [kw.value for kw in node.keywords
+                                     if kw.arg == "maxsize"]
+            if any(isinstance(size, ast.Constant) and size.value is None
+                   for size in sizes):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_cache_is_bounded(path):
+    # the lattice and band tables are keyed on (grid, ...) and would grow
+    # without bound over a long scan of grids, alphas and cutoffs
+    unbounded = [f"{path.name}:{line}"
+                 for line in unbounded_caches(parse(path))]
+    assert unbounded == []

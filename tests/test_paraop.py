@@ -13,7 +13,7 @@ from paraburgers.spectral import Grid, Field, abs_d_pow, multiplier_values
 from paraburgers.symbols import Cutoff, Symbol, regularize, seminorm
 from paraburgers import paraop
 
-from helpers import random_real_field
+from helpers import band_rows, random_real_field
 
 # Calibrated with seeds below on N in {64, 128, 256}; regression bound.
 CONTINUITY_K = 0.36
@@ -70,7 +70,7 @@ class TestMaterialize:
         with pytest.raises(InvariantBroken, match="pair mask"):
             paraop.materialize(fake, cutoff)
 
-    def test_scatter_pairs_reads_the_symbol_back(self):
+    def test_band_pairs_read_the_symbol_back(self):
         grid = Grid(64)
         cutoff = Cutoff(2.0, 1.0)
         rng = np.random.default_rng(7)
@@ -78,8 +78,77 @@ class TestMaterialize:
         # keep xi + eta on the lattice: columns up to 21 shift at most to 31
         low = np.abs(grid.freqs) <= 21
         sym = regularize(sym.copy(coeffs=sym.coeffs * low[None, :]), cutoff)
-        back = paraop.scatter_pairs(paraop.materialize(sym, cutoff).entries, grid)
+        entries = paraop.materialize(sym, cutoff).entries
+        table = paraop._band_pairs(grid, cutoff)
+        band = np.zeros(len(band_rows(grid, cutoff)) * grid.n,
+                        dtype=np.complex128)
+        band[table.slots] = entries.reshape(-1)[table.pairs]
+        back = paraop.from_band(band.reshape(-1, grid.n), grid, cutoff)
         np.testing.assert_allclose(back, sym.coeffs, atol=1e-14)
+
+
+BAND_CUTOFFS = [Cutoff(8.0, 2.0), Cutoff(2.0, 1.0), Cutoff(3.5, 1.5)]
+
+
+class TestBandLayout:
+    """The (..., 2 reach + 1, N) band layout of the gauge's symbol stacks,
+    checked against the row formula `helpers.band_rows` writes out."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(half=st.integers(4, 128), cutoff=st.sampled_from(BAND_CUTOFFS),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_round_trips(self, half, cutoff, seed):
+        grid = Grid(2 * half)
+        rows = band_rows(grid, cutoff)
+        off = np.setdiff1d(np.arange(grid.n), rows)
+        rng = np.random.default_rng(seed)
+        shape = (2, len(rows), grid.n)
+        band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = paraop.from_band(band, grid, cutoff)
+        assert full.shape == (2, grid.n, grid.n)
+        assert paraop.to_band(full, grid, cutoff).tobytes() == band.tobytes()
+        zeros = full[:, off]
+        assert np.all(zeros == 0.0)
+        assert not np.any(np.signbit(zeros.real) | np.signbit(zeros.imag))
+        # the cutoff support lies in the band, so N x N -> band -> N x N
+        # keeps a regularized symbol
+        square = rng.standard_normal((grid.n, grid.n)) + 0.5j
+        sym = regularize(Symbol(grid, square), cutoff)
+        assert not np.any(sym.coeffs[off])
+        cut = paraop.to_band(sym.coeffs, grid, cutoff)
+        assert cut.tobytes() == sym.coeffs[rows].tobytes()
+        np.testing.assert_array_equal(paraop.from_band(cut, grid, cutoff),
+                                      sym.coeffs)
+
+    @pytest.mark.parametrize("n", [8, 32, 64, 256])
+    @pytest.mark.parametrize("cutoff", BAND_CUTOFFS, ids=repr)
+    def test_gather_is_materialize(self, n, cutoff):
+        # equal as values; off the band the gather writes +0.0 where the
+        # dense entries may carry the -0.0 of psi = 0 times a negative
+        grid = Grid(n)
+        rng = np.random.default_rng(n)
+        symbols = [
+            regularize(Symbol.from_field(random_real_field(grid, rng)), cutoff),
+            regularize(Symbol(grid, rng.standard_normal((n, n))
+                              + 1j * rng.standard_normal((n, n))), cutoff),
+        ]
+        stack = paraop.to_band(np.stack([s.coeffs for s in symbols]), grid,
+                               cutoff)
+        placed = paraop.gather_band(stack, grid, cutoff)
+        for sym, entries in zip(symbols, placed):
+            np.testing.assert_array_equal(
+                entries, paraop.materialize(sym, cutoff).entries)
+            np.testing.assert_array_equal(
+                paraop.gather_band(paraop.to_band(sym.coeffs, grid, cutoff),
+                                   grid, cutoff), entries)
+
+    def test_gather_rejects_entries_where_psi_vanishes(self):
+        grid, cutoff = Grid(32), Cutoff(8.0, 2.0)
+        band = np.zeros((len(band_rows(grid, cutoff)), grid.n),
+                        dtype=np.complex128)
+        band[0, 0] = 1.0  # eta = reach, xi = 0: psi is zero there
+        with pytest.raises(InvariantBroken, match="pair mask"):
+            paraop.gather_band(band, grid, cutoff)
 
 
 class TestApply:

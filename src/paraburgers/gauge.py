@@ -24,18 +24,20 @@ solution coincides with the linear solve to second order.
 Layouts.  A symbol regularized with the cutoff vanishes off the rows
 |eta| <= reach = floor((N/2 - b)/B), so the symbol-layout work runs on
 (..., 2 reach + 1, N) bands (`paraop.to_band`; row j holds eta = reach -
-j): `_divide` and its `_division_table`, the `_time_chain` layers, the
-`_check_tameness` stacks, the transport symbols and p stacks of
+j): the commutator map's tables (`_band_lattice`, which reads den from
+its one definition on the pairs), `_divide`, the `_time_chain` layers,
+the `_check_tameness` stacks, the transport symbols and p stacks of
 `solve_conjugating`, and the Newton iterate of `_newton_exp`.  The
 Newton solves read the pair matrix only on the sound pairs of
 `_pair_sets`, where psi exceeds SYMBOL_EXTRACTION_FLOOR, and
 `_extract_pairs` writes those straight into a band.  Dense (N x N, or
 (T, N, N) stacks of them) are the operators: W = e^{i T_p}, the residual
 g, the transport matrices, `_expm` and the products with W, placed from
-bands by `paraop.gather_band`.  The seminorm readings zero-pad a band
-along eta to N (`_band_seminorm`), so they read the same FFT as the
-N x N layout.  Every public result is N x N: a returned p is its band
-padded with +0.0.
+bands by `paraop.gather_band`, and the checks of a symbol's data on
+every pair, where one marked regularized that was not shows off the
+band.  The seminorm readings zero-pad a band along eta to N
+(`_band_seminorm`), so they read the same FFT as the N x N layout.
+Every public result is N x N: a returned p is its band padded with +0.0.
 
 The exponentials of the gauge, e^{i T_p} here and e^{-+iG} in the energy
 study's skew check, are small: on the N=64 study inputs ||i T_p||_1 is
@@ -67,8 +69,8 @@ from .errors import (
     TamenessViolated,
 )
 from .paraop import _band_pairs, _cone_band, from_band, gather_band, \
-    materialize, pair_mask, to_band
-from .spectral import dispersion_phase, dispersion_profile
+    gather_pairs, materialize, pair_mask, to_band
+from .spectral import dispersion_profile
 from .symbols import DEFAULT_CUTOFF, Symbol, column_sup, cutoff_mask, \
     regularize, stack_seminorm, x_derivative, xi_forward_difference
 
@@ -91,44 +93,11 @@ _DIVERGENT_TAIL = 4.0
 
 
 @functools.lru_cache(maxsize=16)
-def _denominator_table(grid, alpha):
-    """den(eta, xi) on the symbol lattice; exact zeros exactly at eta = 0."""
-    eta = grid.freqs.astype(np.float64)[:, None]
-    xi = grid.freqs.astype(np.float64)[None, :]
-    table = 1j * (dispersion_phase(xi, alpha) - dispersion_phase(xi + eta, alpha))
-    table.setflags(write=False)
-    return table
-
-
-@functools.lru_cache(maxsize=16)
-def _resonance_scale(grid, alpha):
-    """|eta| max(|xi|, |xi+eta|)^(alpha-1), the elliptic size of den."""
-    eta = grid.freqs.astype(np.float64)[:, None]
-    xi = grid.freqs.astype(np.float64)[None, :]
-    big = np.maximum(np.abs(xi), np.abs(xi + eta))
-    with np.errstate(divide="ignore"):
-        table = np.abs(eta) * np.where(big > 0, big ** (alpha - 1.0), 0.0)
-    table.setflags(write=False)
-    return table
-
-
-@functools.lru_cache(maxsize=16)
-def _lattice_valid(grid):
-    """Symbol-layout slots whose output mode xi + eta stays on the lattice."""
-    eta = grid.freqs.astype(np.int64)[:, None]
-    xi = grid.freqs.astype(np.int64)[None, :]
-    shifted = eta + xi
-    valid = (shifted >= -grid.n // 2) & (shifted <= grid.n // 2 - 1)
-    valid.setflags(write=False)
-    return valid
-
-
-@functools.lru_cache(maxsize=16)
 def _pair_denominator(grid, alpha):
     """den on every (output, input) pair: i (f(in) - f(out)).
 
-    Unlike the symbol-layout table this covers the pairs whose eta = out - in
-    leaves the lattice too, which the off-support readings need.
+    The one definition of den: pair (xi + eta, xi) holds den(eta, xi).
+    The band reads it at its slots' pairs, the sweeps read every pair.
     """
     f = dispersion_profile(grid, alpha)
     table = 1j * (f[None, :] - f[:, None])
@@ -149,20 +118,31 @@ def _cole_hopf_weight(grid, alpha):
     return table
 
 
-def _division_zone(grid, cutoff):
-    """Slots the commutator equation actually constrains: on the cutoff
-    support, eta != 0 (the kernel rows), and with xi + eta on the lattice
-    (slots that fall off the lattice never materialize, so a solution is
-    kept supported away from them)."""
-    mask = cutoff_mask(grid, cutoff) > 0.0
-    eta_nonzero = grid.freqs[:, None] != 0
-    return mask & eta_nonzero & _lattice_valid(grid)
+def _band_lattice(grid, alpha, cutoff):
+    """The commutator map as (2 reach + 1, N) band tables (support, zone,
+    den, scale): the slots with psi > 0 whose output xi + eta stays on the
+    lattice, those of them off the kernel row eta = 0 (the slots the
+    equation constrains), den read from `_pair_denominator` (zero where
+    xi + eta leaves the lattice), and its elliptic size |eta| max(|xi|,
+    |xi+eta|)^(alpha-1)."""
+    pairs = _band_pairs(grid, cutoff)
+    eta = grid.freqs[_cone_band(grid, cutoff).rows].astype(np.float64)[:, None]
+    xi = grid.freqs.astype(np.float64)[None, :]
+    support = np.zeros(eta.size * grid.n, dtype=bool)
+    support[pairs.slots] = pairs.psi > 0.0
+    den = np.zeros(eta.size * grid.n, dtype=np.complex128)
+    den[pairs.slots] = _pair_denominator(grid, alpha).reshape(-1)[pairs.pairs]
+    big = np.maximum(np.abs(xi), np.abs(xi + eta))
+    with np.errstate(divide="ignore"):
+        scale = np.abs(eta) * np.where(big > 0, big ** (alpha - 1.0), 0.0)
+    support = support.reshape(scale.shape)
+    return support, support & (eta != 0), den.reshape(scale.shape), scale
 
 
 def ellipticity_bracket(grid, alpha, cutoff=DEFAULT_CUTOFF):
     """(min, max) of |den| / (|eta| max(|xi|,|xi+eta|)^(alpha-1)) on support."""
-    zone = _division_zone(grid, cutoff)
-    ratios = np.abs(_denominator_table(grid, alpha)[zone]) / _resonance_scale(grid, alpha)[zone]
+    _, zone, den, scale = _band_lattice(grid, alpha, cutoff)
+    ratios = np.abs(den[zone]) / scale[zone]
     return float(np.min(ratios)), float(np.max(ratios))
 
 
@@ -170,14 +150,12 @@ def commutator_rank(grid, alpha, cutoff=DEFAULT_CUTOFF):
     """Counts behind the uniqueness statement: on the support the discrete
     commutator map is diagonal with entries den(eta, xi), so its kernel is
     exactly the set of support slots where den vanishes."""
-    support = (cutoff_mask(grid, cutoff) > 0.0) & _lattice_valid(grid)
-    den = _denominator_table(grid, alpha)
-    eta_zero = grid.freqs[:, None] == 0
+    support, zone, den, _ = _band_lattice(grid, alpha, cutoff)
     return {
         "support_slots": int(np.count_nonzero(support)),
         "rank": int(np.count_nonzero(support & (den != 0))),
         "kernel_slots": int(np.count_nonzero(support & (den == 0))),
-        "eta_zero_slots": int(np.count_nonzero(support & eta_zero)),
+        "eta_zero_slots": int(np.count_nonzero(support & ~zone)),
     }
 
 
@@ -199,27 +177,23 @@ class GaugeSolution:
 
 @functools.lru_cache(maxsize=16)
 def _division_table(grid, alpha, cutoff):
-    """(zone, den set to 1 off the zone) for `_divide`, as the band rows
-    of the lattice tables.
+    """(zone, den set to 1 off the zone) of `_band_lattice`, for `_divide`.
 
-    The small-divisor guard runs here, on the whole lattice: a zone slot
-    with |den| below SMALL_DIVISOR_FLOOR of its elliptic scale raises
-    SmallDivisor, so no table is cached and every later division raises
-    again.
+    The small-divisor guard runs here: a zone slot with |den| below
+    SMALL_DIVISOR_FLOOR of its elliptic scale raises SmallDivisor, so no
+    table is cached and every later division raises again.
     """
-    zone = _division_zone(grid, cutoff)
-    den = _denominator_table(grid, alpha)
-    tiny = zone & (np.abs(den) < SMALL_DIVISOR_FLOOR * _resonance_scale(grid, alpha))
+    _, zone, den, scale = _band_lattice(grid, alpha, cutoff)
+    tiny = zone & (np.abs(den) < SMALL_DIVISOR_FLOOR * scale)
     if np.any(tiny):
-        eta_idx, xi_idx = np.nonzero(tiny)
-        eta = int(grid.freqs[eta_idx[0]])
-        xi = int(grid.freqs[xi_idx[0]])
+        row, col = np.nonzero(tiny)
+        eta = int(grid.freqs[_cone_band(grid, cutoff).rows[row[0]]])
+        xi = int(grid.freqs[col[0]])
         raise SmallDivisor(
             f"|den({eta}, {xi})| below {SMALL_DIVISOR_FLOOR} of its elliptic "
             f"scale; the cutoff does not separate frequencies"
         )
-    zone = to_band(zone, grid, cutoff)
-    den = np.where(zone, to_band(den, grid, cutoff), 1.0)
+    den = np.where(zone, den, 1.0)
     zone.setflags(write=False)
     den.setflags(write=False)
     return zone, den
@@ -259,11 +233,15 @@ def _pair_sets(grid, cutoff):
     return sets
 
 
-def _support_residual(p_coeffs, a_coeffs, grid, alpha):
-    """Max entry of (L(p) - sigma_a) over materializable slots."""
-    den = _denominator_table(grid, alpha)
-    res = p_coeffs * den - a_coeffs
-    return float(np.max(np.abs(np.where(_lattice_valid(grid), res, 0.0))))
+def _support_residual(p_band, a_coeffs, grid, alpha, cutoff):
+    """Max entry of (L(p) - sigma_a) over materializable slots, for a band p
+    from `_divide`: p vanishes off the division zone, where the table's den
+    is 1, and off the band, where a symbol marked regularized that was not
+    shows in full."""
+    residual = np.negative(a_coeffs)
+    residual[_cone_band(grid, cutoff).rows] += \
+        p_band * _division_table(grid, alpha, cutoff)[1]
+    return float(np.max(np.abs(gather_pairs(residual, grid))))
 
 
 def _homogeneous_sup(symbol, weight_order, difference=False):
@@ -297,16 +275,21 @@ def commutator_estimates(p, a_reg, alpha, cutoff):
     column picks up ((1+|xi|)/|xi|)^(alpha-1), which outgrows the chord
     slack once B is large, so no bound on those values is certified.
 
-    Both sides are compared on the materializable zone: p only exists at
-    pairs whose output frequency stays on the lattice, so a is truncated
-    the same way, else the xi differences at the lattice edge compare an
-    entry of p against a structural zero and the certificate breaks.
+    Both sides are compared on the data the division reads: p only exists
+    on the band, at pairs whose output frequency stays on the lattice, so
+    a is truncated to those slots, else the xi differences at the lattice
+    edge compare an entry of p against a structural zero and the
+    certificate breaks.
     """
+    grid = a_reg.grid
     big_b = cutoff.big_b
     beta = a_reg.order_m
-    a_reg = a_reg.copy(
-        coeffs=np.where(_lattice_valid(a_reg.grid), a_reg.coeffs, 0.0)
-    )
+    band = to_band(a_reg.coeffs, grid, cutoff).reshape(-1)
+    slots = _band_pairs(grid, cutoff).slots
+    kept = np.zeros_like(band)
+    kept[slots] = band[slots]
+    a_reg = a_reg.copy(coeffs=from_band(kept.reshape(-1, grid.n), grid,
+                                        cutoff))
     gain = big_b * (1.0 - (1.0 - 1.0 / big_b) ** alpha)
     p_x = x_derivative(p)
     transport_lhs = _homogeneous_sup(p_x, beta + 1.0 - alpha)
@@ -336,12 +319,11 @@ def solve_commutator(a, alpha, cutoff=DEFAULT_CUTOFF):
         raise ValueError(f"need alpha >= 1, got {alpha:g}")
     grid = a.grid
     a_reg = regularize(a, cutoff)
-    p_coeffs = from_band(
-        _divide(to_band(a_reg.coeffs, grid, cutoff), grid, alpha, cutoff),
-        grid, cutoff)
+    p_band = _divide(to_band(a_reg.coeffs, grid, cutoff), grid, alpha, cutoff)
+    residual = _support_residual(p_band, a_reg.coeffs, grid, alpha, cutoff)
     order_p = a_reg.order_m + 1.0 - alpha
-    p = Symbol(grid, p_coeffs, order_m=order_p, cutoff=cutoff)
-    residual = _support_residual(p_coeffs, a_reg.coeffs, grid, alpha)
+    p = Symbol(grid, from_band(p_band, grid, cutoff), order_m=order_p,
+               cutoff=cutoff)
     estimates = commutator_estimates(p, a_reg, alpha, cutoff)
     for name in ("transport", "xi"):
         lhs, rhs = estimates[f"{name}_lhs"], estimates[f"{name}_rhs"]
@@ -373,13 +355,15 @@ def cole_hopf_parametrix(a, alpha, cutoff=DEFAULT_CUTOFF):
 
 def parametrix_remainder(a, alpha, cutoff=DEFAULT_CUTOFF):
     """r(a) = a + L(E(a)): the part of a that -E leaves unsolved, of size
-    O(1/B) on the cutoff support."""
+    O(1/B) on the cutoff support, read on its slots that materialize."""
     grid = a.grid
     a_reg = regularize(a, cutoff)
     e = cole_hopf_parametrix(a_reg, alpha, cutoff)
-    den = _denominator_table(grid, alpha)
-    return Symbol(grid, a_reg.coeffs + e.coeffs * den, order_m=a_reg.order_m,
-                  cutoff=cutoff)
+    support, _, den, _ = _band_lattice(grid, alpha, cutoff)
+    remainder = to_band(a_reg.coeffs, grid, cutoff) \
+        + to_band(e.coeffs, grid, cutoff) * den
+    return Symbol(grid, from_band(np.where(support, remainder, 0.0), grid,
+                                  cutoff), order_m=a_reg.order_m, cutoff=cutoff)
 
 
 def _time_derivative_stack(stack, dt):
@@ -547,8 +531,10 @@ def solve_nonlinear_exp(a, alpha, cutoff=DEFAULT_CUTOFF):
     grid = a.grid
     a_reg = regularize(a, cutoff)
     measured = _smallness(a_reg.coeffs, grid, a_reg.order_m)
+    # only for its pair-mask check, which reads every pair, off the band too
+    materialize(a_reg, cutoff)
     sets = _pair_sets(grid, cutoff)
-    a_sound = materialize(a_reg, cutoff).entries.reshape(-1)[sets.pairs]
+    a_sound = to_band(a_reg.coeffs, grid, cutoff).reshape(-1)[sets.slots]
     p_band, transform, residual, iterations = _newton_exp(
         a_sound, grid, alpha, cutoff
     )
@@ -671,12 +657,13 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
 
     The numerical settings are module constants, not options: the sweeps
     stop once every sample's residual is below CONJUGATING_TOL, and give
-    up at the first non-finite residual or after NEWTON_MAX_ITERATIONS
-    sweeps, each correction ladder
-    (`_time_chain`) has at most CHAIN_MAX_LAYERS layers and drops layers
-    below CONJUGATING_TOL / 10, the per-sample Newton solves keep the
-    SMALLNESS, NEWTON_TOL and NEWTON_MAX_ITERATIONS of
-    `solve_nonlinear_exp`, and the tameness bounds scale with TAMENESS_C.
+    up at the first non-finite residual, at the first sweep whose worst
+    residual exceeds that of sweep 0, or after NEWTON_MAX_ITERATIONS
+    sweeps; each correction ladder (`_time_chain`) has at most
+    CHAIN_MAX_LAYERS layers and drops layers below CONJUGATING_TOL / 10,
+    the per-sample Newton solves keep the SMALLNESS, NEWTON_TOL and
+    NEWTON_MAX_ITERATIONS of `solve_nonlinear_exp`, and the tameness bounds
+    scale with TAMENESS_C.
     """
     if not alpha > 2:
         raise ValueError(f"conjugating gauge needs alpha > 2, got {alpha:g}")
@@ -728,6 +715,13 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
         if worst < CONJUGATING_TOL:
             iterations = step
             break
+        if step == 0:
+            first = worst
+        elif worst > first:
+            raise NewtonDiverged(
+                f"conjugating residual {worst:.3e} at Newton sweep {step} "
+                f"exceeds {first:.3e} of sweep 0"
+            )
         if step == NEWTON_MAX_ITERATIONS:
             raise NewtonDiverged(
                 f"conjugating residual {worst:.3e} after "

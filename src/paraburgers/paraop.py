@@ -8,8 +8,8 @@ and cutoff psi, the operator matrix has
 with rows and columns in FFT order and entries dropped when xi + eta leaves
 the retained lattice (no wrap-around: on the cutoff support |eta| is far
 below N/2 anyway).  Dense matrices (`materialize`) are the reference
-semantics and serve the gauge and study layers, which need the operator
-itself.
+semantics and serve the studies, which need the operator itself; the
+gauge places its bands with `gather_band` instead.
 
 The paraproduct T_u v of two real fields (`Field.is_real`) never needs
 the matrix.  psi vanishes unless |xi| > B|eta| + b, so only the modes

@@ -84,6 +84,12 @@ class SimConfig:
     stride: int = 1
 
     def __post_init__(self):
+        if (not isinstance(self.n_points, numbers.Integral)
+                or self.n_points < 8 or self.n_points % 2):
+            raise ValueError(f"n_points must be an even integer >= 8, got "
+                             f"{self.n_points!r}")
+        if not isinstance(self.cutoff, Cutoff):
+            raise ValueError(f"cutoff must be a Cutoff, got {self.cutoff!r}")
         if not 1.0 < self.alpha <= 3.0:
             raise ValueError(f"alpha must lie in (1, 3], got {self.alpha}")
         if self.equation not in EQUATIONS:

@@ -32,10 +32,10 @@ class Cutoff:
     """Admissible paradifferential cutoff psi^{B,b}."""
 
     def __init__(self, big_b, little_b):
-        if not big_b > 1:
-            raise ValueError(f"need B > 1, got {big_b}")
-        if not little_b > 0:
-            raise ValueError(f"need b > 0, got {little_b}")
+        if not 1 < big_b < np.inf:
+            raise ValueError(f"need finite B > 1, got {big_b}")
+        if not 0 < little_b < np.inf:
+            raise ValueError(f"need finite b > 0, got {little_b}")
         self.big_b = float(big_b)
         self.little_b = float(little_b)
 

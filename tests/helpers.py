@@ -85,3 +85,27 @@ def band_rows(grid, cutoff):
     reach = max(int(np.floor((grid.n / 2 - cutoff.little_b) / cutoff.big_b)),
                 0)
     return np.mod(reach - np.arange(2 * reach + 1), grid.n)
+
+
+def lattice_commutator(grid, alpha, cutoff):
+    """The commutator map on the full (eta, xi) lattice, FFT order both
+    axes, written out from its definitions, as (valid, support, zone, den,
+    scale).
+
+    valid marks the slots whose output mode xi + eta stays on the lattice,
+    support the valid slots where psi > 0, and zone the support off the
+    eta = 0 row; den(eta, xi) = i (f(xi) - f(xi + eta)) with f(x) =
+    x |x|^(alpha-1), and scale = |eta| max(|xi|, |xi + eta|)^(alpha-1).
+    """
+    eta = grid.freqs.astype(np.float64)[:, None]
+    xi = grid.freqs.astype(np.float64)[None, :]
+    out = xi + eta
+    valid = (out >= -grid.n // 2) & (out <= grid.n // 2 - 1)
+    support = valid & (cutoff(eta, xi) > 0.0)
+    zone = support & (eta != 0)
+    den = 1j * (np.sign(xi) * np.abs(xi) ** float(alpha)
+                - np.sign(out) * np.abs(out) ** float(alpha))
+    big = np.maximum(np.abs(xi), np.abs(out))
+    with np.errstate(divide="ignore"):
+        scale = np.abs(eta) * np.where(big > 0, big ** (alpha - 1.0), 0.0)
+    return valid, support, zone, den, scale

@@ -1,7 +1,9 @@
 """Commutator-equation solves: the explicit division, its time-correction
 ladder, and the Newton solves of the exponential problems."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +19,15 @@ from paraburgers.errors import (
     SmallnessViolated,
     TamenessViolated,
 )
+from paraburgers.solver import run
 from paraburgers.spectral import Grid, Field, lp_profiles, zygmund_norm
 from paraburgers.symbols import Cutoff, Symbol, regularize, seminorm, \
     transport_symbol, x_derivative
-from paraburgers import gauge, normalform, paraop, symbols
+from paraburgers import experiments, gauge, normalform, paraop, symbols
 
-from helpers import band_rows, band_symbol
+from helpers import band_rows, band_symbol, lattice_commutator
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "paraburgers"
 
 # Measured at B = 8 over N in {64, 128, 256, 512}; frozen ~3% wide.
 ELLIPTICITY_BRACKETS = {
@@ -105,6 +110,25 @@ class TestSolveCommutatorExplicit:
         sol = gauge.solve_commutator(a, alpha, cutoff)
         assert sol.residual_norm < 1e-12
         assert sol.iterations == 1
+
+    def test_unmasked_entry_off_the_band_lands_in_residual(self):
+        # a symbol marked regularized whose entry at eta = 20 (off the band
+        # |eta| <= 3) was never masked: the solve cannot reach it, so the
+        # residual reports it in full, and the certificate, read on the
+        # band, is that of the regularized symbol; at a slot that never
+        # materializes (xi + eta off the lattice) it is not read at all
+        grid, cutoff = Grid(64), Cutoff(8.0, 2.0)
+        a_reg = regularize(band_symbol(grid, cutoff,
+                                       np.random.default_rng(7)), cutoff)
+        clean = gauge.solve_commutator(a_reg, 1.5, cutoff)
+        for xi, shown in ((5, 0.5), (20, clean.residual_norm)):
+            coeffs = a_reg.coeffs.copy()
+            coeffs[grid.index_of(20), grid.index_of(xi)] = 0.5
+            sol = gauge.solve_commutator(a_reg.copy(coeffs=coeffs), 1.5,
+                                         cutoff)
+            assert sol.residual_norm == shown
+            assert sol.p.coeffs.tobytes() == clean.p.coeffs.tobytes()
+            assert sol.extras == clean.extras
 
     def test_mean_row_lands_in_residual(self):
         # eta = 0 data is in the kernel's cokernel: reported, not absorbed
@@ -291,13 +315,11 @@ class TestResonanceEllipticity:
             gauge._divide(a.coeffs[band_rows(grid, cutoff)], grid, alpha,
                           cutoff)
             gauge._pair_sets(grid, cutoff)
+            paraop.product_tables(grid)
             zygmund_norm(u, 1.0)
             normalform.normal_form(u, u, 1.0, alpha, cutoff)
         grid, cutoff = Grid(16), Cutoff(2.0, 1.0)
         tables = {
-            gauge._denominator_table: (grid, 1.5),
-            gauge._resonance_scale: (grid, 1.5),
-            gauge._lattice_valid: (grid,),
             gauge._pair_denominator: (grid, 1.5),
             gauge._cole_hopf_weight: (grid, 1.5),
             gauge._division_table: (grid, 1.5, cutoff),
@@ -305,11 +327,19 @@ class TestResonanceEllipticity:
             paraop.pair_mask: (grid, cutoff),
             paraop._pair_slots: (grid,),
             paraop._band_pairs: (grid, cutoff),
+            paraop.product_tables: (grid,),
             gauge._pair_sets: (grid, cutoff),
             lp_profiles: (grid,),
             normalform.build_chi: (1.0, 1.5, cutoff, grid),
             normalform.build_chi1: (1.0, 1.5, cutoff, grid),
         }
+        # with `_cone_band` (tests/test_paraop.py) and `propagators`
+        # (tests/test_solver_kernel.py), which have bound checks of their
+        # own, the list names every lru_cache in the package
+        listed = {(table.__module__.rsplit(".", 1)[-1], table.__name__)
+                  for table in tables}
+        listed |= {("paraop", "_cone_band"), ("solver", "propagators")}
+        assert listed == set(cached_functions())
         for table, key in tables.items():
             assert table.cache_info().currsize <= 16, table.__name__
             value = table(*key)
@@ -319,16 +349,33 @@ class TestResonanceEllipticity:
                 assert not array.flags.writeable, table.__name__
 
 
-BAND_CUTOFFS = [Cutoff(8.0, 2.0), Cutoff(2.0, 1.0), Cutoff(3.5, 1.5)]
+def cached_functions():
+    """(module, name) of every function in the package decorated with
+    functools.lru_cache, read with `ast`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for decorator in node.decorator_list:
+                callee = getattr(decorator, "func", decorator)
+                if getattr(callee, "attr", getattr(callee, "id", None)) \
+                        == "lru_cache":
+                    yield path.stem, node.name
+
+
+BAND_CUTOFFS = [Cutoff(8.0, 2.0), Cutoff(2.0, 1.0), Cutoff(3.5, 1.5),
+                Cutoff(2.5, 1.3)]
+BAND_ALPHAS = [1.5, 2.5, 1.2, 2.9]
 
 
 class TestBandTables:
-    """The division and the pair extraction on the band equal the rows of
-    their full-lattice definitions, bit for bit."""
+    """The division, its readings and the pair extraction on the band equal
+    the rows of their full-lattice definitions, bit for bit."""
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     @pytest.mark.parametrize("cutoff", BAND_CUTOFFS, ids=repr)
-    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    @pytest.mark.parametrize("alpha", BAND_ALPHAS)
     def test_divide_is_the_rows_of_the_full_lattice_division(self, n, cutoff,
                                                               alpha):
         grid = Grid(n)
@@ -336,12 +383,35 @@ class TestBandTables:
         rng = np.random.default_rng(n)
         stack = (rng.standard_normal((3, n, n))
                  + 1j * rng.standard_normal((3, n, n)))
-        zone = gauge._division_zone(grid, cutoff)
-        den = np.where(zone, gauge._denominator_table(grid, alpha), 1.0)
-        full = np.where(zone, stack / den, 0.0)
+        _, _, zone, den, _ = lattice_commutator(grid, alpha, cutoff)
+        full = np.where(zone, stack / np.where(zone, den, 1.0), 0.0)
         assert not np.any(np.delete(full, rows, axis=1))
         got = gauge._divide(stack[:, rows], grid, alpha, cutoff)
         assert got.tobytes() == full[:, rows].tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("cutoff", BAND_CUTOFFS, ids=repr)
+    @pytest.mark.parametrize("alpha", BAND_ALPHAS)
+    def test_readings_are_those_of_the_full_lattice(self, n, cutoff, alpha):
+        grid = Grid(n)
+        _, support, zone, den, scale = lattice_commutator(grid, alpha,
+                                                          cutoff)
+        ratios = np.abs(den[zone]) / scale[zone]
+        if ratios.size:
+            lo, hi = gauge.ellipticity_bracket(grid, alpha, cutoff)
+            assert (lo.hex(), hi.hex()) == (float(np.min(ratios)).hex(),
+                                            float(np.max(ratios)).hex())
+        else:
+            # an empty zone (N = 16 under Cutoff(8, 2)) has no bracket
+            with pytest.raises(ValueError):
+                gauge.ellipticity_bracket(grid, alpha, cutoff)
+        eta_zero = grid.freqs[:, None] == 0
+        assert gauge.commutator_rank(grid, alpha, cutoff) == {
+            "support_slots": int(np.count_nonzero(support)),
+            "rank": int(np.count_nonzero(support & (den != 0))),
+            "kernel_slots": int(np.count_nonzero(support & (den == 0))),
+            "eta_zero_slots": int(np.count_nonzero(support & eta_zero)),
+        }
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     @pytest.mark.parametrize("cutoff", BAND_CUTOFFS, ids=repr)
@@ -448,8 +518,7 @@ class TestTimeDependent:
         p_stack = np.zeros_like(a_stack)
         p_stack[:, rows] = band
         dp_stack = gauge._time_derivative_stack(p_stack, self.dt)
-        den = gauge._denominator_table(grid, alpha)
-        valid = gauge._lattice_valid(grid)
+        valid, _, _, den, _ = lattice_commutator(grid, alpha, self.cutoff)
         residual = max(
             float(np.max(np.abs(np.where(valid, p * den - a - dp, 0.0))))
             for p, dp, a in zip(p_stack, dp_stack, a_stack)
@@ -697,6 +766,33 @@ class TestNonlinearExp:
             gauge.solve_nonlinear_exp(a, 1.5, self.cutoff)
         assert len(calls) == 1
 
+    def test_unmasked_data_is_rejected_as_materialize_rejects_it(self):
+        # entries of a symbol marked regularized that was not: on the band
+        # where psi = 0 (eta = 1, xi = 0), off the band on the lattice
+        # (eta = 20, xi = 5), and off the band at a slot that never
+        # materializes (eta = 20, xi = 20, where xi + eta leaves it)
+        a_reg = regularize(band_symbol(self.grid, self.cutoff,
+                                       np.random.default_rng(59),
+                                       amplitude=1e-2), self.cutoff)
+        clean = gauge.solve_nonlinear_exp(a_reg, 1.5, self.cutoff)
+        for eta, xi in ((1, 0), (20, 5), (20, 20)):
+            coeffs = a_reg.coeffs.copy()
+            coeffs[self.grid.index_of(eta), self.grid.index_of(xi)] = 1e-4
+            mislabelled = a_reg.copy(coeffs=coeffs)
+            if xi < 20:
+                with pytest.raises(InvariantBroken, match="1 entries"):
+                    paraop.materialize(mislabelled, self.cutoff)
+                with pytest.raises(InvariantBroken, match="1 entries"):
+                    gauge.solve_nonlinear_exp(mislabelled, 1.5, self.cutoff)
+                continue
+            paraop.materialize(mislabelled, self.cutoff)
+            sol = gauge.solve_nonlinear_exp(mislabelled, 1.5, self.cutoff)
+            assert sol.p.coeffs.tobytes() == clean.p.coeffs.tobytes()
+            assert sol.residual_norm == clean.residual_norm
+            assert sol.iterations == clean.iterations
+            for key in ("off_support_norm", "transform"):
+                assert np.array_equal(sol.extras[key], clean.extras[key])
+
     def test_off_support_reported(self):
         rng = np.random.default_rng(59)
         a = band_symbol(self.grid, self.cutoff, rng, amplitude=1e-2)
@@ -807,6 +903,19 @@ class TestConjugating:
         with pytest.raises(NewtonDiverged,
                            match=f"nan at Newton sweep {sols[0].iterations}"):
             gauge.solve_conjugating(fields, self.dt, self.alpha, self.cutoff)
+
+    def test_growing_residual_stops_the_sweep(self):
+        # the cos1 member at a = 1e-2 reads 6.5e-4 at sweep 0, falls once
+        # and then grows about x7 per sweep; it used to run all 25 sweeps
+        # to a nan residual
+        cfg = experiments.standard_ensemble(64, 2.5, 0.02, dt=0.002,
+                                            amplitudes=(1e-2,))[0]
+        assert cfg.init == "cos1"
+        states = run(cfg).states
+        with pytest.raises(NewtonDiverged,
+                           match=r"at Newton sweep [1-6] exceeds .* of "
+                                 r"sweep 0"):
+            gauge.solve_conjugating(states, 0.002, 2.5, cfg.cutoff)
 
     def test_p_vanishes_off_the_band(self):
         for grid in (Grid(64), Grid(128)):

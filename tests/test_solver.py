@@ -89,6 +89,24 @@ class TestSimConfig:
         np.testing.assert_allclose(run(cfg).times, np.arange(6) * 0.02,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("n_points", ["64", 64.0, 63, 6, 0, -64, None])
+    def test_n_points_must_be_an_even_integer_of_at_least_8(self, n_points):
+        # "64" used to reach `run` as a TypeError from string formatting
+        with pytest.raises(ValueError, match="n_points must be an even"):
+            SimConfig(n_points=n_points, alpha=1.5, t_end=0.01, dt=0.005)
+        cfg = SimConfig(n_points=np.int64(8), alpha=1.5, t_end=0.01,
+                        dt=0.005)
+        assert run(cfg).states[0].grid == Grid(8)
+
+    @pytest.mark.parametrize("equation", ["full", "paralinear"])
+    @pytest.mark.parametrize("cutoff", ["x", None, (8.0, 2.0)])
+    def test_cutoff_must_be_a_cutoff(self, cutoff, equation):
+        # "x" used to raise AttributeError in a paralinear run and pass
+        # silently through a full one
+        with pytest.raises(ValueError, match="cutoff must be a Cutoff"):
+            SimConfig(n_points=32, alpha=1.5, t_end=0.01, dt=0.005,
+                      equation=equation, cutoff=cutoff)
+
     @pytest.mark.parametrize("init", ["random", "cos1"])
     @pytest.mark.parametrize("seed", [1.5, -1, "0", None])
     def test_seed_must_be_a_non_negative_integer(self, seed, init):

@@ -34,6 +34,18 @@ def test_cutoff_validation():
         Cutoff(8.0, 0.0)
 
 
+@pytest.mark.parametrize("big_b, little_b", [
+    (float("inf"), 1.0), (2.0, float("inf")), (float("nan"), 1.0),
+    (2.0, float("nan")),
+])
+def test_cutoff_must_be_finite(big_b, little_b):
+    # B = inf made the eta = 0 row of cutoff_mask nan (inf * 0), so a
+    # paralinear run read blowup "nan" after one step; b = inf made the
+    # cone band's reach overflow
+    with pytest.raises(ValueError, match="finite"):
+        Cutoff(big_b, little_b)
+
+
 def test_cutoff_plateau_values():
     c = Cutoff(2.0, 1.0)
     # below the ramp

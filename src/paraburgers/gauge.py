@@ -31,11 +31,12 @@ the `_check_tameness` stacks, the transport symbols and p stacks of
 Newton solves read the pair matrix only on the sound pairs of
 `_pair_sets`, where psi exceeds SYMBOL_EXTRACTION_FLOOR, and
 `_extract_pairs` writes those straight into a band.  Dense (N x N, or
-(T, N, N) stacks of them) are the operators: W = e^{i T_p}, the residual
-g, the transport matrices, `_expm` and the products with W, placed from
-bands by `paraop.gather_band`, and the checks of a symbol's data on
-every pair, where one marked regularized that was not shows off the
-band.  The seminorm readings zero-pad a band along eta to N
+(T, N, N) stacks of them) are only the operators: W = e^{i T_p}, the
+residual g, the transport matrices, `_expm` and the products with W,
+placed from bands by `paraop.gather_band`.  Data handed in is read
+through `symbols.regularize`, which is where a symbol marked regularized
+is checked to vanish wherever psi does, off the band too; nothing here
+repeats that check.  The seminorm readings zero-pad a band along eta to N
 (`_band_seminorm`), so they read the same FFT as the N x N layout.
 Every public result is N x N: a returned p is its band padded with +0.0.
 
@@ -69,7 +70,7 @@ from .errors import (
     TamenessViolated,
 )
 from .paraop import _band_pairs, _cone_band, from_band, gather_band, \
-    gather_pairs, materialize, pair_mask, to_band
+    pair_mask, to_band
 from .spectral import dispersion_profile
 from .symbols import DEFAULT_CUTOFF, Symbol, column_sup, cutoff_mask, \
     regularize, stack_seminorm, x_derivative, xi_forward_difference
@@ -140,8 +141,12 @@ def _band_lattice(grid, alpha, cutoff):
 
 
 def ellipticity_bracket(grid, alpha, cutoff=DEFAULT_CUTOFF):
-    """(min, max) of |den| / (|eta| max(|xi|,|xi+eta|)^(alpha-1)) on support."""
+    """(min, max) of |den| / (|eta| max(|xi|,|xi+eta|)^(alpha-1)) on support;
+    ValueError when the division zone is empty."""
     _, zone, den, scale = _band_lattice(grid, alpha, cutoff)
+    if not np.any(zone):
+        raise ValueError(f"the division zone of {grid} under {cutoff!r} "
+                         f"is empty, so it has no ellipticity bracket")
     ratios = np.abs(den[zone]) / scale[zone]
     return float(np.min(ratios)), float(np.max(ratios))
 
@@ -233,15 +238,14 @@ def _pair_sets(grid, cutoff):
     return sets
 
 
-def _support_residual(p_band, a_coeffs, grid, alpha, cutoff):
-    """Max entry of (L(p) - sigma_a) over materializable slots, for a band p
-    from `_divide`: p vanishes off the division zone, where the table's den
-    is 1, and off the band, where a symbol marked regularized that was not
-    shows in full."""
-    residual = np.negative(a_coeffs)
-    residual[_cone_band(grid, cutoff).rows] += \
-        p_band * _division_table(grid, alpha, cutoff)[1]
-    return float(np.max(np.abs(gather_pairs(residual, grid))))
+def _support_residual(p_band, a_band, grid, alpha, cutoff):
+    """Max entry of (L(p) - sigma_a) over the band slots that materialize,
+    for band p from `_divide` and band data a: p vanishes off the division
+    zone, where the table's den is 1, and a regularized a vanishes off the
+    band."""
+    residual = p_band * _division_table(grid, alpha, cutoff)[1] - a_band
+    return float(np.max(np.abs(
+        residual.reshape(-1)[_band_pairs(grid, cutoff).slots])))
 
 
 def _homogeneous_sup(symbol, weight_order, difference=False):
@@ -319,8 +323,9 @@ def solve_commutator(a, alpha, cutoff=DEFAULT_CUTOFF):
         raise ValueError(f"need alpha >= 1, got {alpha:g}")
     grid = a.grid
     a_reg = regularize(a, cutoff)
-    p_band = _divide(to_band(a_reg.coeffs, grid, cutoff), grid, alpha, cutoff)
-    residual = _support_residual(p_band, a_reg.coeffs, grid, alpha, cutoff)
+    a_band = to_band(a_reg.coeffs, grid, cutoff)
+    p_band = _divide(a_band, grid, alpha, cutoff)
+    residual = _support_residual(p_band, a_band, grid, alpha, cutoff)
     order_p = a_reg.order_m + 1.0 - alpha
     p = Symbol(grid, from_band(p_band, grid, cutoff), order_m=order_p,
                cutoff=cutoff)
@@ -520,7 +525,8 @@ def solve_nonlinear_exp(a, alpha, cutoff=DEFAULT_CUTOFF):
     linear solution to second order.  The off-support part of the
     commutator is reported, never driven to zero.  M^m_0(a) must not
     exceed SMALLNESS; Newton stops below NEWTON_TOL, and gives up at the
-    first non-finite residual or after NEWTON_MAX_ITERATIONS steps.
+    first non-finite residual, at the first step whose residual exceeds
+    that of step 0, or after NEWTON_MAX_ITERATIONS steps.
 
     extras["transform"] is expm(i T_p) for the returned p: the very matrix
     the converged Newton step exponentiated, handed on so that callers do
@@ -531,8 +537,6 @@ def solve_nonlinear_exp(a, alpha, cutoff=DEFAULT_CUTOFF):
     grid = a.grid
     a_reg = regularize(a, cutoff)
     measured = _smallness(a_reg.coeffs, grid, a_reg.order_m)
-    # only for its pair-mask check, which reads every pair, off the band too
-    materialize(a_reg, cutoff)
     sets = _pair_sets(grid, cutoff)
     a_sound = to_band(a_reg.coeffs, grid, cutoff).reshape(-1)[sets.slots]
     p_band, transform, residual, iterations = _newton_exp(
@@ -596,6 +600,13 @@ def _newton_exp(a_sound, grid, alpha, cutoff, initial=None, transform=None):
             raise NewtonDiverged(f"residual {residual} at Newton step {step}")
         if residual < NEWTON_TOL:
             return p_band, transform, residual, step
+        if step == 0:
+            first = residual
+        elif residual > first:
+            raise NewtonDiverged(
+                f"residual {residual:.3e} at Newton step {step} exceeds "
+                f"{first:.3e} of step 0"
+            )
         if step == NEWTON_MAX_ITERATIONS:
             raise NewtonDiverged(
                 f"residual {residual:.3e} after {NEWTON_MAX_ITERATIONS} "

@@ -8,8 +8,9 @@ and cutoff psi, the operator matrix has
 with rows and columns in FFT order and entries dropped when xi + eta leaves
 the retained lattice (no wrap-around: on the cutoff support |eta| is far
 below N/2 anyway).  Dense matrices (`materialize`) are the reference
-semantics and serve the studies, which need the operator itself; the
-gauge places its bands with `gather_band` instead.
+semantics and serve the studies, which need the operator itself.  They
+are placed from the cone band below, as the gauge places its own bands:
+psi is zero off it, where B|eta| + b > N/2.
 
 The paraproduct T_u v of two real fields (`Field.is_real`) never needs
 the matrix.  psi vanishes unless |xi| > B|eta| + b, so only the modes
@@ -36,9 +37,12 @@ N) bands: row j holds eta = reach - j (FFT row reach - j mod N), the
 columns are the N modes xi in FFT order.  `to_band` and `from_band` convert
 to and from the (..., N, N) symbol layout, which is +0.0 off the band.
 `gather_band` places a band in the dense matrix through one cached index
-table per (grid, cutoff) and raises InvariantBroken, as `materialize`
-does, for a nonzero band slot where psi vanishes.  The public API stays
-N x N: `Symbol`, `materialize`, `gather_pairs` and `pair_mask` are dense.
+table per (grid, cutoff), and `materialize` is that placement of the band
+of `symbols.regularize(symbol, cutoff)`.  A symbol marked regularized is
+checked where the mark is read, in `regularize`; `gather_band` checks the
+bands the gauge builds itself and raises InvariantBroken for a nonzero
+slot where psi vanishes.  The public API stays N x N: `Symbol`,
+`materialize` and `pair_mask` are dense.
 """
 
 import functools
@@ -54,34 +58,10 @@ from .symbols import cutoff_mask, regularize
 
 
 @functools.lru_cache(maxsize=16)
-def _pair_slots(grid):
-    """Symbol slot of each (output, input) pair, as (valid, rows, cols).
-
-    Pair (out, in) holds the slot (eta, xi) = (out - in, in): row eta mod N,
-    column the input's own position.  Pairs whose eta leaves the lattice
-    are not valid and have no slot.
-    """
-    eta = grid.freqs[:, None] - grid.freqs[None, :]
-    valid = (eta >= -grid.n // 2) & (eta <= grid.n // 2 - 1)
-    rows = np.mod(eta, grid.n)
-    cols = np.broadcast_to(np.arange(grid.n)[None, :], rows.shape)
-    valid.setflags(write=False)
-    rows.setflags(write=False)
-    return valid, rows, cols
-
-
-def gather_pairs(coeffs, grid):
-    """Symbol-layout coefficients as matrix entries, no cutoff factor:
-    entries[xi + eta, xi] = coeffs[eta, xi], zero where eta is off the
-    lattice."""
-    valid, rows, cols = _pair_slots(grid)
-    return np.where(valid, coeffs[rows, cols], 0.0)
-
-
-@functools.lru_cache(maxsize=16)
 def pair_mask(grid, cutoff):
     """psi(out-in, in) over all (output, input) index pairs, FFT order."""
-    mask = gather_pairs(cutoff_mask(grid, cutoff), grid)
+    freqs = grid.freqs
+    mask = cutoff(freqs[:, None] - freqs[None, :], freqs[None, :])
     mask.setflags(write=False)
     return mask
 
@@ -118,29 +98,16 @@ class OperatorMatrix:
         return Field(self.grid, self.entries @ field.spectral, _validate=False)
 
 
-def _regularized_entries(coeffs, grid, cutoff):
-    """gather_pairs(coeffs) of a symbol regularized with cutoff; raises
-    InvariantBroken if an entry is nonzero where psi vanishes."""
-    entries = gather_pairs(coeffs, grid)
-    outside = entries[pair_mask(grid, cutoff) == 0.0]
-    if np.any(outside):
-        raise InvariantBroken(
-            f"{np.count_nonzero(outside)} entries outside the {cutoff!r} "
-            f"pair mask; a symbol marked regularized was not"
-        )
-    return entries
-
-
 def materialize(symbol, cutoff):
     """Dense matrix of T_a for the given cutoff.
 
-    A symbol already regularized with this cutoff is used as-is, so
-    materialize(regularize(a, c), c) == materialize(a, c) exactly.
+    A symbol already regularized with this cutoff is used as-is, once
+    `regularize` has checked it, so materialize(regularize(a, c), c) ==
+    materialize(a, c) exactly.
     """
     grid = symbol.grid
-    entries = _regularized_entries(regularize(symbol, cutoff).coeffs, grid,
-                                   cutoff)
-    return OperatorMatrix(grid, entries)
+    band = to_band(regularize(symbol, cutoff).coeffs, grid, cutoff)
+    return OperatorMatrix(grid, gather_band(band, grid, cutoff))
 
 
 @dataclass(frozen=True)
@@ -231,8 +198,8 @@ def gather_band(band, grid, cutoff):
     """Matrix entries of band-layout coefficients regularized with cutoff,
     (..., 2 reach + 1, N) to (..., N, N): entries[xi + eta, xi] =
     band[reach - eta, xi], +0.0 off the band and where xi + eta leaves the
-    lattice.  Like `materialize`, raises InvariantBroken if a slot where
-    psi vanishes holds a nonzero entry."""
+    lattice.  Raises InvariantBroken if a slot where psi vanishes holds a
+    nonzero entry."""
     table = _band_pairs(grid, cutoff)
     lead = band.shape[:-2]
     flat = band.reshape(*lead, -1)
@@ -240,7 +207,7 @@ def gather_band(band, grid, cutoff):
     if np.any(outside):
         raise InvariantBroken(
             f"{np.count_nonzero(outside)} band entries outside the "
-            f"{cutoff!r} pair mask; a symbol marked regularized was not"
+            f"{cutoff!r} pair mask; a band regularized with it was not"
         )
     out = np.zeros((*lead, grid.n * grid.n), dtype=np.complex128)
     out[..., table.pairs] = flat[..., table.slots]

@@ -16,14 +16,15 @@ Every state is a real field (`Field.is_real`): `step`, `run`, the stacked
 loop and `Trajectory` raise ValueError for any other.  There is one
 stepping loop.  It advances an (R x N) stack of coefficient arrays on one
 grid, one run per row, and `run` is its one-row case; `blowup_scan` puts
-all cells of a grid in one stack.  Each row has its own step, its own
+all cells of a grid in one stack.  The rows share the grid, the
+equation and the cutoff; each row has its own step, its own
 propagators, its own record stride and its own detector, and leaves the
 stack when it reaches its t_end or trips.  The four stages of the RK4
 kernel, shared with `step`, pass coefficient arrays; only recorded states
 are wrapped in `Field`s.  The half and full propagators of each (grid,
 alpha, dt) and the grid's i xi and 2/3 mask are read-only cached tables.
 The paralinear right-hand side -T_u d_x u of a row is the cone-band sum
-`paraop.paraproduct_coeffs` under the row's cutoff, with no N x N
+`paraop.paraproduct_coeffs` under the stack's cutoff, with no N x N
 operator, over the N/2 + 1 output modes xi <= 0 of its Hermitian output.
 The full one is the 2/3-dealiased (Orszag) product -u d_x u of
 `paraop.product_coeffs`, whose inverse FFTs for all rows run as one batch
@@ -139,6 +140,8 @@ class Trajectory:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
         object.__setattr__(self, "peaks", tuple(self.peaks))
+        if not times.size:
+            raise ValueError("a trajectory holds at least one sample")
         if times[0] != 0.0:
             raise ValueError(f"trajectories start at t = 0, got {times[0]}")
         if np.any(np.diff(times) <= 0):
@@ -195,29 +198,23 @@ def initial_field(grid, name, amplitude, seed=0):
     return field * (float(amplitude) / peak)
 
 
-def _nonlinearity(cfgs, grid):
-    """-u d_x u (full, dealiased) or -T_u d_x u (paralinear), from and to
-    coefficients of real states: an (N,) state for one config, an (R, N)
-    stack with row r under cfgs[r] for several.  The rows share the
-    equation; a paralinear row uses its own cutoff."""
+def _nonlinearity(equation, cutoff, grid):
+    """-u d_x u (full, dealiased) or -T_u d_x u (paralinear, under cutoff),
+    from and to coefficients of real states: an (N,) state or an (R, N)
+    stack of rows."""
     ixi = product_tables(grid)[0]
-    if cfgs[0].equation == "full":
+    if equation == "full":
         def rhs(v):
             return product_coeffs(grid, v, ixi * v) * -1.0
         return rhs
 
-    cutoffs = [cfg.cutoff for cfg in cfgs]
-
-    def transport(v, cutoff):
+    def transport(v):
         return paraproduct_coeffs(grid, v, ixi * v, cutoff)
 
-    if len(cutoffs) == 1:
-        def rhs(v):
-            return transport(v, cutoffs[0]) * -1.0
-    else:
-        def rhs(v):
-            return np.stack([transport(row, cutoff)
-                             for row, cutoff in zip(v, cutoffs)]) * -1.0
+    def rhs(v):
+        if v.ndim == 1:
+            return transport(v) * -1.0
+        return np.stack([transport(row) for row in v]) * -1.0
     return rhs
 
 
@@ -253,7 +250,8 @@ def step(state, cfg, dt=None):
     if h is None or not h > 0:
         raise ValueError(f"need a positive step size, got {h}")
     half, full = propagators(grid, cfg.alpha, h)
-    out = _rk4(state.spectral, h, half, full, _nonlinearity((cfg,), grid))
+    out = _rk4(state.spectral, h, half, full,
+               _nonlinearity(cfg.equation, cfg.cutoff, grid))
     if not np.all(np.isfinite(out)):
         raise NanDetected(f"non-finite coefficients after a step of {h:g}")
     return Field(grid, out, True, _validate=False)
@@ -344,8 +342,8 @@ def _advance(cfgs, states, hs, sample):
     """Integrate a stack of runs on one grid, row r from states[r] with
     step hs[r] under cfgs[r] to its own t_end.
 
-    The rows share the grid and the equation, and every state is real;
-    alpha, cutoff, step, t_end and stride are per row.  Each iteration
+    The rows share the grid, the equation and the cutoff, and every state
+    is real; alpha, step, t_end and stride are per row.  Each iteration
     advances every live row by one step of the shared RK4 kernel, with
     its own propagators and its last step cut short to land on t_end,
     and reads every row's detector from one batched inverse FFT.
@@ -358,19 +356,20 @@ def _advance(cfgs, states, hs, sample):
     """
     if not states:
         return []
-    grid, equation = states[0].grid, cfgs[0].equation
+    grid, equation, cutoff = states[0].grid, cfgs[0].equation, cfgs[0].cutoff
     for cfg, state, h in zip(cfgs, states, hs):
         if not state.is_real:
             raise ValueError("the solver steps real fields only")
         if (state.grid != grid or cfg.n_points != grid.n
-                or cfg.equation != equation):
-            raise ValueError("stacked runs must share the grid and the "
-                             "equation")
+                or cfg.equation != equation or cfg.cutoff != cutoff):
+            raise ValueError("stacked runs must share the grid, the "
+                             "equation and the cutoff")
         if cfg.t_end < h:
             raise ValueError(
                 f"t_end = {cfg.t_end} shorter than one step {h:g}"
             )
 
+    rhs = _nonlinearity(equation, cutoff, grid)
     v = np.stack([state.spectral for state in states])
     rows = []
     for r, reading in enumerate(_peaks(grid, v).tolist()):
@@ -384,7 +383,6 @@ def _advance(cfgs, states, hs, sample):
             dts = now
             tables = [propagators(grid, row.cfg.alpha, dt)
                       for row, dt in zip(live, dts)]
-            rhs = _nonlinearity([row.cfg for row in live], grid)
             if len(live) == 1:
                 # a lone row steps as one (N,) state, which costs less
                 # per array operation than a one-row stack

@@ -8,6 +8,9 @@ A symbol is stored by its x-Fourier coefficients a_hat(eta, xi) on the
 vanishes for |xi| < B|eta| + b and equals one for |xi| > B|eta| + b + 1.
 With integer B and b the transition band misses the integer lattice, so
 lattice masks are exactly 0/1 and regularization is an exact projection.
+A regularized symbol carries its cutoff as the `Symbol.cutoff` mark, and
+`regularize` is the one reader of that mark: it checks that a marked
+symbol is zero wherever psi is before trusting it.
 `DEFAULT_CUTOFF`, Cutoff(8, 2), is the cutoff of every entry point that
 is not handed one.
 
@@ -25,6 +28,7 @@ import functools
 
 import numpy as np
 
+from .errors import InvariantBroken
 from .spectral import smoothstep
 
 
@@ -128,11 +132,22 @@ def transport_symbol(field):
 
 
 def regularize(symbol, cutoff):
-    """Multiply coefficients by psi^{B,b}; projection, idempotent per cutoff."""
-    if symbol.cutoff == cutoff:
-        return symbol
+    """Multiply coefficients by psi^{B,b}; projection, idempotent per cutoff.
+
+    The one reader of the `cutoff` mark: a symbol already marked with this
+    cutoff is returned as it is, once its coefficients are checked to be
+    zero wherever psi is; a nonzero one raises InvariantBroken.
+    """
     mask = cutoff_mask(symbol.grid, cutoff)
-    return symbol.copy(coeffs=mask * symbol.coeffs, cutoff=cutoff)
+    if symbol.cutoff != cutoff:
+        return symbol.copy(coeffs=mask * symbol.coeffs, cutoff=cutoff)
+    outside = np.count_nonzero(symbol.coeffs[mask == 0.0])
+    if outside:
+        raise InvariantBroken(
+            f"{outside} coefficients nonzero where {cutoff!r} vanishes; a "
+            f"symbol marked regularized was not"
+        )
+    return symbol
 
 
 def x_derivative(symbol):

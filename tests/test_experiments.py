@@ -16,7 +16,7 @@ from paraburgers.gauge import (
 )
 from paraburgers.normalform import build_chi1
 from paraburgers.paraop import OperatorMatrix, dealias_product, \
-    gather_pairs, materialize, order_probe, pair_mask
+    materialize, order_probe, pair_mask
 from paraburgers.solver import initial_field, run
 from paraburgers.spectral import Field, Grid, abs_d_pow, bessel_pow, \
     derivative, dispersion_profile, linf_norm, multiplier_apply, sobolev_norm
@@ -370,7 +370,7 @@ class TestConjugationStudy:
     def test_newton_hands_on_its_exponential(self, conjugation_ensemble):
         u = conjugation_ensemble[0].states[-1]
         sol = solve_nonlinear_exp(transport_symbol(u) * -1.0, 2.5, CUTOFF)
-        placed = gather_pairs(sol.p.coeffs, u.grid)
+        placed = materialize(sol.p, CUTOFF).entries
         assert np.array_equal(sol.extras["transform"], _expm(1j * placed))
 
     def test_every_p_vanishes_off_the_band(self, conjugation_ensemble):
@@ -401,7 +401,7 @@ class TestConjugationStudy:
             for i, (sol, u) in enumerate(zip(sols, traj.states)):
                 assert sol.extras["w_stack"] is extras["w_stack"]
                 w = extras["w_stack"][i]
-                placed = gather_pairs(sol.p.coeffs, u.grid)
+                placed = materialize(sol.p, CUTOFF).entries
                 assert np.array_equal(w, _expm(1j * placed))
                 transport = materialize(transport_symbol(u) * 1j,
                                         CUTOFF).entries

@@ -144,6 +144,10 @@ class TestTrajectory:
         return tuple(Field.from_physical(grid, np.cos(grid.x) * (k + 1))
                      for k in range(count))
 
+    def test_needs_a_sample(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            Trajectory(np.array([]), ())
+
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError, match="start at t = 0"):
             Trajectory(np.array([0.5, 1.0]), self._states(2))

@@ -14,7 +14,7 @@ from paraburgers.solver import SimConfig, initial_field, propagators, run, \
     step
 from paraburgers.spectral import Field, Grid, check_same_grid, derivative, \
     dispersion_profile, linf_norm, multiplier_apply
-from paraburgers.symbols import Cutoff
+from paraburgers.symbols import DEFAULT_CUTOFF, Cutoff
 
 
 # -- the Field-level kernel, kept as the reference --------------------------
@@ -237,7 +237,7 @@ PARALINEAR_ROWS = (
               amplitude=0.5, equation="paralinear", cutoff=Cutoff(2.5, 1.3),
               stride=2),
     SimConfig(n_points=64, alpha=2.5, t_end=0.01, dt=1e-3, init="random",
-              amplitude=0.2, equation="paralinear"),
+              amplitude=0.2, equation="paralinear", cutoff=Cutoff(2.5, 1.3)),
 )
 
 
@@ -268,6 +268,10 @@ class TestStackEqualsRows:
     def test_rows_must_share_the_equation_and_realness(self):
         with pytest.raises(ValueError, match="share"):
             stacked_runs((FULL_ROWS[0], PARALINEAR_ROWS[0]))
+        # and the cutoff: one stack steps under one cutoff
+        with pytest.raises(ValueError, match="share"):
+            stacked_runs((PARALINEAR_ROWS[0], dataclasses.replace(
+                PARALINEAR_ROWS[1], cutoff=DEFAULT_CUTOFF)))
         grid = Grid(64)
         wave = Field.from_physical(grid, np.exp(1j * grid.x))
         with pytest.raises(ValueError, match="real fields only"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paraburgers.errors import InvariantBroken
 from paraburgers.spectral import Field, Grid
 from paraburgers.symbols import (
     Cutoff,
@@ -108,6 +109,28 @@ def test_regularize_is_projection():
     once = regularize(a, c)
     twice = regularize(once, c)
     assert twice is once  # exact projection, no second mask application
+
+
+@pytest.mark.parametrize("eta, xi", [(1, 0), (20, 5), (20, 20)])
+def test_regularize_checks_the_mark(eta, xi):
+    # a coefficient where psi vanishes in a symbol marked regularized with
+    # the cutoff: on the band (eta = 1, xi = 0), off it (eta = 20, xi = 5),
+    # and off it where xi + eta leaves the lattice (eta = 20, xi = 20)
+    grid = Grid(64)
+    c = Cutoff(8.0, 2.0)
+    once = regularize(transport_symbol(
+        random_real_field(grid, np.random.default_rng(5))), c)
+    coeffs = once.coeffs.copy()
+    coeffs[grid.index_of(eta), grid.index_of(xi)] = 1e-4
+    mislabelled = once.copy(coeffs=coeffs)
+    assert cutoff_mask(grid, c)[grid.index_of(eta), grid.index_of(xi)] == 0.0
+    with pytest.raises(InvariantBroken,
+                       match=r"1 coefficients nonzero where Cutoff\(B=8, b=2\)"):
+        regularize(mislabelled, c)
+    # a symbol marked with another cutoff is masked again, not checked
+    other = regularize(mislabelled, Cutoff(2.0, 1.0))
+    assert np.array_equal(other.coeffs,
+                          cutoff_mask(grid, Cutoff(2.0, 1.0)) * coeffs)
 
 
 @settings(max_examples=40, deadline=None)

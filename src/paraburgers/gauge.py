@@ -30,12 +30,14 @@ the `_check_tameness` stacks, the transport symbols and p stacks of
 `solve_conjugating`, and the Newton iterate of `_newton_exp`.  The
 Newton solves read the pair matrix only on the sound pairs of
 `_pair_sets`, where psi exceeds SYMBOL_EXTRACTION_FLOOR, and
-`_extract_pairs` writes those straight into a band.  Dense (N x N, or
-(T, N, N) stacks of them) are only the operators: W = e^{i T_p}, the
-residual g, the transport matrices, `_expm` and the products with W,
-placed from bands by `paraop.gather_band`.  Data handed in is read
-through `symbols.regularize`, which is where a symbol marked regularized
-is checked to vanish wherever psi does, off the band too; nothing here
+`_extract_pairs` writes those straight into a band; their off-support
+norms read the dense matrices on the complement of the band pairs with
+psi > 0 (`_off_support_norms`).  Dense (N x N, or (T, N, N) stacks of
+them) are only the operators: W = e^{i T_p}, the residual g, the
+transport matrices, `_expm` and the products with W, placed from bands
+by `paraop.gather_band`.  Data handed in is read through
+`symbols.regularize`, which is where a symbol marked regularized is
+checked to vanish wherever psi does, off the band too; nothing here
 repeats that check.  The seminorm readings zero-pad a band along eta to N
 (`_band_seminorm`), so they read the same FFT as the N x N layout.
 Every public result is N x N: a returned p is its band padded with +0.0.
@@ -69,8 +71,7 @@ from .errors import (
     SmallnessViolated,
     TamenessViolated,
 )
-from .paraop import _band_pairs, _cone_band, from_band, gather_band, \
-    pair_mask, to_band
+from .paraop import _band_pairs, _cone_band, from_band, gather_band, to_band
 from .spectral import dispersion_profile
 from .symbols import DEFAULT_CUTOFF, Symbol, column_sup, cutoff_mask, \
     regularize, stack_seminorm, x_derivative, xi_forward_difference
@@ -141,8 +142,9 @@ def _band_lattice(grid, alpha, cutoff):
 
 
 def ellipticity_bracket(grid, alpha, cutoff=DEFAULT_CUTOFF):
-    """(min, max) of |den| / (|eta| max(|xi|,|xi+eta|)^(alpha-1)) on support;
-    ValueError when the division zone is empty."""
+    """(min, max) of |den| / (|eta| max(|xi|,|xi+eta|)^(alpha-1)) on the
+    division zone, the support slots with eta != 0; ValueError when the
+    zone is empty."""
     _, zone, den, scale = _band_lattice(grid, alpha, cutoff)
     if not np.any(zone):
         raise ValueError(f"the division zone of {grid} under {cutoff!r} "
@@ -217,25 +219,37 @@ class _PairSets(NamedTuple):
     pairs, slots and psi are the sound pairs, where psi exceeds
     SYMBOL_EXTRACTION_FLOOR (the pairs a residual is read on and a symbol
     extracted from), as flat positions in the pair matrix and in the band
-    and psi on them; off holds the flat matrix positions where psi is
-    zero.
+    and psi on them.  The off-support norms read the complement of the
+    band pairs with psi > 0 instead (`_off_support_norms`).
     """
 
     pairs: np.ndarray
     slots: np.ndarray
     psi: np.ndarray
-    off: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
 def _pair_sets(grid, cutoff):
     band = _band_pairs(grid, cutoff)
     sound = band.psi > SYMBOL_EXTRACTION_FLOOR
-    sets = _PairSets(band.pairs[sound], band.slots[sound], band.psi[sound],
-                     np.flatnonzero(pair_mask(grid, cutoff) == 0.0))
+    sets = _PairSets(band.pairs[sound], band.slots[sound], band.psi[sound])
     for array in sets:
         array.setflags(write=False)
     return sets
+
+
+def _off_support_norms(matrices, grid, cutoff):
+    """Largest |entry| of each (..., N, N) matrix over the pairs where psi
+    vanishes: every pair off the band, and the band pairs with psi = 0.
+
+    The pairs with psi > 0 are zeroed, not just the sound pairs of
+    `_pair_sets`: a pair with 0 < psi <= SYMBOL_EXTRACTION_FLOOR is on the
+    support, so it is never read here.
+    """
+    band = _band_pairs(grid, cutoff)
+    magnitudes = np.abs(matrices).reshape(*matrices.shape[:-2], -1)
+    magnitudes[..., band.pairs[band.psi > 0.0]] = 0.0
+    return np.max(magnitudes, axis=-1)
 
 
 def _support_residual(p_band, a_band, grid, alpha, cutoff):
@@ -542,10 +556,9 @@ def solve_nonlinear_exp(a, alpha, cutoff=DEFAULT_CUTOFF):
     p_band, transform, residual, iterations = _newton_exp(
         a_sound, grid, alpha, cutoff
     )
-    off = (transform.reshape(-1)[sets.off]
-           * _pair_denominator(grid, alpha).reshape(-1)[sets.off])
     extras = {
-        "off_support_norm": float(np.max(np.abs(off), initial=0.0)),
+        "off_support_norm": float(_off_support_norms(
+            transform * _pair_denominator(grid, alpha), grid, cutoff)),
         "smallness": {
             "threshold": SMALLNESS,
             "measured": measured,
@@ -681,8 +694,8 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
     fields = list(u_fields)
     if len(fields) < 5:
         raise ValueError(f"need >= 5 trajectory samples, got {len(fields)}")
-    if not dt > 0:
-        raise ValueError(f"need dt > 0, got {dt:g}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"need a finite dt > 0, got {dt:g}")
     grid = fields[0].grid
     a_stack = np.stack([_transport_band(u, cutoff) for u in fields])
     u_sup = max(float(np.max(np.abs(u.physical()))) for u in fields)
@@ -754,10 +767,7 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
         for i, placed in enumerate(gather_band(p_stack, grid, cutoff)):
             w_stack[i] = _expm(1j * placed)
 
-    off_support = np.max(
-        np.abs(g_stack.reshape(len(fields), -1)[:, sets.off]), axis=1,
-        initial=0.0
-    ).tolist()
+    off_support = _off_support_norms(g_stack, grid, cutoff).tolist()
     solutions = []
     for i in range(len(fields)):
         p = Symbol(grid, from_band(p_stack[i], grid, cutoff), order_m=order_p,

@@ -175,7 +175,6 @@ def multilinear_apply(chi, f1, f2):
     return _output_field(grid, coeffs, is_real)
 
 
-@functools.lru_cache(maxsize=16)
 def build_chi(s, alpha, cutoff, grid):
     """Tabulate the raw normal-form multiplier chi on the lattice.
 
@@ -184,6 +183,9 @@ def build_chi(s, alpha, cutoff, grid):
     difference measuring how far the paraproduct is from a plain
     product.  Entries off the cutoff support, and the whole xi1 = 0
     line (an exact 0/0 where both numerator factors vanish), are zero.
+
+    Not cached: the studies read chi only through the cached
+    `build_chi1`, so each table is built once per `build_chi1` key.
     """
     if not alpha > 1:
         raise ValueError(f"need alpha > 1, got {alpha}")

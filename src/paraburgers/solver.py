@@ -144,8 +144,9 @@ class Trajectory:
             raise ValueError("a trajectory holds at least one sample")
         if times[0] != 0.0:
             raise ValueError(f"trajectories start at t = 0, got {times[0]}")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("sample times must increase strictly")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError("sample times must be finite and increase "
+                             "strictly")
         if len(self.states) != len(times):
             raise ValueError("one state per sample time required")
         if self.peaks and len(self.peaks) != len(times):

@@ -331,7 +331,6 @@ class TestResonanceEllipticity:
             paraop.product_tables: (grid,),
             gauge._pair_sets: (grid, cutoff),
             lp_profiles: (grid,),
-            normalform.build_chi: (1.0, 1.5, cutoff, grid),
             normalform.build_chi1: (1.0, 1.5, cutoff, grid),
         }
         # with `_cone_band` (tests/test_paraop.py) and `propagators`
@@ -365,8 +364,10 @@ def cached_functions():
                     yield path.stem, node.name
 
 
+# Cutoff(8, 1.97) has band slots with 0 < psi <= SYMBOL_EXTRACTION_FLOOR
+# (14 at N = 64), on the support but not sound
 BAND_CUTOFFS = [Cutoff(8.0, 2.0), Cutoff(2.0, 1.0), Cutoff(3.5, 1.5),
-                Cutoff(2.5, 1.3)]
+                Cutoff(2.5, 1.3), Cutoff(8.0, 1.97)]
 BAND_ALPHAS = [1.5, 2.5, 1.2, 2.9]
 
 
@@ -436,10 +437,34 @@ class TestBandTables:
         sets = gauge._pair_sets(grid, cutoff)
         np.testing.assert_array_equal(np.sort(sets.pairs),
                                       np.flatnonzero(sound))
-        np.testing.assert_array_equal(sets.off, np.flatnonzero(psi == 0.0))
+        band = paraop._band_pairs(grid, cutoff)
+        np.testing.assert_array_equal(np.sort(band.pairs[band.psi > 0.0]),
+                                      np.flatnonzero(psi > 0.0))
         got = gauge._extract_pairs(entries.reshape(2, -1)[:, sets.pairs],
                                    grid, cutoff)
         assert got.tobytes() == expected[:, rows].tobytes()
+
+
+class TestOffSupportNorms:
+    def test_reads_only_where_psi_vanishes(self):
+        # the slots with 0 < psi <= SYMBOL_EXTRACTION_FLOOR are on the
+        # support: large entries there must not be read, though they are
+        # not among the sound pairs of `_pair_sets`
+        grid, cutoff = Grid(64), Cutoff(8.0, 1.97)
+        psi = paraop.pair_mask(grid, cutoff).reshape(-1)
+        faint = np.flatnonzero((psi > 0.0)
+                               & (psi <= gauge.SYMBOL_EXTRACTION_FLOOR))
+        assert faint.size == 14
+        assert not np.isin(faint, gauge._pair_sets(grid, cutoff).pairs).any()
+        off = np.flatnonzero(psi == 0.0)[100]
+        matrices = np.zeros((2, grid.n * grid.n), dtype=np.complex128)
+        matrices[:, faint] = 1e6
+        matrices[:, np.flatnonzero(psi > gauge.SYMBOL_EXTRACTION_FLOOR)] = 1e3
+        matrices[0, off] = 3.0 - 4.0j
+        matrices = matrices.reshape(2, grid.n, grid.n)
+        norms = gauge._off_support_norms(matrices, grid, cutoff)
+        assert norms.tolist() == [5.0, 0.0]
+        assert gauge._off_support_norms(matrices[0], grid, cutoff) == 5.0
 
 
 class TestColeHopfParametrix:
@@ -954,6 +979,14 @@ class TestConjugating:
         u = Field.from_physical(self.grid, 1e-4 * np.cos(self.grid.x))
         with pytest.raises(ValueError):
             gauge.solve_conjugating([u] * 5, self.dt, 1.5, self.cutoff)
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -0.05])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        # dt = inf used to pass `dt > 0` and fail later in `gather_band`
+        # with an InvariantBroken about the pair mask
+        with pytest.raises(ValueError, match="need a finite dt > 0"):
+            gauge.solve_conjugating(self.cosine_fields(1e-3), dt, self.alpha,
+                                    self.cutoff)
 
     def test_residual_operator_tail_is_low_order(self):
         # the defining equation applied to the cutoff-masked gauge psi W:

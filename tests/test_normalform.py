@@ -269,9 +269,6 @@ class TestBuildChi:
             normalform.build_chi(2.0, 1.0, self.CUTOFF, Grid(32))
 
     def test_cache_returns_same_object(self):
-        first = normalform.build_chi(2.0, 1.5, self.CUTOFF, Grid(64))
-        second = normalform.build_chi(2.0, 1.5, self.CUTOFF, Grid(64))
-        assert first is second
         assert normalform.build_chi1(2.0, 1.5, self.CUTOFF, Grid(64)) is \
             normalform.build_chi1(2.0, 1.5, self.CUTOFF, Grid(64))
 

@@ -156,6 +156,15 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="increase"):
             Trajectory(np.array([0.0, 0.2, 0.2]), self._states(3))
 
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.2, 0.3, np.nan],
+                                       [0.0, np.nan, 0.2],
+                                       [0.0, 0.1, np.inf]])
+    def test_times_finite(self, times):
+        # a nan difference compares False both ways, so only a check that
+        # nan fails can catch it; inf increases strictly but is no time
+        with pytest.raises(ValueError, match="finite and increase"):
+            Trajectory(np.array(times), self._states(len(times)))
+
     def test_one_state_per_time(self):
         with pytest.raises(ValueError, match="one state per sample"):
             Trajectory(np.array([0.0, 0.1]), self._states(3))

@@ -25,8 +25,9 @@ from .gauge import (
 )
 from .normalform import normal_form_coeffs
 from .paraop import (
-    OperatorMatrix, dealias_product, materialize, order_probe, pair_mask,
-    product_coeffs, product_tables
+    OperatorMatrix, band_apply, dealias_product, materialize, operator_band,
+    order_probe, pair_mask, place_band, product_coeffs, product_tables,
+    to_band
 )
 from .solver import (
     BLOWUP_LIPSCHITZ, BLOWUP_SUP_FACTOR, SimConfig, Trajectory, _advance,
@@ -226,7 +227,8 @@ def standard_ensemble(n_points, alpha, t_end, dt=None, stride=1,
 # -- energy estimate --------------------------------------------------------
 
 def _gauge_generator(u, alpha, cutoff):
-    """The hermitian gauge generator for one real state.
+    """The hermitian gauge generator for one real state, as its (2 reach +
+    1, N) operator band (`paraop` layout), and the transport symbol.
 
     The dispersive multiplier in the commutator equation already carries
     the factor i, so the right-hand side producing a hermitian generator
@@ -240,20 +242,22 @@ def _gauge_generator(u, alpha, cutoff):
     sigma = transport_symbol(u)
     eta = u.grid.freqs.astype(np.float64)[:, None]
     rhs = sigma.copy(coeffs=-(2.0 * sigma.coeffs + eta * u.spectral[:, None]))
-    solution = solve_commutator(rhs, alpha, cutoff)
-    return materialize(solution.p, cutoff).entries, sigma
+    p = solve_commutator(rhs, alpha, cutoff).p
+    return operator_band(to_band(p.coeffs, u.grid, cutoff), u.grid,
+                         cutoff), sigma
 
 
 def _skew_gap(gauge, transported):
-    """Skew-hermitian defect max |C + C^*| of the conjugated bracket.
+    """Skew-hermitian defect max |C + C^*| of the conjugated bracket, for
+    the operator band of G and the N x N matrix T.
 
     C = int_0^1 e^{-irG} [G, T] e^{irG} dr is taken in closed form: the
     integrand is i d/dr (e^{-irG} T e^{irG}), so C = i (e^{-iG} T e^{iG} - T)
-    for any square G, hermitian or not.
+    for any square G, hermitian or not.  Both exponentials come from one
+    `_expm` call on G's band and are placed in N x N.
     """
-    conjugated = 1j * (
-        _expm(-1j * gauge) @ transported @ _expm(1j * gauge) - transported
-    )
+    minus, plus = place_band(_expm(np.stack((-1j * gauge, 1j * gauge))))
+    conjugated = 1j * (minus @ transported @ plus - transported)
     return float(np.max(np.abs(conjugated + conjugated.conj().T)))
 
 
@@ -273,7 +277,8 @@ def _cancellation_check(u, alpha, cutoff):
     gauge, sigma = _gauge_generator(u, alpha, cutoff)
     psi = pair_mask(grid, cutoff)
     deep = (psi == 1.0) & (psi.T == 1.0)
-    hermitian_gap = float(np.max(np.abs((gauge - gauge.conj().T)[deep])))
+    dense = place_band(gauge)
+    hermitian_gap = float(np.max(np.abs((dense - dense.conj().T)[deep])))
     if hermitian_gap > HERMITIAN_TOL:
         raise InvariantBroken(
             f"gauge generator fails hermiticity on the deep pairs: "
@@ -382,7 +387,7 @@ def _conjugation_cell(traj, alpha, cutoff):
     # the residual certificate of solve_conjugating exactly
     extras = solve_conjugating(states, h, alpha, cutoff)[0].extras
     u_stack = np.stack([u.spectral for u in states])
-    w_stack = np.einsum("tij,tj->ti", extras["w_stack"], u_stack)
+    w_stack = band_apply(extras["w_stack"], u_stack)
     profile = dispersion_profile(grid, alpha)
     r_stack = (_time_derivative_stack(w_stack, h)
                + w_stack * (1j * profile)[None, :])
@@ -411,11 +416,11 @@ def _conjugation_cell(traj, alpha, cutoff):
 
     # the order is an operator property; probe the defining equation's
     # residual as a matrix instead of trusting the state's thin spectrum
-    residual_entries = extras["g_stack"][len(states) // 2]
-    if not np.any(np.abs(residual_entries) > 0.0):
+    residual_band = extras["g_stack"][len(states) // 2]
+    if not np.any(np.abs(residual_band) > 0.0):
         return ratios, None
-    return ratios, residual_order(OperatorMatrix(grid, residual_entries),
-                                  cutoff)
+    return ratios, residual_order(
+        OperatorMatrix(grid, place_band(residual_band)), cutoff)
 
 
 def conjugation_study(traj, alpha, c=DEFAULT_CUTOFF):

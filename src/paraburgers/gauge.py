@@ -24,23 +24,25 @@ solution coincides with the linear solve to second order.
 Layouts.  A symbol regularized with the cutoff vanishes off the rows
 |eta| <= reach = floor((N/2 - b)/B), so the symbol-layout work runs on
 (..., 2 reach + 1, N) bands (`paraop.to_band`; row j holds eta = reach -
-j): the commutator map's tables (`_band_lattice`, which reads den from
-its one definition on the pairs), `_divide`, the `_time_chain` layers,
-the `_check_tameness` stacks, the transport symbols and p stacks of
-`solve_conjugating`, and the Newton iterate of `_newton_exp`.  The
-Newton solves read the pair matrix only on the sound pairs of
-`_pair_sets`, where psi exceeds SYMBOL_EXTRACTION_FLOOR, and
+j): the commutator map's tables (`_band_lattice`), `_divide`, the
+`_time_chain` layers, the `_check_tameness` stacks, the transport symbols
+and p stacks of `solve_conjugating`, and the Newton iterate of
+`_newton_exp`.  The operators are (..., 2H + 1, N) operator bands
+(`paraop`: row H - eta, column xi holds the entry (xi + eta, xi), +0.0
+where xi + eta leaves the lattice), multiplied by `paraop.band_product`:
+W = e^{i T_p} and `_expm`, the time stencil of W, W den, W T and the
+residual g.  den has one definition, `_band_denominator`, at any
+half-width.  The Newton solves read an operator band only on the sound
+pairs of `_pair_sets`, where psi exceeds SYMBOL_EXTRACTION_FLOOR, and
 `_extract_pairs` writes those straight into a band; their off-support
-norms read the dense matrices on the complement of the band pairs with
-psi > 0 (`_off_support_norms`).  Dense (N x N, or (T, N, N) stacks of
-them) are only the operators: W = e^{i T_p}, the residual g, the
-transport matrices, `_expm` and the products with W, placed from bands
-by `paraop.gather_band`.  Data handed in is read through
-`symbols.regularize`, which is where a symbol marked regularized is
-checked to vanish wherever psi does, off the band too; nothing here
-repeats that check.  The seminorm readings zero-pad a band along eta to N
-(`_band_seminorm`), so they read the same FFT as the N x N layout.
-Every public result is N x N: a returned p is its band padded with +0.0.
+norms read the band outside the cone band slots with psi > 0
+(`_off_support_norms`).  The seminorm readings (`_band_seminorm`) take
+sup_x from the band's rows by one matmul, so no N x N symbol is padded.
+Data handed in is read through `symbols.regularize`, which is where a
+symbol marked regularized is checked to vanish wherever psi does, off the
+band too; nothing here repeats that check.  Only the public results are
+N x N: a returned p is its band padded with +0.0; the operators in a
+solution's extras stay bands, and `paraop.place_band` places them.
 
 The exponentials of the gauge, e^{i T_p} here and e^{-+iG} in the energy
 study's skew check, are small: on the N=64 study inputs ||i T_p||_1 is
@@ -50,10 +52,12 @@ therefore a truncated Taylor series (Moler & Van Loan, SIAM Rev. 2003):
 scale B = A / 2^s to ||B||_1 <= 1/2, take the least degree m with
 e^{2||B||} ||B||^{m+1} / (m+1)! <= 2^-53, evaluate by Horner and square s
 times.  Since ||e^B|| >= e^{-||B||}, that degree bounds the truncation
-error relative to e^B.  At ||A||_1 = 3.6e-6 it is degree 2, one matrix
+error relative to e^B.  At ||A||_1 = 3.6e-6 it is degree 2, one band
 product, where a Pade approximant pays a degree search, about ten
 products and an LU solve.  Past ||A||_1 of about 0.1 Pade is the cheaper
-of the two, but no study sends such a generator.
+of the two, but no study sends such a generator.  A polynomial of degree
+m in a band of half-width H has half-width m H, so W - I of a study
+generator is a band of half-width 2 reach: 13 rows at N = 64.
 """
 
 import functools
@@ -71,10 +75,11 @@ from .errors import (
     SmallnessViolated,
     TamenessViolated,
 )
-from .paraop import _band_pairs, _cone_band, from_band, gather_band, to_band
+from .paraop import _band_layout, _band_pairs, _cone_band, band_product, \
+    from_band, operator_band, resize_band, to_band
 from .spectral import dispersion_profile
 from .symbols import DEFAULT_CUTOFF, Symbol, column_sup, cutoff_mask, \
-    regularize, stack_seminorm, x_derivative, xi_forward_difference
+    regularize, sup_seminorm, x_derivative, xi_forward_difference
 
 # Read when `_division_table` builds a (grid, alpha, cutoff) table and
 # `_pair_sets` a (grid, cutoff) table; a table already cached keeps the
@@ -94,17 +99,20 @@ _NOISE_FLOOR_DECAY = 0.1
 _DIVERGENT_TAIL = 4.0
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_denominator(grid, alpha):
-    """den on every (output, input) pair: i (f(in) - f(out)).
+def _band_denominator(grid, alpha, half_width):
+    """den on a (2 half_width + 1, N) operator band: row half_width - eta,
+    column xi holds den(eta, xi) = i (f(xi) - f(xi + eta)), +0.0 where xi
+    + eta leaves the lattice.
 
-    The one definition of den: pair (xi + eta, xi) holds den(eta, xi).
-    The band reads it at its slots' pairs, the sweeps read every pair.
+    The one definition of den: the lattice tables read it at half-width
+    reach, the sweeps at the half-width of W.
     """
+    layout = _band_layout(grid.n, half_width)
     f = dispersion_profile(grid, alpha)
-    table = 1j * (f[None, :] - f[:, None])
-    table.setflags(write=False)
-    return table
+    den = np.zeros(layout.valid.size, dtype=np.complex128)
+    den[layout.slots] = 1j * (f[layout.slots % grid.n]
+                              - f[layout.pairs // grid.n])
+    return den.reshape(layout.valid.shape)
 
 
 @functools.lru_cache(maxsize=16)
@@ -124,21 +132,18 @@ def _band_lattice(grid, alpha, cutoff):
     """The commutator map as (2 reach + 1, N) band tables (support, zone,
     den, scale): the slots with psi > 0 whose output xi + eta stays on the
     lattice, those of them off the kernel row eta = 0 (the slots the
-    equation constrains), den read from `_pair_denominator` (zero where
-    xi + eta leaves the lattice), and its elliptic size |eta| max(|xi|,
+    equation constrains), den from `_band_denominator` (zero where xi +
+    eta leaves the lattice), and its elliptic size |eta| max(|xi|,
     |xi+eta|)^(alpha-1)."""
-    pairs = _band_pairs(grid, cutoff)
-    eta = grid.freqs[_cone_band(grid, cutoff).rows].astype(np.float64)[:, None]
+    band = _cone_band(grid, cutoff)
+    eta = grid.freqs[band.rows].astype(np.float64)[:, None]
     xi = grid.freqs.astype(np.float64)[None, :]
-    support = np.zeros(eta.size * grid.n, dtype=bool)
-    support[pairs.slots] = pairs.psi > 0.0
-    den = np.zeros(eta.size * grid.n, dtype=np.complex128)
-    den[pairs.slots] = _pair_denominator(grid, alpha).reshape(-1)[pairs.pairs]
+    support = _pair_sets(grid, cutoff).support
     big = np.maximum(np.abs(xi), np.abs(xi + eta))
     with np.errstate(divide="ignore"):
         scale = np.abs(eta) * np.where(big > 0, big ** (alpha - 1.0), 0.0)
-    support = support.reshape(scale.shape)
-    return support, support & (eta != 0), den.reshape(scale.shape), scale
+    return support, support & (eta != 0), \
+        _band_denominator(grid, alpha, band.reach), scale
 
 
 def ellipticity_bracket(grid, alpha, cutoff=DEFAULT_CUTOFF):
@@ -214,42 +219,53 @@ def _divide(stack, grid, alpha, cutoff):
 
 
 class _PairSets(NamedTuple):
-    """Where the Newton solves read the pair matrix.
+    """Where the Newton solves read a band.
 
-    pairs, slots and psi are the sound pairs, where psi exceeds
+    slots and psi are the sound pairs, where psi exceeds
     SYMBOL_EXTRACTION_FLOOR (the pairs a residual is read on and a symbol
-    extracted from), as flat positions in the pair matrix and in the band
-    and psi on them.  The off-support norms read the complement of the
-    band pairs with psi > 0 instead (`_off_support_norms`).
+    extracted from), as flat positions in the (2 reach + 1, N) cone band
+    and psi on them; kernel marks those of them on the eta = 0 row, where
+    den vanishes.  support is the (2 reach + 1, N) mask of the cone band
+    slots with psi > 0 whose pair stays on the lattice, which the
+    off-support norms skip (`_off_support_norms`).
     """
 
-    pairs: np.ndarray
     slots: np.ndarray
     psi: np.ndarray
+    kernel: np.ndarray
+    support: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
 def _pair_sets(grid, cutoff):
     band = _band_pairs(grid, cutoff)
+    reach = _cone_band(grid, cutoff).reach
     sound = band.psi > SYMBOL_EXTRACTION_FLOOR
-    sets = _PairSets(band.pairs[sound], band.slots[sound], band.psi[sound])
+    support = np.zeros((2 * reach + 1) * grid.n, dtype=bool)
+    support[band.slots[band.psi > 0.0]] = True
+    slots = band.slots[sound]
+    sets = _PairSets(slots, band.psi[sound], slots // grid.n == reach,
+                     support.reshape(2 * reach + 1, grid.n))
     for array in sets:
         array.setflags(write=False)
     return sets
 
 
-def _off_support_norms(matrices, grid, cutoff):
-    """Largest |entry| of each (..., N, N) matrix over the pairs where psi
-    vanishes: every pair off the band, and the band pairs with psi = 0.
+def _off_support_norms(bands, grid, cutoff):
+    """Largest |entry| of each (..., 2H + 1, N) operator band over the
+    pairs where psi vanishes: every pair off the cone band, and the cone
+    band pairs with psi = 0.  Pairs off the operator band hold zero.
 
     The pairs with psi > 0 are zeroed, not just the sound pairs of
     `_pair_sets`: a pair with 0 < psi <= SYMBOL_EXTRACTION_FLOOR is on the
     support, so it is never read here.
     """
-    band = _band_pairs(grid, cutoff)
-    magnitudes = np.abs(matrices).reshape(*matrices.shape[:-2], -1)
-    magnitudes[..., band.pairs[band.psi > 0.0]] = 0.0
-    return np.max(magnitudes, axis=-1)
+    reach = _cone_band(grid, cutoff).reach
+    half = max(bands.shape[-2] // 2, reach)
+    magnitudes = np.abs(resize_band(bands, half))
+    cone = magnitudes[..., half - reach: half + reach + 1, :]
+    cone[..., _pair_sets(grid, cutoff).support] = 0.0
+    return np.max(magnitudes, axis=(-2, -1))
 
 
 def _support_residual(p_band, a_band, grid, alpha, cutoff):
@@ -473,14 +489,30 @@ def _time_chain(a_stack, dt, grid, alpha, cutoff, order_p, j_max, tol):
     return total, increments
 
 
+@functools.lru_cache(maxsize=16)
+def _band_waves(grid, cutoff):
+    """(N, 2 reach + 1) table e^{2 pi i (eta_j k mod N) / N}: the cone
+    band's rows eta_j on the grid points x_k, so that a band's values
+    a(x_k, xi) are `table @ band`."""
+    band = _cone_band(grid, cutoff)
+    eta = grid.freqs[band.rows]
+    phase = np.mod(np.arange(grid.n)[:, None] * eta[None, :], grid.n)
+    waves = np.exp(2j * np.pi * phase / grid.n)
+    waves.setflags(write=False)
+    return waves
+
+
 def _band_seminorm(band, grid, cutoff, order_m):
-    """`stack_seminorm` of a band stack, read on its zero-padded N x N
-    layout."""
-    return stack_seminorm(grid, from_band(band, grid, cutoff), order_m)
+    """M^m of a (..., 2 reach + 1, N) band stack, the max over its samples:
+    `symbols.stack_seminorm` of its symbol layout, with sup_x read from
+    the band's rows by one matmul against `_band_waves` in place of a
+    zero-padded N-point inverse FFT."""
+    values = _band_waves(grid, cutoff) @ band
+    return sup_seminorm(grid, np.max(np.abs(values), axis=-2), order_m)
 
 
 def _extract_pairs(sound, grid, cutoff):
-    """Band-layout symbol of matrix entries given on the sound pairs of
+    """Band-layout symbol of operator entries given on the sound pairs of
     `_pair_sets` (leading axes are samples): each divided by psi, zero on
     every other slot.
 
@@ -494,41 +526,71 @@ def _extract_pairs(sound, grid, cutoff):
     return out.reshape(*sound.shape[:-1], rows, grid.n)
 
 
-def _expm(a):
-    """e^a of a square matrix by a scaled, truncated Taylor series.
-
-    B = a / 2^s with ||B||_1 <= 1/2 (s = 0 when a is already that small);
-    the degree m is the least with e^{2b} b^{m+1} / (m+1)! <= 2^-53, b =
-    ||B||_1, which bounds the truncation error relative to e^B because
-    ||e^B|| >= e^{-b}.  The polynomial is evaluated by Horner and squared
-    s times.  Both work on X = P(B) - I, squared as (I + X)^2 = I + (2X +
-    X^2): adding the identity early would round X to the identity's
-    precision, and each squaring doubles that error.  The identity is added
-    once, at the end.  The zero matrix gives exactly the identity; a
-    matrix with a non-finite entry raises NanDetected.
-    """
-    n = a.shape[0]
-    norm = float(np.max(np.sum(np.abs(a), axis=0)))
-    if not math.isfinite(norm):
-        raise NanDetected(f"exponential of a matrix with 1-norm {norm}")
+def _taylor_plan(norm):
+    """(squarings s, degree m) of `_expm` for a generator of 1-norm norm."""
     squarings = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.5 else 0
-    b = a / 2.0 ** squarings
     size = norm / 2.0 ** squarings
     degree, bound = 0, math.exp(2.0 * size) * size
     while bound > 2.0 ** -53:
         degree += 1
         bound *= size / (degree + 1)
+    return squarings, degree
+
+
+def _taylor_minus_identity(a, squarings, degree):
+    """X = e^a - I of a (k, 2H + 1, N) stack of operator bands that share
+    one plan, as a band stack of half-width min(degree 2^s H, N - 1)."""
     if degree == 0:
-        return np.eye(n, dtype=a.dtype)
+        return np.zeros((len(a), 1, a.shape[-1]), dtype=np.complex128)
+    b = a / 2.0 ** squarings
     x = b / degree
     for k in range(degree - 1, 0, -1):
-        x.flat[::n + 1] += 1.0
-        x = b @ x
+        x[..., x.shape[-2] // 2, :] += 1.0
+        x = band_product(b, x)
         x /= k
     for _ in range(squarings):
-        x = 2.0 * x + x @ x
-    x.flat[::n + 1] += 1.0
+        square = band_product(x, x)
+        x = resize_band(2.0 * x, square.shape[-2] // 2) + square
     return x
+
+
+def _expm(a):
+    """e^a of (..., 2H + 1, N) operator bands by a scaled, truncated Taylor
+    series, as operator bands of one half-width.
+
+    Each member, over the leading sample axes, keeps its own plan: B = a /
+    2^s with ||B||_1 <= 1/2 (s = 0 when a is already that small); the
+    degree m is the least with e^{2b} b^{m+1} / (m+1)! <= 2^-53, b =
+    ||B||_1, which bounds the truncation error relative to e^B because
+    ||e^B|| >= e^{-b}.  The 1-norm is the largest column sum of |a|, and a
+    band column is the matrix column.  The polynomial is evaluated by
+    Horner and squared s times, with `paraop.band_product`.  Both work on X
+    = P(B) - I, squared as (I + X)^2 = I + (2X + X^2): adding the identity
+    early would round X to the identity's precision, and each squaring
+    doubles that error.  The identity is added once, at the end, to the
+    eta = 0 row.  X has half-width min(m 2^s H, N - 1); the members are
+    computed in groups that share a plan, so each is the bytes of a lone
+    call, and are widened with +0.0 rows to the widest.  The zero band
+    gives exactly the identity (half-width 0 alone); a band with a
+    non-finite entry raises NanDetected.
+    """
+    n = a.shape[-1]
+    stack = a.reshape(-1, *a.shape[-2:])
+    norms = np.max(np.sum(np.abs(stack), axis=-2), axis=-1)
+    if not np.all(np.isfinite(norms)):
+        bad = norms[~np.isfinite(norms)][0]
+        raise NanDetected(f"exponential of a matrix with 1-norm {bad}")
+    groups = {}
+    for i, norm in enumerate(norms.tolist()):
+        groups.setdefault(_taylor_plan(norm), []).append(i)
+    parts = [(members, _taylor_minus_identity(stack[members], *plan))
+             for plan, members in groups.items()]
+    half = max(part.shape[-2] for _, part in parts) // 2
+    out = np.empty((len(stack), 2 * half + 1, n), dtype=np.complex128)
+    for members, part in parts:
+        out[members] = resize_band(part, half)
+    out[:, half, :] += 1.0
+    return out.reshape(*a.shape[:-2], 2 * half + 1, n)
 
 
 def solve_nonlinear_exp(a, alpha, cutoff=DEFAULT_CUTOFF):
@@ -538,27 +600,32 @@ def solve_nonlinear_exp(a, alpha, cutoff=DEFAULT_CUTOFF):
     is one explicit solve_commutator division and tiny data reproduces the
     linear solution to second order.  The off-support part of the
     commutator is reported, never driven to zero.  M^m_0(a) must not
-    exceed SMALLNESS; Newton stops below NEWTON_TOL, and gives up at the
-    first non-finite residual, at the first step whose residual exceeds
-    that of step 0, or after NEWTON_MAX_ITERATIONS steps.
+    exceed SMALLNESS; Newton stops below NEWTON_TOL, and gives up before
+    its first step when the data on the kernel row eta = 0 reach
+    NEWTON_TOL, at the first non-finite residual, at the first step whose
+    residual exceeds that of step 0, or after NEWTON_MAX_ITERATIONS steps.
 
-    extras["transform"] is expm(i T_p) for the returned p: the very matrix
-    the converged Newton step exponentiated, handed on so that callers do
-    not exponentiate the same placement again.
+    extras["transform"] is expm(i T_p) for the returned p as a (2H + 1, N)
+    operator band (`paraop` layout; `paraop.place_band` gives the N x N
+    matrix): the very band the converged Newton step exponentiated, handed
+    on so that callers do not exponentiate the same p again.
+    extras["off_support_norm"] is the largest |entry| of its commutator
+    with D where psi vanishes.
     """
     if not alpha >= 1:
         raise ValueError(f"need alpha >= 1, got {alpha:g}")
     grid = a.grid
     a_reg = regularize(a, cutoff)
-    measured = _smallness(a_reg.coeffs, grid, a_reg.order_m)
-    sets = _pair_sets(grid, cutoff)
-    a_sound = to_band(a_reg.coeffs, grid, cutoff).reshape(-1)[sets.slots]
+    a_band = to_band(a_reg.coeffs, grid, cutoff)
+    measured = _smallness(a_band, grid, cutoff, a_reg.order_m)
     p_band, transform, residual, iterations = _newton_exp(
-        a_sound, grid, alpha, cutoff
+        a_band.reshape(-1)[_pair_sets(grid, cutoff).slots], grid, alpha,
+        cutoff
     )
+    den = _band_denominator(grid, alpha, transform.shape[-2] // 2)
     extras = {
-        "off_support_norm": float(_off_support_norms(
-            transform * _pair_denominator(grid, alpha), grid, cutoff)),
+        "off_support_norm": float(_off_support_norms(transform * den, grid,
+                                                     cutoff)),
         "smallness": {
             "threshold": SMALLNESS,
             "measured": measured,
@@ -575,10 +642,10 @@ def solve_nonlinear_exp(a, alpha, cutoff=DEFAULT_CUTOFF):
     )
 
 
-def _smallness(coeffs, grid, order_m):
-    """M^m_0 of symbol-layout coefficients; SmallnessViolated past
-    SMALLNESS."""
-    measured = stack_seminorm(grid, coeffs, order_m)
+def _smallness(band, grid, cutoff, order_m):
+    """M^m_0 of a (..., 2 reach + 1, N) band stack, the max over its
+    samples; SmallnessViolated past SMALLNESS."""
+    measured = _band_seminorm(band, grid, cutoff, order_m)
     if measured > SMALLNESS:
         raise SmallnessViolated(
             f"M^{order_m:g}_0(a) = {measured:.3e} exceeds the smallness "
@@ -590,24 +657,40 @@ def _smallness(coeffs, grid, order_m):
 def _newton_exp(a_sound, grid, alpha, cutoff, initial=None, transform=None):
     """The Newton loop of `solve_nonlinear_exp`, on the band.
 
-    a_sound is the regularized data's matrix on the sound pairs of
-    `_pair_sets`, the only pairs the loop reads it on.  The loop starts
-    from the band p initial (zero when None); transform, when given, is
-    expm(i T_p) of that placement, which a warm-starting caller already
-    holds, and step 0 uses it instead of exponentiating the same matrix
-    again.  Returns (p band, expm(i T_p), residual, Newton steps).
+    a_sound is the regularized data on the sound pairs of `_pair_sets`,
+    the only pairs the loop reads it on.  den vanishes on the eta = 0 row,
+    so the residual there is the data at every step: data of size
+    NEWTON_TOL there raise NewtonDiverged before any exponential.  The
+    loop starts from the band p initial (zero when None); transform, when
+    given, is the operator band of expm(i T_p) for that p, which a
+    warm-starting caller already holds, and step 0 uses it instead of
+    exponentiating the same band again.  Returns (p band, expm(i T_p) as
+    an operator band, residual, Newton steps).
     """
     sets = _pair_sets(grid, cutoff)
-    den_sound = _pair_denominator(grid, alpha).reshape(-1)[sets.pairs]
+    if np.any(sets.kernel):
+        kernel = float(np.max(np.abs(a_sound[sets.kernel])))
+        if kernel >= NEWTON_TOL:
+            raise NewtonDiverged(
+                f"data of size {kernel:.3e} on the kernel row eta = 0 reach "
+                f"NEWTON_TOL = {NEWTON_TOL:g}; den vanishes there, so no "
+                f"Newton step can reduce them"
+            )
+    reach = _cone_band(grid, cutoff).reach
+    # the division table's den is den on the zone; the sound slots off it
+    # are the kernel's
+    den = _division_table(grid, alpha, cutoff)[1].reshape(-1)[sets.slots]
+    den_sound = np.where(sets.kernel, 0.0, den)
     if initial is None:
-        initial = np.zeros((2 * _cone_band(grid, cutoff).reach + 1, grid.n),
-                           dtype=np.complex128)
+        initial = np.zeros((2 * reach + 1, grid.n), dtype=np.complex128)
     p_band = initial
     for step in range(NEWTON_MAX_ITERATIONS + 1):
+        # every p here is a sum of `_divide` outputs, zero off the division
+        # zone, so its band is already its operator band
         if step or transform is None:
-            transform = _expm(1j * gather_band(p_band, grid, cutoff))
-        r_sound = -1j * (transform.reshape(-1)[sets.pairs] * den_sound) \
-            - a_sound
+            transform = _expm(1j * p_band)
+        w_sound = resize_band(transform, reach).reshape(-1)[sets.slots]
+        r_sound = -1j * (w_sound * den_sound) - a_sound
         residual = float(np.max(np.abs(r_sound)))
         if not math.isfinite(residual):
             raise NewtonDiverged(f"residual {residual} at Newton step {step}")
@@ -657,6 +740,20 @@ def _transport_band(u, cutoff):
     return to_band(cutoff_mask(grid, cutoff), grid, cutoff) * (coeffs * 1j)
 
 
+def _conjugating_residual(w_stack, transport, dt, grid, alpha):
+    """g = d_t W + [D, W] - W T of (T, 2H + 1, N) operator band stacks W
+    and (T, 2 reach + 1, N) transport bands T, as a band stack of
+    half-width min(H + reach, N - 1): the time stencil, minus W den, minus
+    the band product, in that order for every entry."""
+    product = band_product(w_stack, transport)
+    half = product.shape[-2] // 2
+    g_stack = resize_band(_time_derivative_stack(w_stack, dt), half)
+    den = _band_denominator(grid, alpha, w_stack.shape[-2] // 2)
+    g_stack -= resize_band(w_stack * den, half)
+    g_stack -= product
+    return g_stack
+
+
 def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
     """Full gauge for the paralinear transport term along a trajectory.
 
@@ -667,17 +764,21 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
     Newton steps solve the time-dependent linear problem for -i times the
     extracted residual symbol.  The per-sample Newton solve of sample i
     starts from p_{i-1} and from the exponential of p_{i-1} that the solve
-    of sample i-1 returned, so the warm start costs no expm.
+    of sample i-1 returned, so the warm start costs no expm.  Every sweep
+    after the first exponentiates all samples in one `_expm` call.
 
-    Every solution carries, shared and uncopied, the two stacks the final
-    sweep computed, one row per sample: extras["w_stack"] holds the
-    unmasked W_i = expm(i T_{p_i}) and extras["g_stack"] the defining
-    residual g_i = d_t W_i + [D, W_i] - W_i T_{i u_i xi} on all pairs.  The
-    first sweep reuses the exponentials of the per-sample Newton solves
-    (`solve_nonlinear_exp`'s extras["transform"]) instead of recomputing
-    them.  extras["off_support_norm"] is the largest |g_i| where psi
-    vanishes, and extras["tameness"] the tameness check's (measured, bound)
-    pair for each time derivative j = 1, 2.
+    W, d_t W, W den, W T and g are kept as (T, 2H + 1, N) operator band
+    stacks (`paraop` layout: row H - eta, column xi holds the entry (xi +
+    eta, xi); `paraop.place_band` gives the N x N matrices).  Every
+    solution carries, shared and uncopied, the two stacks the final sweep
+    computed, one member per sample: extras["w_stack"] holds the unmasked
+    W_i = expm(i T_{p_i}), of half-width H (2 reach on the study inputs),
+    and extras["g_stack"] the defining residual g_i = d_t W_i + [D, W_i] -
+    W_i T_{i u_i xi} on all pairs, of half-width min(H + reach, N - 1).
+    The first sweep reuses the exponentials of the per-sample Newton
+    solves instead of recomputing them.  extras["off_support_norm"] is the
+    largest |g_i| where psi vanishes, and extras["tameness"] the tameness
+    check's (measured, bound) pair for each time derivative j = 1, 2.
 
     The numerical settings are module constants, not options: the sweeps
     stop once every sample's residual is below CONJUGATING_TOL, and give
@@ -700,36 +801,35 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
     a_stack = np.stack([_transport_band(u, cutoff) for u in fields])
     u_sup = max(float(np.max(np.abs(u.physical()))) for u in fields)
     tameness = _check_tameness(a_stack, dt, grid, alpha, cutoff, u_sup)
-    transport_mats = gather_band(a_stack, grid, cutoff)
+    transport = operator_band(a_stack, grid, cutoff)
     sets = _pair_sets(grid, cutoff)
-    den_pair = _pair_denominator(grid, alpha)
     order_p = 2.0 - alpha
     reach = _cone_band(grid, cutoff).reach
+    data = a_stack * 1j
+    # the smallness of `solve_nonlinear_exp`, at the transport's order 1
+    _smallness(data, grid, cutoff, 1.0)
 
     guess = guess_transform = None
     p_stack = np.empty_like(a_stack)
-    w_stack = np.empty((len(fields), grid.n, grid.n), dtype=np.complex128)
-    for i, a in enumerate(a_stack):
+    transforms = []
+    for i, sample in enumerate(data):
         # sample i starts from p_{i-1}, whose exponential is already known
-        data = a * 1j
-        # the smallness of `solve_nonlinear_exp`, at the transport's order 1
-        _smallness(from_band(data, grid, cutoff), grid, 1.0)
         guess, guess_transform, _, _ = _newton_exp(
-            data.reshape(-1)[sets.slots], grid, alpha, cutoff, guess,
+            sample.reshape(-1)[sets.slots], grid, alpha, cutoff, guess,
             guess_transform
         )
         p_stack[i] = guess
-        w_stack[i] = guess_transform
+        transforms.append(guess_transform)
+    half = max(w.shape[-2] for w in transforms) // 2
+    w_stack = np.stack([resize_band(w, half) for w in transforms])
 
     iterations = 0
     residuals = None
     g_stack = None
     for step in range(NEWTON_MAX_ITERATIONS + 1):
-        g_stack = _time_derivative_stack(w_stack, dt)
-        for i, w in enumerate(w_stack):
-            g_stack[i] -= w * den_pair
-            g_stack[i] -= w @ transport_mats[i]
-        g_sound = g_stack.reshape(len(fields), -1)[:, sets.pairs]
+        g_stack = _conjugating_residual(w_stack, transport, dt, grid, alpha)
+        g_sound = resize_band(g_stack, reach).reshape(len(fields), -1)[
+            :, sets.slots]
         residuals = np.max(np.abs(g_sound), axis=1)
         worst = float(np.max(residuals))
         if not math.isfinite(worst):
@@ -764,8 +864,7 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
         # eta = 0 row is row `reach` of the band.
         correction[:, reach, :] -= _trapezoid_integral(rhs[:, reach, :], dt)
         p_stack = p_stack + correction
-        for i, placed in enumerate(gather_band(p_stack, grid, cutoff)):
-            w_stack[i] = _expm(1j * placed)
+        w_stack = _expm(1j * operator_band(p_stack, grid, cutoff))
 
     off_support = _off_support_norms(g_stack, grid, cutoff).tolist()
     solutions = []

@@ -31,18 +31,26 @@ The pointwise product of two real fields is always 2/3-dealiased
 ValueError for a field that is not real.  No other symbol has a fast
 path: a general symbol is applied through `materialize`.
 
-Band layout.  A symbol regularized with the cutoff lives on the same rows
+Band layouts.  A symbol regularized with the cutoff lives on the rows
 |eta| <= reach, so the gauge keeps its symbol stacks as (..., 2 reach + 1,
 N) bands: row j holds eta = reach - j (FFT row reach - j mod N), the
 columns are the N modes xi in FFT order.  `to_band` and `from_band` convert
 to and from the (..., N, N) symbol layout, which is +0.0 off the band.
-`gather_band` places a band in the dense matrix through one cached index
-table per (grid, cutoff), and `materialize` is that placement of the band
-of `symbols.regularize(symbol, cutoff)`.  A symbol marked regularized is
-checked where the mark is read, in `regularize`; `gather_band` checks the
-bands the gauge builds itself and raises InvariantBroken for a nonzero
-slot where psi vanishes.  The public API stays N x N: `Symbol`,
-`materialize` and `pair_mask` are dense.
+
+An operator is stored the same way, as a (..., 2H + 1, N) operator band:
+row H - eta, column xi holds the matrix entry (xi + eta, xi), and the
+band holds +0.0 where xi + eta leaves the lattice.  N and H are read off
+the shape, so H can be anything from 0 to N - 1, where every entry of the
+matrix has its slot.  The symbol band of a regularized symbol is its
+operator band with H = reach once the slots off the lattice are zeroed
+(`operator_band`, which also raises InvariantBroken for a nonzero slot
+where psi vanishes).  `band_product` multiplies two operator bands, with
+half-width min(H_A + H_B, N - 1), `band_apply` applies one to vectors,
+and `place_band` is the one placement into N x N, through a cached index
+table per (N, H); `gather_band` and `materialize` are that placement of
+the operator band of a symbol band.  A symbol marked regularized is
+checked where the mark is read, in `regularize`.  The public API stays
+N x N: `Symbol`, `materialize` and `pair_mask` are dense.
 """
 
 import functools
@@ -161,17 +169,111 @@ def from_band(band, grid, cutoff):
     return out
 
 
-class _BandPairs(NamedTuple):
-    """The band slots whose pair stays on the lattice, in band order.
+class _BandLayout(NamedTuple):
+    """Where the slots of a (2H + 1, N) operator band sit in the matrix.
 
-    slots are their flat positions j N + c in the band, pairs the flat
-    positions (xi + eta) N + c of their pairs in the matrix, in FFT order,
-    psi the cutoff on them, and vanish the flat band positions of the
-    on-lattice slots where psi is zero.
+    valid marks the slots whose output xi + eta stays on the lattice;
+    slots are their flat band positions j N + c, pairs the flat matrix
+    positions (xi + eta) N + c of the same slots.
+    """
+
+    valid: np.ndarray
+    slots: np.ndarray
+    pairs: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _band_layout(n, half_width):
+    eta = half_width - np.arange(2 * half_width + 1)
+    columns = np.arange(n)
+    out = np.where(columns < n // 2, columns, columns - n)[None, :] \
+        + eta[:, None]
+    valid = (out >= -(n // 2)) & (out < n // 2)
+    slots = np.flatnonzero(valid)
+    pairs = (np.mod(out, n) * n + columns[None, :]).ravel()[slots]
+    layout = _BandLayout(valid, slots, pairs)
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
+def resize_band(band, half_width):
+    """A (..., 2H + 1, N) band recentred at `half_width`: its rows |eta| <=
+    half_width, with rows of +0.0 where it has none.  Cropping returns a
+    view."""
+    h = band.shape[-2] // 2
+    if half_width <= h:
+        return band[..., h - half_width: h + half_width + 1, :]
+    out = np.zeros((*band.shape[:-2], 2 * half_width + 1, band.shape[-1]),
+                   dtype=band.dtype)
+    out[..., half_width - h: half_width + h + 1, :] = band
+    return out
+
+
+def band_product(a, b):
+    """The operator band of A B, for operator bands a and b whose leading
+    sample axes broadcast; its half-width is min(H_A + H_B, N - 1).
+
+    Entry (xi + eta_a + eta_b, xi) sums a at (xi + eta_b + eta_a, xi +
+    eta_b) times b at (xi + eta_b, xi).  With i = H_A - eta_a and j = H_B
+    - eta_b that term lands in row i + j, so each row j of b adds one slab
+    of 2 H_A + 1 rows: a with its columns shifted by eta_b, a slice of a
+    extended periodically by H_B columns on each side, times the row.  A
+    shift that wraps past the Nyquist mode meets a +0.0 slot of b, and
+    every term that lands where xi + eta leaves the lattice has a +0.0
+    factor, so those slots keep the +0.0 they start from.  Rows past N - 1
+    hold only such slots and are cropped.
+    """
+    n = a.shape[-1]
+    ha, hb = a.shape[-2] // 2, b.shape[-2] // 2
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.zeros((*lead, 2 * (ha + hb) + 1, n), dtype=np.complex128)
+    # extended[..., k] = a[..., (k - hb) mod N]
+    extended = np.concatenate((a[..., n - hb:], a, a[..., :hb]), axis=-1)
+    term = np.empty((*lead, 2 * ha + 1, n), dtype=np.complex128)
+    for j in range(2 * hb + 1):
+        np.multiply(extended[..., 2 * hb - j: 2 * hb - j + n],
+                    b[..., j, None, :], out=term)
+        out[..., j: j + 2 * ha + 1, :] += term
+    return resize_band(out, min(ha + hb, n - 1))
+
+
+def band_apply(band, v):
+    """A v for operator bands (..., 2H + 1, N) and coefficient arrays
+    (..., N) with the same leading sample axes: output mode xi + eta sums
+    band[H - eta, xi] v[xi] over the rows, in row order."""
+    n = band.shape[-1]
+    rows = np.arange(band.shape[-2])[:, None]
+    terms = band * v[..., None, :]
+    # row j (eta_j = H - j) feeds output column k from input column
+    # k - eta_j, mod N: a wrap meets a +0.0 slot
+    sources = rows * n + np.mod(np.arange(n)[None, :] + rows
+                                - band.shape[-2] // 2, n)
+    return np.sum(np.take(terms.reshape(*terms.shape[:-2], -1), sources,
+                          axis=-1), axis=-2)
+
+
+def place_band(band):
+    """The (..., N, N) matrices of (..., 2H + 1, N) operator bands: entry
+    (xi + eta, xi) = band[H - eta, xi], +0.0 off the band."""
+    n = band.shape[-1]
+    layout = _band_layout(n, band.shape[-2] // 2)
+    lead = band.shape[:-2]
+    out = np.zeros((*lead, n * n), dtype=np.complex128)
+    out[..., layout.pairs] = band.reshape(*lead, -1)[..., layout.slots]
+    return out.reshape(*lead, n, n)
+
+
+class _BandPairs(NamedTuple):
+    """The cone band's slots whose pair stays on the lattice, in band
+    order.
+
+    slots are their flat positions j N + c in the band, psi the cutoff on
+    them, and vanish the flat band positions of the on-lattice slots where
+    psi is zero.
     """
 
     slots: np.ndarray
-    pairs: np.ndarray
     psi: np.ndarray
     vanish: np.ndarray
 
@@ -179,39 +281,36 @@ class _BandPairs(NamedTuple):
 @functools.lru_cache(maxsize=16)
 def _band_pairs(grid, cutoff):
     band = _cone_band(grid, cutoff)
-    eta = grid.freqs[band.rows][:, None]
-    out = eta + grid.freqs[None, :]
-    valid = (out >= -grid.n // 2) & (out <= grid.n // 2 - 1)
-    psi = cutoff_mask(grid, cutoff)[band.rows]
-    flat = valid.ravel()
-    slots = np.flatnonzero(flat)
-    pairs = (np.mod(out, grid.n) * grid.n
-             + np.arange(grid.n)[None, :]).ravel()[slots]
-    table = _BandPairs(slots, pairs, psi.ravel()[slots],
-                       np.flatnonzero(flat & (psi.ravel() == 0.0)))
+    layout = _band_layout(grid.n, band.reach)
+    psi = cutoff_mask(grid, cutoff)[band.rows].ravel()
+    table = _BandPairs(layout.slots, psi[layout.slots],
+                       np.flatnonzero(layout.valid.ravel() & (psi == 0.0)))
     for array in table:
         array.setflags(write=False)
     return table
 
 
-def gather_band(band, grid, cutoff):
-    """Matrix entries of band-layout coefficients regularized with cutoff,
-    (..., 2 reach + 1, N) to (..., N, N): entries[xi + eta, xi] =
-    band[reach - eta, xi], +0.0 off the band and where xi + eta leaves the
+def operator_band(band, grid, cutoff):
+    """The operator band of (..., 2 reach + 1, N) symbol-band coefficients
+    regularized with cutoff: the same rows, +0.0 where xi + eta leaves the
     lattice.  Raises InvariantBroken if a slot where psi vanishes holds a
     nonzero entry."""
     table = _band_pairs(grid, cutoff)
-    lead = band.shape[:-2]
-    flat = band.reshape(*lead, -1)
-    outside = flat[..., table.vanish]
+    outside = band.reshape(*band.shape[:-2], -1)[..., table.vanish]
     if np.any(outside):
         raise InvariantBroken(
             f"{np.count_nonzero(outside)} band entries outside the "
             f"{cutoff!r} pair mask; a band regularized with it was not"
         )
-    out = np.zeros((*lead, grid.n * grid.n), dtype=np.complex128)
-    out[..., table.pairs] = flat[..., table.slots]
-    return out.reshape(*lead, grid.n, grid.n)
+    valid = _band_layout(grid.n, _cone_band(grid, cutoff).reach).valid
+    return np.where(valid, band, 0.0)
+
+
+def gather_band(band, grid, cutoff):
+    """Matrix entries of band-layout coefficients regularized with cutoff,
+    (..., 2 reach + 1, N) to (..., N, N): `place_band` of their
+    `operator_band`."""
+    return place_band(operator_band(band, grid, cutoff))
 
 
 def paraproduct_coeffs(grid, u, v, cutoff):

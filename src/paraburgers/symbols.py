@@ -176,12 +176,18 @@ def column_sup(grid, coeffs):
     return np.max(np.abs(values), axis=-2)
 
 
+def sup_seminorm(grid, sups, order_m):
+    """M^m from column sups sup_x |a(x, xi)|, (..., N) in FFT order: the
+    max over the samples and the columns xi != 0 of (1+|xi|)^{-m} sup."""
+    keep = grid.freqs != 0
+    weights = (1.0 + np.abs(grid.freqs[keep])) ** (-float(order_m))
+    return float(np.max(sups[..., keep] * weights))
+
+
 def stack_seminorm(grid, coeffs, order_m):
     """M^m over (..., N, N) coefficient stacks: the max over the samples
     of M^m(a_i), from one batched inverse FFT."""
-    keep = grid.freqs != 0
-    weights = (1.0 + np.abs(grid.freqs[keep])) ** (-float(order_m))
-    return float(np.max(column_sup(grid, coeffs)[..., keep] * weights))
+    return sup_seminorm(grid, column_sup(grid, coeffs), order_m)
 
 
 def seminorm(symbol, order_m=None):

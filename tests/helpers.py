@@ -87,6 +87,11 @@ def band_rows(grid, cutoff):
     return np.mod(reach - np.arange(2 * reach + 1), grid.n)
 
 
+def dispersion(x, alpha):
+    """f(x) = x |x|^(alpha-1), as sign(x) |x|^alpha."""
+    return np.sign(x) * np.abs(x) ** float(alpha)
+
+
 def lattice_commutator(grid, alpha, cutoff):
     """The commutator map on the full (eta, xi) lattice, FFT order both
     axes, written out from its definitions, as (valid, support, zone, den,
@@ -103,9 +108,35 @@ def lattice_commutator(grid, alpha, cutoff):
     valid = (out >= -grid.n // 2) & (out <= grid.n // 2 - 1)
     support = valid & (cutoff(eta, xi) > 0.0)
     zone = support & (eta != 0)
-    den = 1j * (np.sign(xi) * np.abs(xi) ** float(alpha)
-                - np.sign(out) * np.abs(out) ** float(alpha))
+    den = 1j * (dispersion(xi, alpha) - dispersion(out, alpha))
     big = np.maximum(np.abs(xi), np.abs(out))
     with np.errstate(divide="ignore"):
         scale = np.abs(eta) * np.where(big > 0, big ** (alpha - 1.0), 0.0)
     return valid, support, zone, den, scale
+
+
+def pair_denominator(grid, alpha):
+    """`lattice_commutator`'s den on every (output, input) pair of the
+    N x N matrix, FFT order both axes: pair (xi + eta, xi) holds den(eta,
+    xi) = i (f(xi) - f(xi + eta)), for every eta, also the |eta| >= N/2
+    that the symbol lattice folds."""
+    xi = grid.freqs.astype(np.float64)
+    return 1j * (dispersion(xi[None, :], alpha) - dispersion(xi[:, None],
+                                                            alpha))
+
+
+def operator_band_of(matrices, half_width):
+    """The (..., 2H + 1, N) operator band of (..., N, N) matrices, written
+    out from its definition: row H - eta, column xi holds the entry (xi +
+    eta, xi), +0.0 where xi + eta leaves the lattice.  Entries farther than
+    H from the diagonal are dropped."""
+    n = matrices.shape[-1]
+    freqs = np.concatenate((np.arange(n // 2), np.arange(-(n // 2), 0)))
+    out = np.zeros((*matrices.shape[:-2], 2 * half_width + 1, n),
+                   dtype=np.complex128)
+    for row, eta in enumerate(range(half_width, -half_width - 1, -1)):
+        columns = np.flatnonzero((freqs + eta >= -(n // 2))
+                                 & (freqs + eta < n // 2))
+        out[..., row, columns] = matrices[..., (freqs[columns] + eta) % n,
+                                          columns]
+    return out

@@ -15,15 +15,16 @@ from paraburgers.gauge import (
     _expm, _time_derivative_stack, solve_conjugating, solve_nonlinear_exp
 )
 from paraburgers.normalform import build_chi1
-from paraburgers.paraop import OperatorMatrix, dealias_product, \
-    materialize, order_probe, pair_mask
+from paraburgers.paraop import OperatorMatrix, band_apply, \
+    dealias_product, materialize, operator_band, order_probe, pair_mask, \
+    place_band, to_band
 from paraburgers.solver import initial_field, run
 from paraburgers.spectral import Field, Grid, abs_d_pow, bessel_pow, \
     derivative, dispersion_profile, linf_norm, multiplier_apply, sobolev_norm
 from paraburgers.symbols import DEFAULT_CUTOFF, Cutoff, transport_symbol
 
 from helpers import band_rows, dense_multilinear, gauss_nodes, \
-    random_real_field
+    pair_denominator, random_real_field
 
 CUTOFF = DEFAULT_CUTOFF
 
@@ -41,6 +42,17 @@ GOLDEN = {
 CONJUGATION_GOLDEN = (4638183.769614202, 1.4673745040652433, "bounded")
 # Newton sweeps solve_conjugating takes per member of that ensemble
 CONJUGATION_SWEEPS = (1, 1, 1, 0)
+# conjugation_study(standard_ensemble(n, 2.5, 0.02, dt=0.002,
+# amplitudes=(1e-6,), seed=seed), 2.5) as (fitted_constant, max_ratio,
+# verdict) per (n, seed): the inputs of the benchmark's conjugation_study
+# workload at seeds 0 and 1, and at N = 128, recorded at c362332
+BENCHMARK_CONJUGATION_GOLDENS = {
+    (64, 0): (0.0, 19.08144009026442, "violated"),
+    (64, 1): (0.0, 26.033069747407342, "violated"),
+    (128, 0): (0.0, 2555.5999728791403, "violated"),
+}
+# perfbench/workloads.py: RATIO_RTOL, relative; a zero must be met exactly
+RATIO_RTOL = 1e-10
 
 
 def ensemble(amplitude, alpha=1.5):
@@ -64,6 +76,11 @@ def certificate_inputs(family, alpha, amplitude):
     gauge, sigma = experiments._gauge_generator(u, alpha, CUTOFF)
     half = materialize(sigma, CUTOFF).entries
     return gauge, half + half.conj().T
+
+
+def p_operator_band(p, cutoff):
+    """The operator band of a gauge symbol p, which the gauge exponentiates."""
+    return operator_band(to_band(p.coeffs, p.grid, cutoff), p.grid, cutoff)
 
 
 def quadrature_skew_gap(gauge, transported):
@@ -101,7 +118,7 @@ def generator_parts(n, cutoff, monkeypatch):
     monkeypatch.setattr(experiments, "solve_commutator", spy)
     gauge, _ = experiments._gauge_generator(u, 1.5, cutoff)
     psi = pair_mask(grid, cutoff)
-    return u, handed[0], gauge, (psi == 1.0) & (psi.T == 1.0)
+    return u, handed[0], place_band(gauge), (psi == 1.0) & (psi.T == 1.0)
 
 
 class TestGaugeGenerator:
@@ -134,7 +151,7 @@ class TestSkewGap:
     @pytest.mark.parametrize("family", experiments.ENSEMBLE_FAMILIES)
     def test_closed_form_matches_quadrature(self, family, alpha, amplitude):
         gauge, transported = certificate_inputs(family, alpha, amplitude)
-        reference = quadrature_skew_gap(gauge, transported)
+        reference = quadrature_skew_gap(place_band(gauge), transported)
         assert reference > 0.0
         gap = experiments._skew_gap(gauge, transported)
         assert abs(gap - reference) <= 1e-12 * reference
@@ -282,7 +299,7 @@ def reference_conjugation_ratios(traj, alpha, cutoff, s_probes, elliptic_c):
     grid = states[0].grid
     extras = solve_conjugating(states, h, alpha, cutoff)[0].extras
     u_stack = np.stack([u.spectral for u in states])
-    w_stack = np.einsum("tij,tj->ti", extras["w_stack"], u_stack)
+    w_stack = band_apply(extras["w_stack"], u_stack)
     r_stack = (_time_derivative_stack(w_stack, h)
                + w_stack * (1j * dispersion_profile(grid, alpha))[None, :])
     ratios = []
@@ -367,11 +384,22 @@ class TestConjugationStudy:
         assert report == experiments.EstimateReport(0.0, 0.0, 4,
                                                     "inconclusive")
 
+    @pytest.mark.parametrize("n,seed", sorted(BENCHMARK_CONJUGATION_GOLDENS))
+    def test_benchmark_golden_numbers(self, n, seed):
+        configs = experiments.standard_ensemble(n, 2.5, 0.02, dt=0.002,
+                                                amplitudes=(1e-6,), seed=seed)
+        report = experiments.conjugation_study([run(c) for c in configs], 2.5)
+        fitted, top, verdict = BENCHMARK_CONJUGATION_GOLDENS[n, seed]
+        assert abs(report.fitted_constant - fitted) <= RATIO_RTOL * fitted
+        assert abs(report.max_ratio - top) <= RATIO_RTOL * top
+        assert report.ensemble_size == 4
+        assert report.verdict == verdict
+
     def test_newton_hands_on_its_exponential(self, conjugation_ensemble):
         u = conjugation_ensemble[0].states[-1]
         sol = solve_nonlinear_exp(transport_symbol(u) * -1.0, 2.5, CUTOFF)
-        placed = materialize(sol.p, CUTOFF).entries
-        assert np.array_equal(sol.extras["transform"], _expm(1j * placed))
+        band = p_operator_band(sol.p, CUTOFF)
+        assert np.array_equal(sol.extras["transform"], _expm(1j * band))
 
     def test_every_p_vanishes_off_the_band(self, conjugation_ensemble):
         grid = conjugation_ensemble[0].states[0].grid
@@ -388,25 +416,32 @@ class TestConjugationStudy:
             self, conjugation_ensemble):
         # the study reads W_i and g_i off these stacks, so they must equal
         # the exponential of the returned p_i and the residual rebuilt from
-        # scratch out of W, D and the materialized transport; the sweep
-        # counts pin that the Newton exponentials seed the first sweep
-        profile = dispersion_profile(Grid(32), 2.5)
-        den = 1j * (profile[None, :] - profile[:, None])
+        # scratch out of the dense W, D and the materialized transport; the
+        # sweep counts pin that the Newton exponentials seed the first
+        # sweep.  The band product sums W T in another order than the dense
+        # product does, so g matches the rebuild to 64 ulp of the sum of
+        # |terms| entry by entry
+        den = pair_denominator(Grid(32), 2.5)
         for traj, sweeps in zip(conjugation_ensemble, CONJUGATION_SWEEPS):
             h = float(traj.times[1] - traj.times[0])
             sols = solve_conjugating(traj.states, h, 2.5, CUTOFF)
             assert sols[0].iterations == sweeps
             extras = sols[0].extras
-            w_dot = _time_derivative_stack(extras["w_stack"], h)
+            w_stack = place_band(extras["w_stack"])
+            g_stack = place_band(extras["g_stack"])
+            w_dot = _time_derivative_stack(w_stack, h)
             for i, (sol, u) in enumerate(zip(sols, traj.states)):
                 assert sol.extras["w_stack"] is extras["w_stack"]
-                w = extras["w_stack"][i]
-                placed = materialize(sol.p, CUTOFF).entries
-                assert np.array_equal(w, _expm(1j * placed))
+                w = w_stack[i]
+                lone = _expm(1j * p_operator_band(sol.p, CUTOFF))
+                assert np.array_equal(w, place_band(lone))
                 transport = materialize(transport_symbol(u) * 1j,
                                         CUTOFF).entries
-                assert np.array_equal(extras["g_stack"][i],
-                                      w_dot[i] - w * den - w @ transport)
+                rebuilt = w_dot[i] - w * den - w @ transport
+                size = np.abs(w_dot[i]) + np.abs(w * den) \
+                    + np.abs(w) @ np.abs(transport)
+                assert np.all(np.abs(g_stack[i] - rebuilt)
+                              <= ROUNDING_TOL * size)
 
 
 class TestDiagnostics:

@@ -27,7 +27,7 @@ from paraburgers.symbols import Cutoff, Symbol, regularize, seminorm, \
 from paraburgers import experiments, gauge, normalform, paraop, symbols
 
 from helpers import band_rows, band_symbol, lattice_commutator, \
-    random_real_field
+    operator_band_of, pair_denominator, random_real_field
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "paraburgers"
 
@@ -313,23 +313,25 @@ class TestResonanceEllipticity:
             gauge.cole_hopf_parametrix(a, alpha, cutoff)
             paraop.materialize(a, cutoff)
             paraop.pair_mask(grid, cutoff)
-            gauge._pair_denominator(grid, alpha)
+            paraop._band_layout(grid.n, i)
             gauge._divide(a.coeffs[band_rows(grid, cutoff)], grid, alpha,
                           cutoff)
             gauge._pair_sets(grid, cutoff)
+            gauge._band_waves(grid, cutoff)
             paraop.product_tables(grid)
             zygmund_norm(u, 1.0)
             normalform.normal_form(u, u, 1.0, alpha, cutoff)
         grid, cutoff = Grid(16), Cutoff(2.0, 1.0)
         tables = {
-            gauge._pair_denominator: (grid, 1.5),
             gauge._cole_hopf_weight: (grid, 1.5),
             gauge._division_table: (grid, 1.5, cutoff),
             symbols.cutoff_mask: (grid, cutoff),
             paraop.pair_mask: (grid, cutoff),
             paraop._band_pairs: (grid, cutoff),
+            paraop._band_layout: (grid.n, 3),
             paraop.product_tables: (grid,),
             gauge._pair_sets: (grid, cutoff),
+            gauge._band_waves: (grid, cutoff),
             lp_profiles: (grid,),
             normalform.build_chi1: (1.0, 1.5, cutoff, grid),
         }
@@ -434,14 +436,17 @@ class TestBandTables:
         expected = np.zeros_like(entries)
         expected[:, np.mod(eta, n), in_idx] = divided[:, out_idx, in_idx]
         assert not np.any(np.delete(expected, rows, axis=1))
+        # the matrix pair of every band slot that has one
+        layout = paraop._band_layout(n, len(rows) // 2)
+        pair_of = np.full(layout.valid.size, -1)
+        pair_of[layout.slots] = layout.pairs
         sets = gauge._pair_sets(grid, cutoff)
-        np.testing.assert_array_equal(np.sort(sets.pairs),
+        np.testing.assert_array_equal(np.sort(pair_of[sets.slots]),
                                       np.flatnonzero(sound))
-        band = paraop._band_pairs(grid, cutoff)
-        np.testing.assert_array_equal(np.sort(band.pairs[band.psi > 0.0]),
-                                      np.flatnonzero(psi > 0.0))
-        got = gauge._extract_pairs(entries.reshape(2, -1)[:, sets.pairs],
-                                   grid, cutoff)
+        np.testing.assert_array_equal(
+            np.sort(pair_of[sets.support.ravel()]), np.flatnonzero(psi > 0.0))
+        got = gauge._extract_pairs(
+            entries.reshape(2, -1)[:, pair_of[sets.slots]], grid, cutoff)
         assert got.tobytes() == expected[:, rows].tobytes()
 
 
@@ -455,16 +460,20 @@ class TestOffSupportNorms:
         faint = np.flatnonzero((psi > 0.0)
                                & (psi <= gauge.SYMBOL_EXTRACTION_FLOOR))
         assert faint.size == 14
-        assert not np.isin(faint, gauge._pair_sets(grid, cutoff).pairs).any()
+        layout = paraop._band_layout(grid.n, len(band_rows(grid, cutoff)) // 2)
+        sound = layout.pairs[np.searchsorted(
+            layout.slots, gauge._pair_sets(grid, cutoff).slots)]
+        assert not np.isin(faint, sound).any()
         off = np.flatnonzero(psi == 0.0)[100]
         matrices = np.zeros((2, grid.n * grid.n), dtype=np.complex128)
         matrices[:, faint] = 1e6
         matrices[:, np.flatnonzero(psi > gauge.SYMBOL_EXTRACTION_FLOOR)] = 1e3
         matrices[0, off] = 3.0 - 4.0j
-        matrices = matrices.reshape(2, grid.n, grid.n)
-        norms = gauge._off_support_norms(matrices, grid, cutoff)
+        bands = operator_band_of(matrices.reshape(2, grid.n, grid.n),
+                                 grid.n - 1)
+        norms = gauge._off_support_norms(bands, grid, cutoff)
         assert norms.tolist() == [5.0, 0.0]
-        assert gauge._off_support_norms(matrices[0], grid, cutoff) == 5.0
+        assert gauge._off_support_norms(bands[0], grid, cutoff) == 5.0
 
 
 class TestColeHopfParametrix:
@@ -623,6 +632,26 @@ def test_stack_seminorm_is_the_max_over_samples_exactly(n):
         assert symbols.stack_seminorm(grid, stack, order_m) == expected
 
 
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("cutoff", BAND_CUTOFFS, ids=repr)
+def test_band_seminorm_reads_the_symbol_layout(n, cutoff):
+    # sup_x from the band's rows by one matmul, against the zero-padded
+    # N-point inverse FFT of `stack_seminorm`
+    grid = Grid(n)
+    rows = len(band_rows(grid, cutoff))
+    rng = np.random.default_rng(n + rows)
+    shape = (4, rows, n)
+    band = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * 10.0 ** rng.integers(-8, 3, shape)
+    for order_m in (-1.5, 0.0, 1.0, 2.5):
+        got = gauge._band_seminorm(band, grid, cutoff, order_m)
+        reference = symbols.stack_seminorm(
+            grid, paraop.from_band(band, grid, cutoff), order_m)
+        assert abs(got - reference) <= 1e-13 * reference
+        assert gauge._band_seminorm(band[2], grid, cutoff, order_m) \
+            <= got
+
+
 def stencil_reference(stack, dt):
     """The time stencil written as whole-array expressions."""
     out = np.zeros_like(stack)
@@ -691,42 +720,75 @@ class TestTrapezoidIntegral:
 
 
 class TestTaylorExponential:
+    """`gauge._expm` on full-width operator bands (half-width N - 1, which
+    hold every matrix entry), placed back in N x N."""
+
     N = 64
 
     def generator(self, kind, norm):
-        """iH for hermitian H, or a non-normal complex matrix, at ||.||_1."""
+        """iH for hermitian H, or a non-normal complex matrix, at ||.||_1,
+        as a full-width band."""
         rng = np.random.default_rng(61)
         m = (rng.standard_normal((self.N, self.N))
              + 1j * rng.standard_normal((self.N, self.N)))
         a = 1j * (m + m.conj().T) if kind == "hermitian" else m + 3.0 * np.triu(m)
-        return a * (norm / np.max(np.sum(np.abs(a), axis=0)))
+        a = a * (norm / np.max(np.sum(np.abs(a), axis=0)))
+        return a, operator_band_of(a, self.N - 1)
 
     @pytest.mark.parametrize("norm", [1e-12, 3.6e-6, 1e-3, 0.15, 1.0, 5.0])
     @pytest.mark.parametrize("kind", ["hermitian", "nonnormal"])
     def test_matches_scipy(self, kind, norm):
-        a = self.generator(kind, norm)
+        a, band = self.generator(kind, norm)
         reference = expm(a)
-        gap = np.max(np.abs(gauge._expm(a) - reference))
+        gap = np.max(np.abs(paraop.place_band(gauge._expm(band)) - reference))
         assert gap <= 1e-13 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("norm", [1e-12, 3.6e-6, 1e-3, 0.15, 1.0, 5.0])
     def test_hermitian_generator_gives_a_unitary(self, norm):
-        u = gauge._expm(self.generator("hermitian", norm))
+        band = self.generator("hermitian", norm)[1]
+        u = paraop.place_band(gauge._expm(band))
         gap = np.max(np.abs(u.conj().T @ u - np.eye(self.N)))
         assert gap <= 1e-14
 
     def test_zero_gives_the_identity_exactly(self):
-        zero = np.zeros((self.N, self.N), dtype=np.complex128)
-        assert np.array_equal(gauge._expm(zero), np.eye(self.N))
+        zero = np.zeros((2 * self.N - 1, self.N), dtype=np.complex128)
+        assert np.array_equal(paraop.place_band(gauge._expm(zero)),
+                              np.eye(self.N))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_raises(self, bad):
         # a nan norm used to skip the scaling and the degree loop and
         # return the identity; an infinite one raised OverflowError
-        a = self.generator("nonnormal", 1.0)
+        a = self.generator("nonnormal", 1.0)[0]
         a[3, 5] = bad
         with pytest.raises(NanDetected, match="1-norm"):
-            gauge._expm(a)
+            gauge._expm(operator_band_of(a, self.N - 1))
+
+    def test_a_batched_member_is_a_lone_call(self):
+        # members with their own degrees and squaring counts, one of them
+        # zero: each is the bytes of its lone exponential, widened with
+        # +0.0 rows to the batch's half-width
+        grid, cutoff = Grid(64), Cutoff(8.0, 2.0)
+        rng = np.random.default_rng(67)
+        rows = len(band_rows(grid, cutoff))
+        shape = (5, rows, grid.n)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stack = paraop.operator_band(
+            stack * paraop.to_band(symbols.cutoff_mask(grid, cutoff), grid,
+                                   cutoff), grid, cutoff)
+        norms = np.max(np.sum(np.abs(stack), axis=-2), axis=-1)
+        stack *= (np.array([3.6e-6, 0.0, 1e-3, 2.0, 3.6e-6])
+                  / norms)[:, None, None]
+        batched = gauge._expm(stack.reshape(5, 1, rows, grid.n))
+        assert batched.shape[:2] == (5, 1)
+        half = batched.shape[-2] // 2
+        widths = set()
+        for member, band in zip(batched[:, 0], stack):
+            lone = gauge._expm(band)
+            widths.add(lone.shape[-2])
+            assert member.tobytes() == \
+                paraop.resize_band(lone, half).tobytes()
+        assert len(widths) == 4
 
 
 class TestNonlinearExp:
@@ -796,12 +858,59 @@ class TestNonlinearExp:
     def test_growing_residual_stops_the_newton_loop(self):
         # under Cutoff(2.5, 1.3) this iterate grows until `_expm` overflows;
         # the loop gives up at the first residual above that of step 0, as
-        # the conjugating sweep does, before any overflow warning
+        # the conjugating sweep does, before any overflow warning.  The
+        # mean mode is zeroed: on the kernel row it would stop the loop
+        # before its first step
         u = random_real_field(Grid(16), np.random.default_rng(16),
                               amplitude=1e-3)
+        u = Field(u.grid, np.where(u.grid.freqs == 0, 0.0, u.spectral),
+                  is_real=True)
         with pytest.raises(NewtonDiverged, match="at Newton step 2 exceeds"):
             gauge.solve_nonlinear_exp(transport_symbol(u) * 1j, 1.5,
                                       Cutoff(2.5, 1.3))
+
+    @staticmethod
+    def kernel_data(amplitude, zero_mean=False):
+        """i u xi of a random real field at N = 64 whose mean mode, 1.2e-5
+        (amplitude / 1e-3), puts data on the kernel row eta = 0."""
+        grid = Grid(64)
+        u = random_real_field(grid, np.random.default_rng(64),
+                              amplitude=amplitude)
+        if zero_mean:
+            u = Field(grid, np.where(grid.freqs == 0, 0.0, u.spectral),
+                      is_real=True)
+        return transport_symbol(u) * 1j
+
+    @pytest.mark.parametrize("amplitude", [1e-3, 1e-7])
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_data_in_the_kernel_stops_at_once(self, alpha, amplitude,
+                                              monkeypatch):
+        # den vanishes on the eta = 0 row, so the residual there is the
+        # data at every step: the loop used to run all 25 steps (26 `_expm`
+        # calls) before it gave up
+        expm_band = gauge._expm
+        calls = []
+
+        def counted(a):
+            calls.append(None)
+            return expm_band(a)
+
+        monkeypatch.setattr(gauge, "_expm", counted)
+        with pytest.raises(NewtonDiverged,
+                           match=r"data of size \S+ on the kernel row "
+                                 r"eta = 0 reach NEWTON_TOL"):
+            gauge.solve_nonlinear_exp(self.kernel_data(amplitude), alpha,
+                                      self.cutoff)
+        assert len(calls) <= 1
+
+    # at 1e-7 the residual of step 1 is already quadratic in the data
+    @pytest.mark.parametrize("amplitude,steps", [(1e-3, 2), (1e-7, 1)])
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_data_off_the_kernel_converges(self, alpha, amplitude, steps):
+        sol = gauge.solve_nonlinear_exp(
+            self.kernel_data(amplitude, zero_mean=True), alpha, self.cutoff)
+        assert sol.iterations == steps
+        assert sol.residual_norm < gauge.NEWTON_TOL
 
     def test_unmasked_data_is_rejected_as_regularize_rejects_it(self):
         # entries of a symbol marked regularized that was not: on the band
@@ -836,8 +945,8 @@ class TestNonlinearExp:
         a = band_symbol(self.grid, self.cutoff, rng, amplitude=1e-2)
         sol = gauge.solve_nonlinear_exp(a, 1.5, self.cutoff)
         assert sol.iterations > 0
-        commutator = sol.extras["transform"] * \
-            gauge._pair_denominator(self.grid, 1.5)
+        commutator = paraop.place_band(sol.extras["transform"]) \
+            * pair_denominator(self.grid, 1.5)
         off = np.where(paraop.pair_mask(self.grid, self.cutoff) == 0.0,
                        commutator, 0.0)
         assert sol.extras["off_support_norm"] == float(np.max(np.abs(off)))
@@ -896,7 +1005,7 @@ class TestConjugating:
                                        self.alpha, self.cutoff)
         psi = paraop.pair_mask(self.grid, self.cutoff)
         support = psi > gauge.SYMBOL_EXTRACTION_FLOOR
-        for sol, g in zip(sols, sols[0].extras["g_stack"]):
+        for sol, g in zip(sols, paraop.place_band(sols[0].extras["g_stack"])):
             assert sol.residual_norm == float(np.max(np.abs(g[support])))
             off = np.where(psi == 0.0, g, 0.0)
             assert sol.extras["off_support_norm"] == float(np.max(np.abs(off)))
@@ -910,24 +1019,25 @@ class TestConjugating:
         calls = []
 
         def counted(a):
-            calls.append(None)
+            calls.append(a.shape)
             return expm(a)
 
         monkeypatch.setattr(gauge, "_expm", counted)
         sols = gauge.solve_conjugating(fields, self.dt, self.alpha,
                                        self.cutoff)
         assert sols[0].iterations >= 1
-        # the last three calls exponentiate samples 6, 7 and 8 in the final
-        # sweep; a nan W_6 reaches g_4 .. g_8 through the time stencil and
+        # the last call exponentiates the 9 samples of the final sweep at
+        # once; a nan W_6 reaches g_4 .. g_8 through the time stencil and
         # leaves g_0 .. g_3 converged
-        poisoned = len(calls) - 3
+        assert calls[-1][0] == len(fields)
+        poisoned = len(calls)
         calls.clear()
 
         def poisoning(a):
-            calls.append(None)
+            calls.append(a.shape)
             out = expm(a)
             if len(calls) == poisoned:
-                out[:] = np.nan
+                out[6] = np.nan
             return out
 
         monkeypatch.setattr(gauge, "_expm", poisoning)
@@ -995,7 +1105,8 @@ class TestConjugating:
         fields = self.cosine_fields(1e-3, grid=grid)
         sols = gauge.solve_conjugating(fields, self.dt, self.alpha,
                                        self.cutoff)
-        masked = paraop.pair_mask(grid, self.cutoff) * sols[0].extras["w_stack"]
+        masked = paraop.pair_mask(grid, self.cutoff) \
+            * paraop.place_band(sols[0].extras["w_stack"])
         mid = len(sols) // 2
         transport = paraop.materialize(
             regularize(transport_symbol(fields[mid]) * 1j, self.cutoff),
@@ -1003,7 +1114,7 @@ class TestConjugating:
         ).entries
         probe = (
             gauge._time_derivative_stack(masked, self.dt)[mid]
-            - masked[mid] * gauge._pair_denominator(grid, self.alpha)
+            - masked[mid] * pair_denominator(grid, self.alpha)
             - masked[mid] @ transport
         )
         logs_xi, logs_norm = [], []

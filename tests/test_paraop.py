@@ -13,7 +13,7 @@ from paraburgers.spectral import Grid, Field, abs_d_pow, multiplier_values
 from paraburgers.symbols import Cutoff, Symbol, regularize, seminorm
 from paraburgers import paraop
 
-from helpers import band_rows, random_real_field
+from helpers import band_rows, operator_band_of, random_real_field
 
 # Calibrated with seeds below on N in {64, 128, 256}; regression bound.
 CONTINUITY_K = 0.36
@@ -80,9 +80,9 @@ class TestMaterialize:
         low = np.abs(grid.freqs) <= 21
         sym = regularize(sym.copy(coeffs=sym.coeffs * low[None, :]), cutoff)
         entries = paraop.materialize(sym, cutoff).entries
-        table = paraop._band_pairs(grid, cutoff)
-        band = np.zeros(len(band_rows(grid, cutoff)) * grid.n,
-                        dtype=np.complex128)
+        rows = len(band_rows(grid, cutoff))
+        table = paraop._band_layout(grid.n, rows // 2)
+        band = np.zeros(rows * grid.n, dtype=np.complex128)
         band[table.slots] = entries.reshape(-1)[table.pairs]
         back = paraop.from_band(band.reshape(-1, grid.n), grid, cutoff)
         np.testing.assert_allclose(back, sym.coeffs, atol=1e-14)
@@ -150,6 +150,93 @@ class TestBandLayout:
         band[0, 0] = 1.0  # eta = reach, xi = 0: psi is zero there
         with pytest.raises(InvariantBroken, match="pair mask"):
             paraop.gather_band(band, grid, cutoff)
+
+
+def random_operator_band(rng, lead, n, half_width):
+    """Random complex operator bands, +0.0 where xi + eta leaves the
+    lattice, as `helpers.operator_band_of` cuts them from random
+    matrices."""
+    shape = (*lead, n, n)
+    dense = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return operator_band_of(dense, half_width)
+
+
+def assert_no_negative_zero(values):
+    zeros = values[values == 0.0]
+    assert not np.any(np.signbit(zeros.real) | np.signbit(zeros.imag))
+
+
+class TestOperatorBand:
+    """The (..., 2H + 1, N) operator band: row H - eta, column xi holds the
+    entry (xi + eta, xi), against the dense matrices it stands for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(4, 64), data=st.data(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_placement_round_trips(self, half, data, seed):
+        n = 2 * half
+        h = data.draw(st.integers(0, n - 1))
+        rng = np.random.default_rng(seed)
+        band = random_operator_band(rng, (2,), n, h)
+        placed = paraop.place_band(band)
+        assert placed.shape == (2, n, n)
+        assert operator_band_of(placed, h).tobytes() == band.tobytes()
+        # N x N -> band -> N x N keeps exactly the entries within H of the
+        # diagonal, and writes +0.0 elsewhere
+        dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        freqs = np.concatenate((np.arange(half), np.arange(-half, 0)))
+        near = np.abs(freqs[:, None] - freqs[None, :]) <= h
+        again = paraop.place_band(operator_band_of(dense, h))
+        assert again.tobytes() == np.where(near, dense, 0.0).tobytes()
+        assert_no_negative_zero(again)
+
+    @settings(max_examples=80, deadline=None)
+    @given(half=st.integers(4, 64), data=st.data(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_band_product_is_the_matrix_product(self, half, data, seed):
+        n = 2 * half
+        ha = data.draw(st.integers(0, n - 1), label="H_A")
+        hb = data.draw(st.integers(0, n - 1), label="H_B")
+        rng = np.random.default_rng(seed)
+        a = random_operator_band(rng, (2,), n, ha)
+        b = random_operator_band(rng, (2,), n, hb)
+        product = paraop.band_product(a, b)
+        assert product.shape == (2, 2 * min(ha + hb, n - 1) + 1, n)
+        dense_a, dense_b = paraop.place_band(a), paraop.place_band(b)
+        reference = dense_a @ dense_b
+        size = np.abs(dense_a) @ np.abs(dense_b)
+        gap = np.abs(paraop.place_band(product) - reference)
+        assert np.all(gap <= 4 * n * np.finfo(float).eps * size)
+        # the product is itself an operator band: +0.0 off the lattice
+        off = product[:, ~paraop._band_layout(n, product.shape[-2] // 2).valid]
+        assert not np.any(off)
+        assert_no_negative_zero(off)
+        # leading axes broadcast, one member at a time
+        lone = paraop.band_product(a[1], b[1])
+        assert lone.tobytes() == product[1].tobytes()
+
+    @pytest.mark.parametrize("n,h", [(8, 0), (8, 7), (32, 3), (64, 13),
+                                     (64, 63)])
+    def test_band_apply_is_the_matrix_vector_product(self, n, h):
+        rng = np.random.default_rng(n + h)
+        band = random_operator_band(rng, (3,), n, h)
+        v = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        out = paraop.band_apply(band, v)
+        assert out.flags.c_contiguous
+        dense = paraop.place_band(band)
+        reference = np.einsum("tij,tj->ti", dense, v)
+        size = np.einsum("tij,tj->ti", np.abs(dense), np.abs(v))
+        assert np.all(np.abs(out - reference)
+                      <= 4 * n * np.finfo(float).eps * size)
+
+    def test_resize_band_pads_and_crops_around_eta_zero(self):
+        rng = np.random.default_rng(5)
+        band = random_operator_band(rng, (2,), 16, 3)
+        wide = paraop.resize_band(band, 6)
+        assert wide.shape == (2, 13, 16)
+        assert paraop.place_band(wide).tobytes() \
+            == paraop.place_band(band).tobytes()
+        assert paraop.resize_band(wide, 3).tobytes() == band.tobytes()
 
 
 class TestApply:

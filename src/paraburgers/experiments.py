@@ -13,6 +13,7 @@ when grid refinement cannot agree on its classification.
 """
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -21,13 +22,13 @@ import numpy as np
 
 from .errors import InvariantBroken
 from .gauge import (
-    _expm, _time_derivative_stack, solve_commutator, solve_conjugating
+    _certified_division, _expm, _time_derivative_stack, solve_conjugating
 )
 from .normalform import normal_form_coeffs
 from .paraop import (
-    OperatorMatrix, band_apply, dealias_product, materialize, operator_band,
-    order_probe, pair_mask, place_band, product_coeffs, product_tables,
-    to_band
+    OperatorMatrix, _cone_band, band_adjoint, band_apply, band_product,
+    dealias_product, operator_band, order_probe, place_band, product_coeffs,
+    product_tables, resize_band, to_band
 )
 from .solver import (
     BLOWUP_LIPSCHITZ, BLOWUP_SUP_FACTOR, SimConfig, Trajectory, _advance,
@@ -38,7 +39,7 @@ from .spectral import (
     homogeneous_sobolev_norm, l2_norm, linf_norm, multiplier_apply,
     multiplier_values, sobolev_norm, sobolev_norms
 )
-from .symbols import DEFAULT_CUTOFF, transport_symbol
+from .symbols import DEFAULT_CUTOFF, cutoff_mask
 
 VERDICTS = ("bounded", "violated", "inconclusive")
 ENVELOPE_SIGMAS = 3.0
@@ -227,8 +228,9 @@ def standard_ensemble(n_points, alpha, t_end, dt=None, stride=1,
 # -- energy estimate --------------------------------------------------------
 
 def _gauge_generator(u, alpha, cutoff):
-    """The hermitian gauge generator for one real state, as its (2 reach +
-    1, N) operator band (`paraop` layout), and the transport symbol.
+    """The hermitian gauge generator G of one real state and the transport
+    operator H = T_{u xi}, as their (2 reach + 1, N) operator bands
+    (`paraop` layout).
 
     The dispersive multiplier in the commutator equation already carries
     the factor i, so the right-hand side producing a hermitian generator
@@ -238,27 +240,50 @@ def _gauge_generator(u, alpha, cutoff):
     the expansion truncated below order 2 is exact.  With u real, the
     j = 0 term has coefficients xi u_hat(eta) and the j = 1 term
     eta u_hat(eta), so the right-hand side is -(2 xi + eta) u_hat(eta).
+    It is built on the cone band, psi times each slot as the dense symbol
+    computes it, and divided by `gauge._certified_division`, the division
+    and certificates of `solve_commutator` at the transport's order 1.
     """
-    sigma = transport_symbol(u)
-    eta = u.grid.freqs.astype(np.float64)[:, None]
-    rhs = sigma.copy(coeffs=-(2.0 * sigma.coeffs + eta * u.spectral[:, None]))
-    p = solve_commutator(rhs, alpha, cutoff).p
-    return operator_band(to_band(p.coeffs, u.grid, cutoff), u.grid,
-                         cutoff), sigma
+    grid = u.grid
+    rows = _cone_band(grid, cutoff).rows
+    psi = to_band(cutoff_mask(grid, cutoff), grid, cutoff)
+    eta = grid.freqs[rows].astype(np.float64)[:, None]
+    u_eta = u.spectral[rows][:, None]
+    sigma = u_eta * grid.freqs.astype(np.float64)[None, :]
+    rhs = psi * -(2.0 * sigma + eta * u_eta)
+    p_band, _ = _certified_division(rhs, 1.0, grid, alpha, cutoff)
+    return operator_band(p_band, grid, cutoff), \
+        operator_band(psi * sigma, grid, cutoff)
+
+
+@functools.lru_cache(maxsize=16)
+def _deep_pairs(grid, cutoff):
+    """The (2 reach + 1, N) operator-band mask of the deep pairs, where the
+    cutoff weighs both orderings of a pair at one: psi(eta, xi) = 1 and
+    psi(-eta, xi + eta) = 1.  No pair farther than reach from the
+    diagonal has psi = 1."""
+    psi = operator_band(to_band(cutoff_mask(grid, cutoff), grid, cutoff),
+                        grid, cutoff)
+    deep = (psi == 1.0) & (band_adjoint(psi) == 1.0)
+    deep.setflags(write=False)
+    return deep
 
 
 def _skew_gap(gauge, transported):
     """Skew-hermitian defect max |C + C^*| of the conjugated bracket, for
-    the operator band of G and the N x N matrix T.
+    the operator bands of G and of a hermitian T.
 
     C = int_0^1 e^{-irG} [G, T] e^{irG} dr is taken in closed form: the
     integrand is i d/dr (e^{-irG} T e^{irG}), so C = i (e^{-iG} T e^{iG} - T)
     for any square G, hermitian or not.  Both exponentials come from one
-    `_expm` call on G's band and are placed in N x N.
+    `_expm` call on G's band, C from two `band_product`s, and the defect is
+    read on C's band against its `band_adjoint`.
     """
-    minus, plus = place_band(_expm(np.stack((-1j * gauge, 1j * gauge))))
-    conjugated = 1j * (minus @ transported @ plus - transported)
-    return float(np.max(np.abs(conjugated + conjugated.conj().T)))
+    minus, plus = _expm(np.stack((-1j * gauge, 1j * gauge)))
+    conjugated = band_product(band_product(minus, transported), plus)
+    conjugated -= resize_band(transported, conjugated.shape[-2] // 2)
+    conjugated *= 1j
+    return float(np.max(np.abs(conjugated + band_adjoint(conjugated))))
 
 
 def _cancellation_check(u, alpha, cutoff):
@@ -267,25 +292,25 @@ def _cancellation_check(u, alpha, cutoff):
     Hermiticity is asserted on the deep pairs, where the cutoff weighs
     both orderings of a pair at full strength; the transition ring mixes
     weights and is exact only in the continuum limit.  The bracket uses
-    the operator adjoint T, which is hermitian by construction, and the
-    identity int_0^1 e^{-irG} [G, T] e^{irG} dr = i (e^{-iG} T e^{iG} - T)
-    (see `_skew_gap`), so the conjugated integral inherits skewness up to
-    the non-hermitian part of G.  Both G and T are linear in the state, so
-    the skew gap scales like the amplitude squared.
+    the operator adjoint T = H + H^* of the transport operator H, which is
+    hermitian by construction, and the identity int_0^1 e^{-irG} [G, T]
+    e^{irG} dr = i (e^{-iG} T e^{iG} - T) (see `_skew_gap`), so the
+    conjugated integral inherits skewness up to the non-hermitian part of
+    G.  Both G and T are linear in the state, so the skew gap scales like
+    the amplitude squared.  Every operator stays an operator band: G
+    against its `band_adjoint` on `_deep_pairs`, and T as H plus its
+    adjoint.
     """
-    grid = u.grid
-    gauge, sigma = _gauge_generator(u, alpha, cutoff)
-    psi = pair_mask(grid, cutoff)
-    deep = (psi == 1.0) & (psi.T == 1.0)
-    dense = place_band(gauge)
-    hermitian_gap = float(np.max(np.abs((dense - dense.conj().T)[deep])))
+    gauge, half = _gauge_generator(u, alpha, cutoff)
+    deep = _deep_pairs(u.grid, cutoff)
+    hermitian_gap = float(np.max(np.abs(
+        (gauge - band_adjoint(gauge))[deep])))
     if hermitian_gap > HERMITIAN_TOL:
         raise InvariantBroken(
             f"gauge generator fails hermiticity on the deep pairs: "
             f"{hermitian_gap:.3e} > {HERMITIAN_TOL:g}"
         )
-    half = materialize(sigma, cutoff).entries
-    skew_gap = _skew_gap(gauge, half + half.conj().T)
+    skew_gap = _skew_gap(gauge, half + band_adjoint(half))
     if skew_gap > SKEW_TOL:
         raise InvariantBroken(
             f"conjugated bracket fails skewness: {skew_gap:.3e} > "

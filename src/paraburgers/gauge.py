@@ -37,15 +37,22 @@ pairs of `_pair_sets`, where psi exceeds SYMBOL_EXTRACTION_FLOOR, and
 `_extract_pairs` writes those straight into a band; their off-support
 norms read the band outside the cone band slots with psi > 0
 (`_off_support_norms`).  The seminorm readings (`_band_seminorm`) take
-sup_x from the band's rows by one matmul, so no N x N symbol is padded.
-Data handed in is read through `symbols.regularize`, which is where a
-symbol marked regularized is checked to vanish wherever psi does, off the
-band too; nothing here repeats that check.  Only the public results are
-N x N: a returned p is its band padded with +0.0; the operators in a
-solution's extras stay bands, and `paraop.place_band` places them.
+sup_x from the band's rows by a matmul, on the columns that can hold the
+maximum, so no N x N symbol is padded.  The division of
+`solve_commutator` and its certificates run on the band too
+(`_certified_division`, which the energy study's generator calls with a
+band it builds itself); `commutator_estimates` reads its sup_x by the
+zero-padded inverse FFT along eta of `symbols.column_sup`, so each side
+is the reading of the dense symbol bit for bit.  Data handed in is read
+through `symbols.regularize`, which is where a symbol marked regularized
+is checked to vanish wherever psi does, off the band too; nothing here
+repeats that check.  Only the public results are N x N: a returned p is
+its band padded with +0.0; the operators in a solution's extras stay
+bands, and `paraop.place_band` places them.
 
-The exponentials of the gauge, e^{i T_p} here and e^{-+iG} in the energy
-study's skew check, are small: on the N=64 study inputs ||i T_p||_1 is
+The exponentials of the gauge, e^{i T_p} here and e^{-+iG} of the
+operator band of G in the energy study's skew check (one `_expm` call for
+both signs), are small: on the N=64 study inputs ||i T_p||_1 is
 about 3.6e-6, and over the test suite the gauge's generators stay below
 1.2e-3 (median 1.1e-7) and the skew check's below 0.15.  `_expm` is
 therefore a truncated Taylor series (Moler & Van Loan, SIAM Rev. 2003):
@@ -79,7 +86,7 @@ from .paraop import _band_layout, _band_pairs, _cone_band, band_product, \
     from_band, operator_band, resize_band, to_band
 from .spectral import dispersion_profile
 from .symbols import DEFAULT_CUTOFF, Symbol, column_sup, cutoff_mask, \
-    regularize, sup_seminorm, x_derivative, xi_forward_difference
+    regularize, xi_forward_difference
 
 # Read when `_division_table` builds a (grid, alpha, cutoff) table and
 # `_pair_sets` a (grid, cutoff) table; a table already cached keeps the
@@ -97,6 +104,9 @@ CHAIN_MAX_LAYERS = 8
 # only after the ladder has decayed by this factor.
 _NOISE_FLOOR_DECAY = 0.1
 _DIVERGENT_TAIL = 4.0
+# `_live_columns` skips columns only above this weighted reading, where
+# the rounding of its bounds and of sup_x is relative
+_PRUNE_FLOOR = 1e-250
 
 
 def _band_denominator(grid, alpha, half_width):
@@ -278,25 +288,36 @@ def _support_residual(p_band, a_band, grid, alpha, cutoff):
         residual.reshape(-1)[_band_pairs(grid, cutoff).slots])))
 
 
-def _homogeneous_sup(symbol, weight_order, difference=False):
-    """sup over xi != 0 of |xi|^(-weight_order) ||column||_inf.
+def _homogeneous_sup(band, grid, cutoff, weight_order, difference=False):
+    """sup over xi != 0 of |xi|^(-weight_order) ||column||_inf of a (2 reach
+    + 1, N) cone-band symbol.
 
-    With `difference` the columns are forward xi-differences, weighted at
-    their base frequency; the top lattice column has no difference and the
-    sup ranges over the bases where one is defined.
+    sup_x is `symbols.column_sup` of the band's rows placed in the
+    zero-padded symbol layout, so each column has the inverse FFT of the
+    dense symbol's column, read only on the columns that can hold the
+    maximum (`_live_columns`).  With `difference` the columns are forward
+    xi-differences, weighted at their base frequency; the top lattice
+    column has no difference and the sup ranges over the bases where one
+    is defined.
     """
     if difference:
-        coeffs, base = xi_forward_difference(symbol)
+        coeffs, base = xi_forward_difference(grid, band)
     else:
-        coeffs, base = symbol.coeffs, symbol.grid.freqs
+        coeffs, base = band, grid.freqs
     keep = base != 0
-    norms = column_sup(symbol.grid, coeffs[:, keep])
     weights = np.abs(base[keep]).astype(np.float64) ** (-float(weight_order))
-    return float(np.max(norms * weights))
+    columns = coeffs[:, keep]
+    live = _live_columns(columns.T, weights, grid)
+    padded = np.zeros((grid.n, np.count_nonzero(live)), dtype=np.complex128)
+    padded[_cone_band(grid, cutoff).rows] = columns[:, live]
+    norms = column_sup(grid, padded)
+    return float(np.max(norms * weights[live]))
 
 
-def commutator_estimates(p, a_reg, alpha, cutoff):
-    """Both seminorm bounds tied to the solve, as one report.
+def commutator_estimates(p_band, a_band, beta, grid, alpha, cutoff):
+    """Both seminorm bounds tied to the solve, as one report, for the (2
+    reach + 1, N) cone bands of the solution p and of the regularized data
+    a of order beta.
 
     transport: M^{beta+1-alpha}(d_x p) <= M^beta(a) / (B [1 - (1-1/B)^alpha])
     xi:        M^{beta-alpha}(D_xi d_x p) <= M^{beta-1}(D_xi a) / (same)
@@ -310,29 +331,25 @@ def commutator_estimates(p, a_reg, alpha, cutoff):
     slack once B is large, so no bound on those values is certified.
 
     Both sides are compared on the data the division reads: p only exists
-    on the band, at pairs whose output frequency stays on the lattice, so
-    a is truncated to those slots, else the xi differences at the lattice
-    edge compare an entry of p against a structural zero and the
-    certificate breaks.
+    at pairs whose output frequency stays on the lattice, so a is
+    truncated to those slots, else the xi differences at the lattice edge
+    compare an entry of p against a structural zero and the certificate
+    breaks.
     """
-    grid = a_reg.grid
     big_b = cutoff.big_b
-    beta = a_reg.order_m
-    band = to_band(a_reg.coeffs, grid, cutoff).reshape(-1)
-    slots = _band_pairs(grid, cutoff).slots
-    kept = np.zeros_like(band)
-    kept[slots] = band[slots]
-    a_reg = a_reg.copy(coeffs=from_band(kept.reshape(-1, grid.n), grid,
-                                        cutoff))
+    band = _cone_band(grid, cutoff)
+    a_band = np.where(_band_layout(grid.n, band.reach).valid, a_band, 0.0)
+    p_x = (1j * grid.freqs[band.rows].astype(np.float64))[:, None] * p_band
     gain = big_b * (1.0 - (1.0 - 1.0 / big_b) ** alpha)
-    p_x = x_derivative(p)
-    transport_lhs = _homogeneous_sup(p_x, beta + 1.0 - alpha)
-    transport_rhs = _homogeneous_sup(a_reg, beta) / gain
+    transport_lhs = _homogeneous_sup(p_x, grid, cutoff, beta + 1.0 - alpha)
+    transport_rhs = _homogeneous_sup(a_band, grid, cutoff, beta) / gain
     cross = alpha * ((1.0 + 1.0 / big_b) ** (alpha - 1.0) - 1.0) / (
         1.0 - (1.0 - 1.0 / big_b) ** alpha
     )
-    xi_lhs = _homogeneous_sup(p_x, beta - alpha, difference=True)
-    xi_rhs = _homogeneous_sup(a_reg, beta - 1.0, difference=True) / gain \
+    xi_lhs = _homogeneous_sup(p_x, grid, cutoff, beta - alpha,
+                              difference=True)
+    xi_rhs = _homogeneous_sup(a_band, grid, cutoff, beta - 1.0,
+                              difference=True) / gain \
         + cross * transport_lhs
     return {
         "transport_lhs": transport_lhs,
@@ -340,6 +357,23 @@ def commutator_estimates(p, a_reg, alpha, cutoff):
         "xi_lhs": xi_lhs,
         "xi_rhs": xi_rhs,
     }
+
+
+def _certified_division(a_band, beta, grid, alpha, cutoff):
+    """(p band, estimates) of the commutator equation for the (2 reach + 1,
+    N) cone band of regularized data a of order beta: p = a / den on the
+    division zone, and both bounds of `commutator_estimates`, certified;
+    a miss raises InvariantBroken."""
+    p_band = _divide(a_band, grid, alpha, cutoff)
+    estimates = commutator_estimates(p_band, a_band, beta, grid, alpha,
+                                     cutoff)
+    for name in ("transport", "xi"):
+        lhs, rhs = estimates[f"{name}_lhs"], estimates[f"{name}_rhs"]
+        if not lhs <= rhs * (1.0 + 1e-12):
+            raise InvariantBroken(
+                f"{name} estimate broken: {lhs:.6e} > {rhs:.6e}"
+            )
+    return p_band, estimates
 
 
 def solve_commutator(a, alpha, cutoff=DEFAULT_CUTOFF):
@@ -354,18 +388,11 @@ def solve_commutator(a, alpha, cutoff=DEFAULT_CUTOFF):
     grid = a.grid
     a_reg = regularize(a, cutoff)
     a_band = to_band(a_reg.coeffs, grid, cutoff)
-    p_band = _divide(a_band, grid, alpha, cutoff)
+    p_band, estimates = _certified_division(a_band, a_reg.order_m, grid,
+                                            alpha, cutoff)
     residual = _support_residual(p_band, a_band, grid, alpha, cutoff)
-    order_p = a_reg.order_m + 1.0 - alpha
-    p = Symbol(grid, from_band(p_band, grid, cutoff), order_m=order_p,
-               cutoff=cutoff)
-    estimates = commutator_estimates(p, a_reg, alpha, cutoff)
-    for name in ("transport", "xi"):
-        lhs, rhs = estimates[f"{name}_lhs"], estimates[f"{name}_rhs"]
-        if not lhs <= rhs * (1.0 + 1e-12):
-            raise InvariantBroken(
-                f"{name} estimate broken: {lhs:.6e} > {rhs:.6e}"
-            )
+    p = Symbol(grid, from_band(p_band, grid, cutoff),
+               order_m=a_reg.order_m + 1.0 - alpha, cutoff=cutoff)
     return GaugeSolution(
         p=p,
         residual_norm=residual,
@@ -502,13 +529,43 @@ def _band_waves(grid, cutoff):
     return waves
 
 
+def _live_columns(columns, weights, grid):
+    """Mask of the (k, rows) band columns, weighted by weights (k,), whose
+    weighted sup_x over the grid points can be the largest.
+
+    The rows are distinct modes mod N, so by discrete Parseval a column's
+    sup_x is at least its l2 norm over the rows, and it is at most its l1
+    norm: a column whose weighted l1 norm is below the largest weighted l2
+    norm by more than the rounding of the readings (an N-term sum each)
+    cannot hold the maximum.  Every column is live when a reading is not
+    finite, or too small for that rounding to be relative.
+    """
+    magnitudes = np.abs(columns)
+    lower = np.sqrt(np.sum(magnitudes * magnitudes, axis=-1)) * weights
+    top = float(np.max(lower, initial=0.0))
+    if not (math.isfinite(top) and top >= _PRUNE_FLOOR):
+        return np.ones(len(columns), dtype=bool)
+    slack = 8.0 * grid.n * np.finfo(np.float64).eps
+    upper = np.sum(magnitudes, axis=-1) * weights
+    return upper * (1.0 + slack) >= top * (1.0 - slack)
+
+
 def _band_seminorm(band, grid, cutoff, order_m):
     """M^m of a (..., 2 reach + 1, N) band stack, the max over its samples:
     `symbols.stack_seminorm` of its symbol layout, with sup_x read from
-    the band's rows by one matmul against `_band_waves` in place of a
-    zero-padded N-point inverse FFT."""
-    values = _band_waves(grid, cutoff) @ band
-    return sup_seminorm(grid, np.max(np.abs(values), axis=-2), order_m)
+    the band's rows by a matmul against `_band_waves` in place of a
+    zero-padded N-point inverse FFT, on the columns that can hold the
+    maximum (`_live_columns`)."""
+    rows = band.shape[-2]
+    keep = grid.freqs != 0
+    weights = (1.0 + np.abs(grid.freqs[keep])) ** (-float(order_m))
+    # every column xi != 0 of every sample, as (columns, rows)
+    columns = np.swapaxes(band[..., keep], -1, -2).reshape(-1, rows)
+    weights = np.broadcast_to(weights, (len(columns) // weights.size,
+                                        weights.size)).reshape(-1)
+    live = _live_columns(columns, weights, grid)
+    values = _band_waves(grid, cutoff) @ columns[live].T
+    return float(np.max(np.max(np.abs(values), axis=0) * weights[live]))
 
 
 def _extract_pairs(sound, grid, cutoff):

@@ -45,12 +45,14 @@ matrix has its slot.  The symbol band of a regularized symbol is its
 operator band with H = reach once the slots off the lattice are zeroed
 (`operator_band`, which also raises InvariantBroken for a nonzero slot
 where psi vanishes).  `band_product` multiplies two operator bands, with
-half-width min(H_A + H_B, N - 1), `band_apply` applies one to vectors,
-and `place_band` is the one placement into N x N, through a cached index
-table per (N, H); `gather_band` and `materialize` are that placement of
-the operator band of a symbol band.  A symbol marked regularized is
-checked where the mark is read, in `regularize`.  The public API stays
-N x N: `Symbol`, `materialize` and `pair_mask` are dense.
+half-width min(H_A + H_B, N - 1), `band_adjoint` gives the operator band
+of A^*, `band_apply` applies one to vectors, and `place_band` is the one
+placement into N x N, through a cached index table per (N, H);
+`gather_band` and `materialize` are that placement of the operator band
+of a symbol band.  A symbol marked regularized is checked where the mark
+is read, in `regularize`.  The public API stays N x N: `Symbol` and
+`materialize` are dense, and `pair_mask`, psi on every (output, input)
+pair, is the dense reference the tests check the bands against.
 """
 
 import functools
@@ -65,13 +67,11 @@ from .spectral import Field, check_same_grid, derivative, multiplier_values, \
 from .symbols import cutoff_mask, regularize
 
 
-@functools.lru_cache(maxsize=16)
 def pair_mask(grid, cutoff):
-    """psi(out-in, in) over all (output, input) index pairs, FFT order."""
+    """psi(out-in, in) over all (output, input) index pairs, FFT order: the
+    dense reference of which entries a materialized matrix may hold."""
     freqs = grid.freqs
-    mask = cutoff(freqs[:, None] - freqs[None, :], freqs[None, :])
-    mask.setflags(write=False)
-    return mask
+    return cutoff(freqs[:, None] - freqs[None, :], freqs[None, :])
 
 
 @dataclass
@@ -251,6 +251,21 @@ def band_apply(band, v):
                                 - band.shape[-2] // 2, n)
     return np.sum(np.take(terms.reshape(*terms.shape[:-2], -1), sources,
                           axis=-1), axis=-2)
+
+
+def band_adjoint(band):
+    """The operator band of A^* for (..., 2H + 1, N) operator bands of A:
+    slot (eta, xi) holds conj A(xi, xi + eta), which sits in row H + eta,
+    column xi + eta of the band, and +0.0 where xi + eta leaves the
+    lattice."""
+    n = band.shape[-1]
+    h = band.shape[-2] // 2
+    rows = np.arange(2 * h + 1)[:, None]
+    # row j (eta_j = H - j) reads row 2H - j, columns shifted by eta_j; a
+    # wrap lands on a slot off the lattice, which is zeroed
+    sources = (2 * h - rows) * n + np.mod(np.arange(n)[None, :] + h - rows, n)
+    mirrored = np.take(band.reshape(*band.shape[:-2], -1), sources, axis=-1)
+    return np.where(_band_layout(n, h).valid, mirrored.conj(), 0.0)
 
 
 def place_band(band):

@@ -20,8 +20,10 @@ The package reads one seminorm, in the operator-norm convention
 
 which serves the gauge's smallness guard, its tameness check and the
 increments of its correction ladder.  The gauge's commutator estimates
-(`gauge.commutator_estimates`) weigh columns by |xi|^{-m} instead and
-take forward differences Delta_xi on the integer lattice.
+(`gauge.commutator_estimates`) read cone bands, weigh columns by
+|xi|^{-m} instead and take forward differences Delta_xi on the integer
+lattice (`xi_forward_difference`); their sup_x is `column_sup` of the
+band's rows zero-padded to the N x N layout.
 """
 
 import functools
@@ -156,15 +158,15 @@ def x_derivative(symbol):
     return symbol.copy(coeffs=eta[:, None] * symbol.coeffs)
 
 
-def xi_forward_difference(symbol):
-    """Forward difference Delta_xi a(x, xi) = a(x, xi + 1) - a(x, xi).
+def xi_forward_difference(grid, coeffs):
+    """Forward difference Delta_xi a(x, xi) = a(x, xi + 1) - a(x, xi) of
+    coefficient arrays whose last axis is xi in FFT order.
 
     Returns (coeffs, base_freqs): coeffs has one column per base frequency
     xi with xi and xi + 1 both on the lattice, in increasing order of xi;
     the column past the top of the lattice is dropped.
     """
-    grid = symbol.grid
-    out = symbol.coeffs[..., np.argsort(grid.freqs, kind="stable")]
+    out = coeffs[..., np.argsort(grid.freqs, kind="stable")]
     return out[..., 1:] - out[..., :-1], np.sort(grid.freqs)[: grid.n - 1]
 
 

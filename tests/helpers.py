@@ -2,8 +2,12 @@
 
 import numpy as np
 
+from paraburgers.gauge import _expm
+from paraburgers.paraop import _band_pairs, from_band, materialize, \
+    pair_mask, place_band, to_band
 from paraburgers.spectral import Field
-from paraburgers.symbols import Symbol, regularize, seminorm
+from paraburgers.symbols import Symbol, column_sup, regularize, seminorm, \
+    transport_symbol, x_derivative, xi_forward_difference
 
 
 def random_real_field(grid, rng, band=None, amplitude=1.0):
@@ -140,3 +144,79 @@ def operator_band_of(matrices, half_width):
         out[..., row, columns] = matrices[..., (freqs[columns] + eta) % n,
                                           columns]
     return out
+
+
+def dense_commutator_estimates(p, a_reg, alpha, cutoff):
+    """`gauge.commutator_estimates` on the N x N symbols p and a_reg, as it
+    read them before they became bands: a truncated to its band slots
+    whose output mode stays on the lattice, and each sup_x from
+    `symbols.column_sup` of the symbol's columns xi != 0."""
+    grid = a_reg.grid
+    big_b = cutoff.big_b
+    band = to_band(a_reg.coeffs, grid, cutoff).reshape(-1)
+    slots = _band_pairs(grid, cutoff).slots
+    kept = np.zeros_like(band)
+    kept[slots] = band[slots]
+    a_reg = a_reg.copy(coeffs=from_band(kept.reshape(-1, grid.n), grid,
+                                        cutoff))
+
+    def homogeneous_sup(symbol, weight_order, difference=False):
+        if difference:
+            coeffs, base = xi_forward_difference(grid, symbol.coeffs)
+        else:
+            coeffs, base = symbol.coeffs, grid.freqs
+        keep = base != 0
+        norms = column_sup(grid, coeffs[:, keep])
+        weights = np.abs(base[keep]).astype(np.float64) \
+            ** (-float(weight_order))
+        return float(np.max(norms * weights))
+
+    beta = a_reg.order_m
+    gain = big_b * (1.0 - (1.0 - 1.0 / big_b) ** alpha)
+    p_x = x_derivative(p)
+    transport_lhs = homogeneous_sup(p_x, beta + 1.0 - alpha)
+    cross = alpha * ((1.0 + 1.0 / big_b) ** (alpha - 1.0) - 1.0) / (
+        1.0 - (1.0 - 1.0 / big_b) ** alpha
+    )
+    return {
+        "transport_lhs": transport_lhs,
+        "transport_rhs": homogeneous_sup(a_reg, beta) / gain,
+        "xi_lhs": homogeneous_sup(p_x, beta - alpha, difference=True),
+        "xi_rhs": homogeneous_sup(a_reg, beta - 1.0, difference=True) / gain
+        + cross * transport_lhs,
+    }
+
+
+def dense_cancellation_check(u, alpha, cutoff):
+    """The energy study's cancellation check on N x N matrices, as
+    `experiments._cancellation_check` read it before its operators became
+    bands: (hermitian gap, skew gap, commutator estimates), none of them
+    checked against a bound.
+
+    The generator is the division of the regularized dense right-hand side
+    -(2 xi + eta) u_hat(eta) by `lattice_commutator`'s den, with the
+    estimates of `dense_commutator_estimates`; the hermitian gap reads the
+    dense matrix on the deep pairs of `paraop.pair_mask`, and the skew gap
+    conjugates T = H + H^* by the placed exponentials with two dense
+    matmuls.
+    """
+    grid = u.grid
+    sigma = transport_symbol(u)
+    eta = grid.freqs.astype(np.float64)[:, None]
+    rhs = regularize(sigma.copy(
+        coeffs=-(2.0 * sigma.coeffs + eta * u.spectral[:, None])), cutoff)
+    _, _, zone, den, _ = lattice_commutator(grid, alpha, cutoff)
+    p = Symbol(grid, np.where(zone, rhs.coeffs / np.where(zone, den, 1.0),
+                              0.0), order_m=2.0 - alpha, cutoff=cutoff)
+    estimates = dense_commutator_estimates(p, rhs, alpha, cutoff)
+    gauge = materialize(p, cutoff).entries
+    psi = pair_mask(grid, cutoff)
+    deep = (psi == 1.0) & (psi.T == 1.0)
+    hermitian_gap = float(np.max(np.abs((gauge - gauge.conj().T)[deep])))
+    half = materialize(sigma, cutoff).entries
+    transported = half + half.conj().T
+    band = operator_band_of(gauge, len(band_rows(grid, cutoff)) // 2)
+    minus, plus = place_band(_expm(np.stack((-1j * band, 1j * band))))
+    conjugated = 1j * (minus @ transported @ plus - transported)
+    skew_gap = float(np.max(np.abs(conjugated + conjugated.conj().T)))
+    return hermitian_gap, skew_gap, estimates

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import threading
 
 import numpy as np
@@ -15,7 +16,7 @@ from paraburgers.gauge import (
     _expm, _time_derivative_stack, solve_conjugating, solve_nonlinear_exp
 )
 from paraburgers.normalform import build_chi1
-from paraburgers.paraop import OperatorMatrix, band_apply, \
+from paraburgers.paraop import OperatorMatrix, band_adjoint, band_apply, \
     dealias_product, materialize, operator_band, order_probe, pair_mask, \
     place_band, to_band
 from paraburgers.solver import initial_field, run
@@ -23,8 +24,8 @@ from paraburgers.spectral import Field, Grid, abs_d_pow, bessel_pow, \
     derivative, dispersion_profile, linf_norm, multiplier_apply, sobolev_norm
 from paraburgers.symbols import DEFAULT_CUTOFF, Cutoff, transport_symbol
 
-from helpers import band_rows, dense_multilinear, gauss_nodes, \
-    pair_denominator, random_real_field
+from helpers import band_rows, dense_cancellation_check, \
+    dense_multilinear, gauss_nodes, pair_denominator, random_real_field
 
 CUTOFF = DEFAULT_CUTOFF
 
@@ -73,9 +74,8 @@ def conjugation_ensemble():
 
 def certificate_inputs(family, alpha, amplitude):
     u = initial_field(Grid(32), family, amplitude)
-    gauge, sigma = experiments._gauge_generator(u, alpha, CUTOFF)
-    half = materialize(sigma, CUTOFF).entries
-    return gauge, half + half.conj().T
+    gauge, half = experiments._gauge_generator(u, alpha, CUTOFF)
+    return gauge, half + band_adjoint(half)
 
 
 def p_operator_band(p, cutoff):
@@ -103,22 +103,30 @@ GENERATOR_CASES = [pytest.param(n, Cutoff(big_b, little_b),
                    for big_b, little_b in ((8, 2), (2, 1), (3.5, 1.5))]
 
 
+def spy_on_division(monkeypatch):
+    """The calls of `_certified_division` from `experiments`, each as its
+    (arguments, result)."""
+    calls, divide = [], experiments._certified_division
+
+    def spy(*args):
+        calls.append((args, divide(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(experiments, "_certified_division", spy)
+    return calls
+
+
 def generator_parts(n, cutoff, monkeypatch):
     """(u, right-hand side, generator, deep pairs) of `_gauge_generator` on
-    a random real state at alpha = 1.5; the right-hand side is the symbol
-    it hands to `solve_commutator`."""
+    a random real state at alpha = 1.5, as N x N matrices; the right-hand
+    side is the band it hands to `_certified_division`, placed."""
     grid = Grid(n)
     u = random_real_field(grid, np.random.default_rng(n))
-    handed, solve = [], experiments.solve_commutator
-
-    def spy(rhs, alpha, c):
-        handed.append(rhs)
-        return solve(rhs, alpha, c)
-
-    monkeypatch.setattr(experiments, "solve_commutator", spy)
+    calls = spy_on_division(monkeypatch)
     gauge, _ = experiments._gauge_generator(u, 1.5, cutoff)
+    rhs = place_band(operator_band(calls[0][0][0], grid, cutoff))
     psi = pair_mask(grid, cutoff)
-    return u, handed[0], place_band(gauge), (psi == 1.0) & (psi.T == 1.0)
+    return u, rhs, place_band(gauge), (psi == 1.0) & (psi.T == 1.0)
 
 
 class TestGaugeGenerator:
@@ -130,9 +138,8 @@ class TestGaugeGenerator:
     @pytest.mark.parametrize("n,cutoff", GENERATOR_CASES)
     def test_right_hand_side_is_the_dense_symmetrisation(self, n, cutoff,
                                                          monkeypatch):
-        u, rhs, _, deep = generator_parts(n, cutoff, monkeypatch)
+        u, closed, _, deep = generator_parts(n, cutoff, monkeypatch)
         half = materialize(transport_symbol(u), cutoff).entries
-        closed = materialize(rhs, cutoff).entries
         gap = np.max(np.abs((closed + half + half.conj().T)[deep]))
         assert np.count_nonzero(deep) > 0
         assert gap <= ROUNDING_TOL * np.max(np.abs(half))
@@ -145,13 +152,62 @@ class TestGaugeGenerator:
         assert gap <= ROUNDING_TOL * np.max(np.abs(gauge))
 
 
+class TestDenseCheck:
+    """The band check against `helpers.dense_cancellation_check`, the same
+    check on N x N matrices: the hermitian gap and the four certificate
+    sides equal, the skew gap within the 1e-12 of `TestSkewGap`."""
+
+    @pytest.mark.parametrize("n,cutoff", GENERATOR_CASES)
+    def test_hermitian_gap_and_certificates_are_the_dense_ones(
+            self, n, cutoff, monkeypatch):
+        # at an amplitude the study passes, so the check returns its gaps
+        u = random_real_field(Grid(n), np.random.default_rng(n),
+                              amplitude=1e-6)
+        calls = spy_on_division(monkeypatch)
+        hermitian_gap, _ = experiments._cancellation_check(u, 1.5, cutoff)
+        dense_hermitian, _, estimates = dense_cancellation_check(u, 1.5,
+                                                                 cutoff)
+        assert hermitian_gap == dense_hermitian
+        assert calls[0][1][1] == estimates
+
+    @pytest.mark.parametrize("n,cutoff", GENERATOR_CASES)
+    def test_skew_gap_is_the_dense_one(self, n, cutoff):
+        # at unit amplitude, where the gap (quadratic in the state) stands
+        # far above the rounding of T (linear in it)
+        u = random_real_field(Grid(n), np.random.default_rng(n))
+        gauge, half = experiments._gauge_generator(u, 1.5, cutoff)
+        assert place_band(half).tobytes() \
+            == materialize(transport_symbol(u), cutoff).entries.tobytes()
+        skew_gap = experiments._skew_gap(gauge, half + band_adjoint(half))
+        dense_skew = dense_cancellation_check(u, 1.5, cutoff)[1]
+        assert dense_skew > 0.0
+        assert abs(skew_gap - dense_skew) <= 1e-12 * dense_skew
+
+    @pytest.mark.parametrize("n,cutoff,message", [
+        (128, Cutoff(8, 2), "3.763128e-01 > 3.693582e-01"),
+        (32, Cutoff(2, 1), "1.191566e+00 > 1.169585e+00"),
+    ])
+    def test_alpha_1_2_transport_break_is_kept(self, n, cutoff, message):
+        # the certified transport bound fails on this data at alpha = 1.2
+        # (CHANGES.md), on the bands as on the dense matrices
+        u = random_real_field(Grid(n), np.random.default_rng(n))
+        estimates = dense_cancellation_check(u, 1.2, cutoff)[2]
+        assert (f"{estimates['transport_lhs']:.6e} > "
+                f"{estimates['transport_rhs']:.6e}") == message
+        with pytest.raises(InvariantBroken,
+                           match="^" + re.escape(
+                               f"transport estimate broken: {message}") + "$"):
+            experiments._cancellation_check(u, 1.2, cutoff)
+
+
 class TestSkewGap:
     @pytest.mark.parametrize("amplitude", [1e-6, 1e-2])
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.75])
     @pytest.mark.parametrize("family", experiments.ENSEMBLE_FAMILIES)
     def test_closed_form_matches_quadrature(self, family, alpha, amplitude):
         gauge, transported = certificate_inputs(family, alpha, amplitude)
-        reference = quadrature_skew_gap(place_band(gauge), transported)
+        reference = quadrature_skew_gap(place_band(gauge),
+                                        place_band(transported))
         assert reference > 0.0
         gap = experiments._skew_gap(gauge, transported)
         assert abs(gap - reference) <= 1e-12 * reference

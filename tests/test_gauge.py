@@ -238,12 +238,15 @@ class TestCommutatorEstimateReadings:
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_homogeneous_sup_is_the_loop_exactly(self, n):
         grid = Grid(n)
+        cutoff = Cutoff(2.0, 1.0)
         rng = np.random.default_rng(n)
-        sym = Symbol(grid, rng.standard_normal((n, n))
-                     + 1j * rng.standard_normal((n, n)))
+        shape = (len(band_rows(grid, cutoff)), n)
+        band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        sym = Symbol(grid, paraop.from_band(band, grid, cutoff))
         for weight_order in (-1.5, 0.0, 0.5, 2.0):
             for difference in (False, True):
-                assert gauge._homogeneous_sup(sym, weight_order, difference) \
+                assert gauge._homogeneous_sup(band, grid, cutoff,
+                                              weight_order, difference) \
                     == loop_homogeneous_sup(sym, weight_order, difference)
 
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -256,7 +259,10 @@ class TestCommutatorEstimateReadings:
             p = gauge.solve_commutator(a, alpha, cutoff).p
             a_reg = regularize(a, cutoff)
             assert np.any(p.coeffs != 0.0)
-            assert gauge.commutator_estimates(p, a_reg, alpha, cutoff) \
+            assert gauge.commutator_estimates(
+                paraop.to_band(p.coeffs, grid, cutoff),
+                paraop.to_band(a_reg.coeffs, grid, cutoff), a_reg.order_m,
+                grid, alpha, cutoff) \
                 == loop_commutator_estimates(p, a_reg, alpha, cutoff.big_b)
 
 
@@ -312,12 +318,12 @@ class TestResonanceEllipticity:
             a = transport_symbol(u)
             gauge.cole_hopf_parametrix(a, alpha, cutoff)
             paraop.materialize(a, cutoff)
-            paraop.pair_mask(grid, cutoff)
             paraop._band_layout(grid.n, i)
             gauge._divide(a.coeffs[band_rows(grid, cutoff)], grid, alpha,
                           cutoff)
             gauge._pair_sets(grid, cutoff)
             gauge._band_waves(grid, cutoff)
+            experiments._deep_pairs(grid, cutoff)
             paraop.product_tables(grid)
             zygmund_norm(u, 1.0)
             normalform.normal_form(u, u, 1.0, alpha, cutoff)
@@ -326,12 +332,12 @@ class TestResonanceEllipticity:
             gauge._cole_hopf_weight: (grid, 1.5),
             gauge._division_table: (grid, 1.5, cutoff),
             symbols.cutoff_mask: (grid, cutoff),
-            paraop.pair_mask: (grid, cutoff),
             paraop._band_pairs: (grid, cutoff),
             paraop._band_layout: (grid.n, 3),
             paraop.product_tables: (grid,),
             gauge._pair_sets: (grid, cutoff),
             gauge._band_waves: (grid, cutoff),
+            experiments._deep_pairs: (grid, cutoff),
             lp_profiles: (grid,),
             normalform.build_chi1: (1.0, 1.5, cutoff, grid),
         }
@@ -650,6 +656,65 @@ def test_band_seminorm_reads_the_symbol_layout(n, cutoff):
         assert abs(got - reference) <= 1e-13 * reference
         assert gauge._band_seminorm(band[2], grid, cutoff, order_m) \
             <= got
+
+
+def full_band_seminorm(band, grid, cutoff, order_m):
+    """`gauge._band_seminorm` read on every column: the matmul of the whole
+    band against `_band_waves`."""
+    values = gauge._band_waves(grid, cutoff) @ band
+    return symbols.sup_seminorm(grid, np.max(np.abs(values), axis=-2),
+                                order_m)
+
+
+class TestBandSeminormColumns:
+    """`_band_seminorm` reads sup_x only on the columns that can hold the
+    maximum; its reading is that of the full matmul up to the rounding of
+    the matmul."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(half=st.integers(4, 64), cutoff=st.sampled_from(BAND_CUTOFFS),
+           lead=st.sampled_from([(), (2,), (3, 2)]),
+           order_m=st.floats(-2.0, 3.0), spread=st.integers(0, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_reading_is_the_full_matmul(self, half, cutoff, lead, order_m,
+                                        spread, seed):
+        grid = Grid(2 * half)
+        rng = np.random.default_rng(seed)
+        shape = (*lead, len(band_rows(grid, cutoff)), grid.n)
+        band = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+            * 10.0 ** rng.integers(-spread, 1, shape)
+        got = gauge._band_seminorm(band, grid, cutoff, order_m)
+        reference = full_band_seminorm(band, grid, cutoff, order_m)
+        rows = shape[-2]
+        assert abs(got - reference) \
+            <= 4 * rows * np.finfo(np.float64).eps * reference
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("cutoff", BAND_CUTOFFS, ids=repr)
+    def test_flat_band_reads_every_column(self, n, cutoff):
+        # every column has the same l1 and l2 norms, so none is skipped
+        grid = Grid(n)
+        band = np.ones((3, len(band_rows(grid, cutoff)), n),
+                       dtype=np.complex128)
+        got = gauge._band_seminorm(band, grid, cutoff, 0.0)
+        assert got == pytest.approx(band.shape[-2], rel=1e-14)
+        assert got == pytest.approx(
+            full_band_seminorm(band, grid, cutoff, 0.0), rel=1e-14)
+
+    def test_nan_band_is_read_whole(self):
+        grid, cutoff = Grid(64), Cutoff(2.0, 1.0)
+        rng = np.random.default_rng(3)
+        shape = (2, len(band_rows(grid, cutoff)), grid.n)
+        band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        band[1, 0, 5] = np.nan
+        assert np.isnan(gauge._band_seminorm(band, grid, cutoff, 1.0))
+        assert np.isnan(full_band_seminorm(band, grid, cutoff, 1.0))
+        # a NaN in the column xi = 0, which M^m skips, is skipped as well
+        band[1, 0, 5] = 1.0
+        band[0, 2, 0] = np.nan
+        assert gauge._band_seminorm(band, grid, cutoff, 1.0) \
+            == pytest.approx(full_band_seminorm(band, grid, cutoff, 1.0),
+                             rel=1e-14)
 
 
 def stencil_reference(stack, dt):

@@ -215,6 +215,26 @@ class TestOperatorBand:
         lone = paraop.band_product(a[1], b[1])
         assert lone.tobytes() == product[1].tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(half=st.integers(4, 64), data=st.data(),
+           lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_band_adjoint_is_the_conjugate_transpose(self, half, data, lead,
+                                                     seed):
+        n = 2 * half
+        h = data.draw(st.integers(0, n - 1), label="H")
+        band = random_operator_band(np.random.default_rng(seed), lead, n, h)
+        adjoint = paraop.band_adjoint(band)
+        assert adjoint.shape == band.shape
+        reference = np.conj(np.swapaxes(paraop.place_band(band), -1, -2))
+        np.testing.assert_array_equal(paraop.place_band(adjoint), reference)
+        np.testing.assert_array_equal(adjoint,
+                                      operator_band_of(reference, h))
+        off = adjoint[..., ~paraop._band_layout(n, h).valid]
+        assert not np.any(off)
+        assert_no_negative_zero(off)
+        np.testing.assert_array_equal(paraop.band_adjoint(adjoint), band)
+
     @pytest.mark.parametrize("n,h", [(8, 0), (8, 7), (32, 3), (64, 13),
                                      (64, 63)])
     def test_band_apply_is_the_matrix_vector_product(self, n, h):

@@ -231,7 +231,7 @@ def test_seminorm_is_the_loop_seminorm_exactly(n):
 def test_xi_forward_difference_bases():
     grid = Grid(16)
     a = Symbol.from_function(grid, lambda x, xi: xi)
-    diff, base = xi_forward_difference(a)
+    diff, base = xi_forward_difference(grid, a.coeffs)
     assert base[0] == -8 and base[-1] == 6
     # difference of the multiplier xi is the constant-one symbol
     values = np.fft.ifft(diff, axis=0) * grid.n

@@ -125,19 +125,6 @@ def _band_denominator(grid, alpha, half_width):
     return den.reshape(layout.valid.shape)
 
 
-@functools.lru_cache(maxsize=16)
-def _cole_hopf_weight(grid, alpha):
-    """|xi|^(1-alpha) / (i alpha eta) on the symbol lattice, zero on the
-    eta = 0 row and the xi = 0 column."""
-    eta = grid.freqs.astype(np.float64)[:, None]
-    xi = grid.freqs.astype(np.float64)[None, :]
-    inv_eta = np.where(eta != 0, 1.0 / (1j * np.where(eta != 0, eta, 1.0)), 0.0)
-    lift = np.abs(np.where(xi != 0, xi, 1.0)) ** (1.0 - alpha)
-    table = np.where(xi != 0, lift, 0.0) / alpha * inv_eta
-    table.setflags(write=False)
-    return table
-
-
 def _band_lattice(grid, alpha, cutoff):
     """The commutator map as (2 reach + 1, N) band tables (support, zone,
     den, scale): the slots with psi > 0 whose output xi + eta stays on the
@@ -401,33 +388,6 @@ def solve_commutator(a, alpha, cutoff=DEFAULT_CUTOFF):
     )
 
 
-def cole_hopf_parametrix(a, alpha, cutoff=DEFAULT_CUTOFF):
-    """E(a) = (|xi|^(1-alpha) / alpha) d_x^{-1} sigma_a.
-
-    The x-antiderivative zeroes the eta = 0 row (P_0 of d_x^{-1} is zero by
-    convention) and the |xi|^(1-alpha) weight zeroes the xi = 0 column.
-    """
-    if not alpha > 1:
-        raise ValueError(f"parametrix needs alpha > 1, got {alpha:g}")
-    grid = a.grid
-    a_reg = regularize(a, cutoff)
-    coeffs = _cole_hopf_weight(grid, alpha) * a_reg.coeffs
-    return Symbol(grid, coeffs, order_m=a_reg.order_m + 1.0 - alpha, cutoff=cutoff)
-
-
-def parametrix_remainder(a, alpha, cutoff=DEFAULT_CUTOFF):
-    """r(a) = a + L(E(a)): the part of a that -E leaves unsolved, of size
-    O(1/B) on the cutoff support, read on its slots that materialize."""
-    grid = a.grid
-    a_reg = regularize(a, cutoff)
-    e = cole_hopf_parametrix(a_reg, alpha, cutoff)
-    support, _, den, _ = _band_lattice(grid, alpha, cutoff)
-    remainder = to_band(a_reg.coeffs, grid, cutoff) \
-        + to_band(e.coeffs, grid, cutoff) * den
-    return Symbol(grid, from_band(np.where(support, remainder, 0.0), grid,
-                                  cutoff), order_m=a_reg.order_m, cutoff=cutoff)
-
-
 def _time_derivative_stack(stack, dt):
     """d_t along axis 0: 4th-order centered inside, 2nd-order at the edges."""
     out = np.zeros_like(stack)
@@ -660,7 +620,8 @@ def solve_nonlinear_exp(a, alpha, cutoff=DEFAULT_CUTOFF):
     exceed SMALLNESS; Newton stops below NEWTON_TOL, and gives up before
     its first step when the data on the kernel row eta = 0 reach
     NEWTON_TOL, at the first non-finite residual, at the first step whose
-    residual exceeds that of step 0, or after NEWTON_MAX_ITERATIONS steps.
+    residual exceeds that of step 0, or after NEWTON_MAX_ITERATIONS steps
+    (`_newton_stop`).
 
     extras["transform"] is expm(i T_p) for the returned p as a (2H + 1, N)
     operator band (`paraop` layout; `paraop.place_band` gives the N x N
@@ -711,6 +672,29 @@ def _smallness(band, grid, cutoff, order_m):
     return measured
 
 
+def _newton_stop(residual, step, first, tol, what, unit):
+    """The stop rule of the gauge's Newton loops: True once residual is
+    below tol, False to take another step.  It gives up, raising
+    NewtonDiverged, at a non-finite residual, at a residual above first,
+    that of step 0, or at step NEWTON_MAX_ITERATIONS.  The messages name
+    the residual as what and the step as unit ("step" or "sweep")."""
+    if not math.isfinite(residual):
+        raise NewtonDiverged(f"{what} {residual} at Newton {unit} {step}")
+    if residual < tol:
+        return True
+    if residual > first:
+        raise NewtonDiverged(
+            f"{what} {residual:.3e} at Newton {unit} {step} exceeds "
+            f"{first:.3e} of {unit} 0"
+        )
+    if step == NEWTON_MAX_ITERATIONS:
+        raise NewtonDiverged(
+            f"{what} {residual:.3e} after {NEWTON_MAX_ITERATIONS} Newton "
+            f"{unit}s"
+        )
+    return False
+
+
 def _newton_exp(a_sound, grid, alpha, cutoff, initial=None, transform=None):
     """The Newton loop of `solve_nonlinear_exp`, on the band.
 
@@ -749,22 +733,11 @@ def _newton_exp(a_sound, grid, alpha, cutoff, initial=None, transform=None):
         w_sound = resize_band(transform, reach).reshape(-1)[sets.slots]
         r_sound = -1j * (w_sound * den_sound) - a_sound
         residual = float(np.max(np.abs(r_sound)))
-        if not math.isfinite(residual):
-            raise NewtonDiverged(f"residual {residual} at Newton step {step}")
-        if residual < NEWTON_TOL:
-            return p_band, transform, residual, step
         if step == 0:
             first = residual
-        elif residual > first:
-            raise NewtonDiverged(
-                f"residual {residual:.3e} at Newton step {step} exceeds "
-                f"{first:.3e} of step 0"
-            )
-        if step == NEWTON_MAX_ITERATIONS:
-            raise NewtonDiverged(
-                f"residual {residual:.3e} after {NEWTON_MAX_ITERATIONS} "
-                f"Newton steps"
-            )
+        if _newton_stop(residual, step, first, NEWTON_TOL, "residual",
+                        "step"):
+            return p_band, transform, residual, step
         p_band = p_band - _divide(_extract_pairs(r_sound, grid, cutoff),
                                   grid, alpha, cutoff)
 
@@ -841,11 +814,11 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
     stop once every sample's residual is below CONJUGATING_TOL, and give
     up at the first non-finite residual, at the first sweep whose worst
     residual exceeds that of sweep 0, or after NEWTON_MAX_ITERATIONS
-    sweeps; each correction ladder (`_time_chain`) has at most
-    CHAIN_MAX_LAYERS layers and drops layers below CONJUGATING_TOL / 10,
-    the per-sample Newton solves keep the SMALLNESS, NEWTON_TOL and
-    NEWTON_MAX_ITERATIONS of `solve_nonlinear_exp`, and the tameness bounds
-    scale with TAMENESS_C.
+    sweeps, by the stop rule of the Newton loop (`_newton_stop`); each
+    correction ladder (`_time_chain`) has at most CHAIN_MAX_LAYERS layers
+    and drops layers below CONJUGATING_TOL / 10, the per-sample Newton
+    solves keep the SMALLNESS, NEWTON_TOL and NEWTON_MAX_ITERATIONS of
+    `solve_nonlinear_exp`, and the tameness bounds scale with TAMENESS_C.
     """
     if not alpha > 2:
         raise ValueError(f"conjugating gauge needs alpha > 2, got {alpha:g}")
@@ -880,34 +853,17 @@ def solve_conjugating(u_fields, dt, alpha, cutoff=DEFAULT_CUTOFF):
     half = max(w.shape[-2] for w in transforms) // 2
     w_stack = np.stack([resize_band(w, half) for w in transforms])
 
-    iterations = 0
-    residuals = None
-    g_stack = None
-    for step in range(NEWTON_MAX_ITERATIONS + 1):
+    for iterations in range(NEWTON_MAX_ITERATIONS + 1):
         g_stack = _conjugating_residual(w_stack, transport, dt, grid, alpha)
         g_sound = resize_band(g_stack, reach).reshape(len(fields), -1)[
             :, sets.slots]
         residuals = np.max(np.abs(g_sound), axis=1)
         worst = float(np.max(residuals))
-        if not math.isfinite(worst):
-            raise NewtonDiverged(
-                f"conjugating residual {worst} at Newton sweep {step}"
-            )
-        if worst < CONJUGATING_TOL:
-            iterations = step
-            break
-        if step == 0:
+        if iterations == 0:
             first = worst
-        elif worst > first:
-            raise NewtonDiverged(
-                f"conjugating residual {worst:.3e} at Newton sweep {step} "
-                f"exceeds {first:.3e} of sweep 0"
-            )
-        if step == NEWTON_MAX_ITERATIONS:
-            raise NewtonDiverged(
-                f"conjugating residual {worst:.3e} after "
-                f"{NEWTON_MAX_ITERATIONS} Newton sweeps"
-            )
+        if _newton_stop(worst, iterations, first, CONJUGATING_TOL,
+                        "conjugating residual", "sweep"):
+            break
         rhs = -1j * _extract_pairs(g_sound, grid, cutoff)
         correction, _ = _time_chain(
             rhs, dt, grid, alpha, cutoff, order_p, CHAIN_MAX_LAYERS,

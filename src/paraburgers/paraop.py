@@ -385,7 +385,7 @@ def wave_packet(grid, center):
 
 def order_probe(operator, centers=None):
     """Fit an OperatorMatrix's order from output norms on dyadic wave
-    packets."""
+    packets; ValueError when there is no packet to probe."""
     grid = operator.grid
     if centers is None:
         centers = []
@@ -393,6 +393,9 @@ def order_probe(operator, centers=None):
         while k <= grid.n // 4:
             centers.append(k)
             k *= 2
+    if not centers:
+        raise ValueError(f"no wave packet to probe on {grid}: no centers, "
+                         f"and the default 8, 16, ... <= N/4 need N >= 32")
     norms = []
     for k in centers:
         out = operator.apply(wave_packet(grid, k))

@@ -16,8 +16,6 @@ Conventions, fixed once and used everywhere:
   Negative-order multipliers send the zero mode to zero.
 """
 
-import functools
-
 import numpy as np
 
 from .errors import GridMismatch, NonFiniteMultiplier
@@ -148,10 +146,9 @@ def block_profile(t):
     return 1.0 - smoothstep(t - 1.0)
 
 
-@functools.lru_cache(maxsize=16)
 def lp_profiles(grid):
-    """Littlewood-Paley block multipliers P_0, ..., P_K as a read-only
-    (K+1) x N array, one row per block, columns in FFT order.
+    """Littlewood-Paley block multipliers P_0, ..., P_K as a (K+1) x N
+    array, one row per block, columns in FFT order.
 
     K is the smallest integer with 2^K >= N/2 so the profiles sum to one on
     every retained mode.
@@ -162,9 +159,7 @@ def lp_profiles(grid):
     profiles = [lowpass[0]]
     for k in range(1, count):
         profiles.append(lowpass[k] - lowpass[k - 1])
-    profiles = np.array(profiles)
-    profiles.setflags(write=False)
-    return profiles
+    return np.array(profiles)
 
 
 def multiplier_values(grid, m):

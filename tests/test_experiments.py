@@ -440,6 +440,14 @@ class TestConjugationStudy:
         assert report == experiments.EstimateReport(0.0, 0.0, 4,
                                                     "inconclusive")
 
+    def test_grid_without_a_probe_packet_is_a_value_error(self):
+        # at N = 16 the default order probe has no packet
+        configs = experiments.standard_ensemble(16, 2.5, 0.02, dt=0.002,
+                                                amplitudes=(1e-2,))
+        with pytest.raises(ValueError,
+                           match=r"no wave packet to probe on Grid\(n=16\)"):
+            experiments.conjugation_study([run(c) for c in configs], 2.5)
+
     @pytest.mark.parametrize("n,seed", sorted(BENCHMARK_CONJUGATION_GOLDENS))
     def test_benchmark_golden_numbers(self, n, seed):
         configs = experiments.standard_ensemble(n, 2.5, 0.02, dt=0.002,

@@ -21,7 +21,7 @@ from paraburgers.errors import (
     TamenessViolated,
 )
 from paraburgers.solver import run
-from paraburgers.spectral import Grid, Field, lp_profiles, zygmund_norm
+from paraburgers.spectral import Grid, Field
 from paraburgers.symbols import Cutoff, Symbol, regularize, seminorm, \
     transport_symbol, x_derivative
 from paraburgers import experiments, gauge, normalform, paraop, symbols
@@ -39,8 +39,6 @@ ELLIPTICITY_BRACKETS = {
     2.0: (1.81, 2.06),
     2.5: (2.19, 2.57),
 }
-# Remainder contraction constant; measured B * ratio <= 0.60 at B in {4, 8, 16}.
-COLE_HOPF_C = 0.7
 # Slack constant in the converged transport bound; measured margins are wide.
 NONLINEAR_C = 3.0
 
@@ -125,12 +123,9 @@ class TestSolveCommutatorExplicit:
         for xi in (5, 20):
             coeffs = a_reg.coeffs.copy()
             coeffs[grid.index_of(20), grid.index_of(xi)] = 0.5
-            mislabelled = a_reg.copy(coeffs=coeffs)
-            for solve in (gauge.solve_commutator, gauge.cole_hopf_parametrix,
-                          gauge.parametrix_remainder):
-                with pytest.raises(InvariantBroken,
-                                   match="1 coefficients nonzero where"):
-                    solve(mislabelled, 1.5, cutoff)
+            with pytest.raises(InvariantBroken,
+                               match="1 coefficients nonzero where"):
+                gauge.solve_commutator(a_reg.copy(coeffs=coeffs), 1.5, cutoff)
 
     def test_mean_row_lands_in_residual(self):
         # eta = 0 data is in the kernel's cokernel: reported, not absorbed
@@ -316,7 +311,6 @@ class TestResonanceEllipticity:
             grid, cutoff = Grid(16 + 2 * i), Cutoff(1.0 + alpha, 1.0)
             u = Field.from_physical(grid, 1e-3 * np.cos(grid.x))
             a = transport_symbol(u)
-            gauge.cole_hopf_parametrix(a, alpha, cutoff)
             paraop.materialize(a, cutoff)
             paraop._band_layout(grid.n, i)
             gauge._divide(a.coeffs[band_rows(grid, cutoff)], grid, alpha,
@@ -325,11 +319,9 @@ class TestResonanceEllipticity:
             gauge._band_waves(grid, cutoff)
             experiments._deep_pairs(grid, cutoff)
             paraop.product_tables(grid)
-            zygmund_norm(u, 1.0)
             normalform.normal_form(u, u, 1.0, alpha, cutoff)
         grid, cutoff = Grid(16), Cutoff(2.0, 1.0)
         tables = {
-            gauge._cole_hopf_weight: (grid, 1.5),
             gauge._division_table: (grid, 1.5, cutoff),
             symbols.cutoff_mask: (grid, cutoff),
             paraop._band_pairs: (grid, cutoff),
@@ -338,7 +330,6 @@ class TestResonanceEllipticity:
             gauge._pair_sets: (grid, cutoff),
             gauge._band_waves: (grid, cutoff),
             experiments._deep_pairs: (grid, cutoff),
-            lp_profiles: (grid,),
             normalform.build_chi1: (1.0, 1.5, cutoff, grid),
         }
         # with `_cone_band` (tests/test_paraop.py) and `propagators`
@@ -480,52 +471,6 @@ class TestOffSupportNorms:
         norms = gauge._off_support_norms(bands, grid, cutoff)
         assert norms.tolist() == [5.0, 0.0]
         assert gauge._off_support_norms(bands[0], grid, cutoff) == 5.0
-
-
-class TestColeHopfParametrix:
-    def test_zero(self):
-        grid = Grid(64)
-        a = Symbol(grid, np.zeros((64, 64), dtype=np.complex128))
-        assert np.all(gauge.cole_hopf_parametrix(a, 2.0).coeffs == 0.0)
-
-    def test_alpha_two_closed_form(self):
-        # a = e^{i3x} 1(xi) -> E = psi e^{i3x} / (2 |xi| 3i) away from xi = 0
-        grid = Grid(64)
-        cutoff = Cutoff(8.0, 2.0)
-        a = single_row_symbol(grid, 3, np.ones(grid.n))
-        e = gauge.cole_hopf_parametrix(a, 2.0, cutoff)
-        xi = grid.freqs.astype(np.float64)
-        psi = cutoff(np.full(grid.n, 3.0), xi)
-        expected = np.where(xi != 0,
-                            psi / (2.0 * np.abs(np.where(xi != 0, xi, 1.0)) * 3j),
-                            0.0)
-        np.testing.assert_allclose(e.coeffs[grid.index_of(3)], expected,
-                                   atol=1e-16)
-
-    def test_mean_row_and_zero_column_vanish(self):
-        grid = Grid(64)
-        cutoff = Cutoff(8.0, 2.0)
-        rng = np.random.default_rng(11)
-        coeffs = rng.standard_normal((grid.n, grid.n)) + 0j
-        e = gauge.cole_hopf_parametrix(Symbol(grid, coeffs), 1.5, cutoff)
-        assert np.all(e.coeffs[0] == 0.0)
-        assert np.all(e.coeffs[:, 0] == 0.0)
-
-    @pytest.mark.parametrize("big_b", [4.0, 8.0, 16.0])
-    @pytest.mark.parametrize("alpha", [1.5, 2.5])
-    def test_remainder_contraction(self, big_b, alpha):
-        grid = Grid(128)
-        cutoff = Cutoff(big_b, 2.0)
-        rng = np.random.default_rng(13)
-        a = band_symbol(grid, cutoff, rng)
-        r = gauge.parametrix_remainder(a, alpha, cutoff)
-        assert seminorm(r, order_m=0.0) <= COLE_HOPF_C / big_b
-
-    def test_alpha_one_rejected(self):
-        grid = Grid(64)
-        a = Symbol(grid, np.zeros((64, 64), dtype=np.complex128))
-        with pytest.raises(ValueError):
-            gauge.cole_hopf_parametrix(a, 1.0)
 
 
 class TestTimeDependent:
@@ -1015,6 +960,69 @@ class TestNonlinearExp:
         off = np.where(paraop.pair_mask(self.grid, self.cutoff) == 0.0,
                        commutator, 0.0)
         assert sol.extras["off_support_norm"] == float(np.max(np.abs(off)))
+
+
+# the (what, unit) of `_newton_exp` and of the `solve_conjugating` sweep
+NEWTON_LOOPS = [("residual", "step"), ("conjugating residual", "sweep")]
+
+
+class TestNewtonStop:
+    """`gauge._newton_stop`, the stop rule of both Newton loops, on each of
+    its five outcomes."""
+
+    @pytest.mark.parametrize("what,unit", NEWTON_LOOPS)
+    def test_converged(self, what, unit):
+        for step in (0, 3, gauge.NEWTON_MAX_ITERATIONS):
+            assert gauge._newton_stop(1e-10, step, 1e-3, 1e-9, what, unit)
+
+    @pytest.mark.parametrize("what,unit", NEWTON_LOOPS)
+    def test_continue(self, what, unit):
+        # a residual equal to that of step 0 is not growth
+        for residual, step in ((1e-3, 0), (1e-4, 3), (1e-3, 3)):
+            assert gauge._newton_stop(residual, step, 1e-3, 1e-9, what,
+                                      unit) is False
+
+    @pytest.mark.parametrize("what,unit", NEWTON_LOOPS)
+    @pytest.mark.parametrize("residual", [np.nan, np.inf])
+    def test_non_finite(self, what, unit, residual):
+        with pytest.raises(NewtonDiverged) as raised:
+            gauge._newton_stop(residual, 4, 1e-3, 1e-9, what, unit)
+        assert str(raised.value) == f"{what} {residual} at Newton {unit} 4"
+
+    @pytest.mark.parametrize("what,unit", NEWTON_LOOPS)
+    def test_growth_past_step_zero(self, what, unit):
+        with pytest.raises(NewtonDiverged) as raised:
+            gauge._newton_stop(2e-3, 2, 1e-3, 1e-9, what, unit)
+        assert str(raised.value) == \
+            f"{what} 2.000e-03 at Newton {unit} 2 exceeds 1.000e-03 of {unit} 0"
+
+    @pytest.mark.parametrize("what,unit", NEWTON_LOOPS)
+    def test_last_step(self, what, unit):
+        last = gauge.NEWTON_MAX_ITERATIONS
+        with pytest.raises(NewtonDiverged) as raised:
+            gauge._newton_stop(1e-4, last, 1e-3, 1e-9, what, unit)
+        assert str(raised.value) == \
+            f"{what} 1.000e-04 after {last} Newton {unit}s"
+
+    def test_newton_loop_gives_up_at_its_last_step(self, monkeypatch):
+        # this data converges at step 2 (`test_data_off_the_kernel_converges`)
+        monkeypatch.setattr(gauge, "NEWTON_MAX_ITERATIONS", 1)
+        data = TestNonlinearExp.kernel_data(1e-3, zero_mean=True)
+        with pytest.raises(NewtonDiverged,
+                           match=r"^residual \S+ after 1 Newton steps$"):
+            gauge.solve_nonlinear_exp(data, 1.5, Cutoff(8.0, 2.0))
+
+    def test_sweep_gives_up_at_its_last_sweep(self, monkeypatch):
+        # no residual passes a zero tolerance; the per-sample Newton solves
+        # of these samples converge at step 2, so only the sweep gives up
+        monkeypatch.setattr(gauge, "NEWTON_MAX_ITERATIONS", 2)
+        monkeypatch.setattr(gauge, "CONJUGATING_TOL", 0.0)
+        grid = Grid(64)
+        fields = [Field.from_physical(grid, 1e-3 * np.cos(grid.x - 0.05 * i))
+                  for i in range(9)]
+        with pytest.raises(NewtonDiverged, match=r"^conjugating residual "
+                                                 r"\S+ after 2 Newton sweeps$"):
+            gauge.solve_conjugating(fields, 0.05, 2.5, Cutoff(8.0, 2.0))
 
 
 class TestConjugating:

@@ -561,6 +561,17 @@ class TestOrderProbe:
         with pytest.raises(DegenerateProbe):
             paraop.order_probe(zero)
 
+    @pytest.mark.parametrize("n,centers", [(16, None), (128, [])])
+    def test_no_packet_is_a_value_error(self, n, centers):
+        # the default centers k = 8, 16, ... <= N/4 leave none below N = 32;
+        # with no packet nothing is probed, so no output is degenerate
+        grid = Grid(n)
+        identity = paraop.OperatorMatrix(grid, np.eye(n, dtype=complex))
+        with pytest.raises(ValueError, match=fr"no wave packet to probe on "
+                                             fr"Grid\(n={n}\)"):
+            paraop.order_probe(identity, centers)
+
+
 def sobolev_operator_norm(grid, entries, s_out, s_in):
     """L2 operator norm of a dense matrix between Sobolev spaces
     H^{s_in} -> H^{s_out}."""
